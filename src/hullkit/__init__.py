@@ -48,11 +48,9 @@ from .code import (
 from .transform import (
     TransformPair,
     m_matrix,
-    mod4_weight_check,
     sign_variants,
     transform_code,
     transform_rows,
-    weight_identity_check,
 )
 from .circulant import (
     CirculantSpec,

@@ -8,11 +8,9 @@ the 1-based original coordinate placed at position i+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    CapacityError,
     CodeParseError,
     DimensionError,
     PredicateError,
@@ -27,8 +25,6 @@ from .field import (
     rref,
     transpose,
 )
-
-_ENUM_LIMIT = 1 << 22  # cap for whole-codebook enumeration helpers
 
 
 class LinearCode:
@@ -71,11 +67,6 @@ class LinearCode:
     def __repr__(self) -> str:
         return f"LinearCode(GF({self.field.p}), [{self.n},{self.k}])"
 
-    def with_provenance(self, **extra) -> "LinearCode":
-        merged = dict(self.provenance)
-        merged.update(extra)
-        return LinearCode(self.generator, provenance=merged)
-
     def contains(self, v: FieldVector) -> bool:
         """Membership: rref-reduction of v against the generator leaves zero."""
         if v.field != self.field or len(v) != self.n:
@@ -94,32 +85,6 @@ class LinearCode:
                 for j in range(self.n):
                     syms[j] = (syms[j] - c * row[j]) % p
         return all(s == 0 for s in syms)
-
-    def codewords(self) -> Iterable[FieldVector]:
-        """All q^k codewords (small codes only; guarded)."""
-        q, k = self.field.p, self.k
-        if q**k > _ENUM_LIMIT:
-            raise CapacityError(
-                f"codeword enumeration limited to q^k <= {_ENUM_LIMIT}, got {q}^{k}"
-            )
-        if self.field.binary:
-            n = self.n
-            for m in range(1 << k):
-                bits = 0
-                for j in range(k):
-                    if (m >> j) & 1:
-                        bits ^= self.generator.row_bits[j]
-                yield FieldVector.from_bits(bits, n)
-        else:
-            p = self.field.p
-            rows = self.generator.entries
-            for coeffs in product(range(q), repeat=k):
-                word = [0] * self.n
-                for c, row in zip(coeffs, rows):
-                    if c:
-                        for j in range(self.n):
-                            word[j] = (word[j] + c * row[j]) % p
-                yield FieldVector(self.field, word)
 
 
 def _first_dependent_row(mat: FieldMatrix) -> int:

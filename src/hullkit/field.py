@@ -55,9 +55,6 @@ class PrimeField:
             raise ValueError(f"element {a} out of range for GF({self.p})")
         return a
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
@@ -246,16 +243,6 @@ class FieldMatrix:
         return cls(field, [[0] * c for _ in range(r)], cols=c)
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[FieldVector], field: PrimeField | None = None,
-                     cols: int | None = None) -> "FieldMatrix":
-        if not vectors:
-            if field is None or cols is None:
-                raise DimensionError("empty matrix needs field and column count")
-            return cls(field, [], cols=cols)
-        f = vectors[0].field
-        return cls(f, [v.symbols for v in vectors], cols=len(vectors[0]))
-
-    @classmethod
     def from_bit_rows(cls, bit_rows: Sequence[int], cols: int, field: PrimeField = GF2) -> "FieldMatrix":
         if not field.binary:
             raise ValueError("from_bit_rows is a GF(2) constructor")
@@ -263,12 +250,6 @@ class FieldMatrix:
 
     def row(self, i: int) -> FieldVector:
         return FieldVector(self.field, self.entries[i])
-
-    def row_vectors(self) -> list[FieldVector]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def column(self, j: int) -> FieldVector:
-        return FieldVector(self.field, [r[j] for r in self.entries])
 
     def to_numpy(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)

@@ -2,7 +2,8 @@
 discover doubly even self-dual codes and improved LCD codes, with
 fingerprint deduplication and replayable JSON-lines persistence.
 
-Every emitted record's code is certified against its guaranteed
+Both drivers are front-ends to one loop (transform, screen, certify,
+dedup).  Every emitted record's code is certified against its guaranteed
 predicate at emission time, and records are reproducible: replaying
 (seed, x, y) must give back identical parameters and fingerprint.
 """
@@ -13,10 +14,11 @@ import json
 import random
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .code import (
     LinearCode,
+    StandardForm,
     is_doubly_even,
     is_lcd,
     is_self_dual,
@@ -25,7 +27,8 @@ from .code import (
 from .errors import CapacityError, IntegrityError, PostconditionError, PredicateError
 from .field import GF2, FieldVector, inner_product
 from .invariant import is_equivalent, nt_from_masks
-from .minweight import _scan_binary, codeword_masks_of_weight, min_weight
+from .minweight import _scan_binary, codeword_masks_of_weight
+from .minweight import min_weight  # noqa: F401  (perfbench/tracing.py wraps search.min_weight)
 from .transform import TransformPair, transform_code
 
 RNG_NAME = "python-random-mt19937"
@@ -39,25 +42,32 @@ def make_yi(m: int, i: int) -> FieldVector:
     return FieldVector(GF2, [0] * (m - i) + [1] * i)
 
 
-def _fingerprint(dist_counts: Mapping[int, int], nt_counts: Mapping[int, int]) -> dict[str, str]:
-    def h(counts: Mapping[int, int]) -> str:
-        blob = json.dumps(sorted((int(a), int(b)) for a, b in counts.items()))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    return {"distribution": h(dist_counts), "nt": h(nt_counts)}
+def _digest(counts: Mapping[int, int]) -> str:
+    blob = json.dumps(sorted((int(a), int(b)) for a, b in counts.items()))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def fingerprint_code(code: LinearCode, weight: int | None = None,
-                     threads: int = 1) -> dict[str, str]:
-    """Dedup key: (weight-distribution hash, N_t-sequence hash).
+def _certify(code: LinearCode, dist, threads: int) -> tuple[int, dict[str, str]]:
+    """(d, fingerprint) from the complete weight distribution of ``code``.
 
-    ``weight`` defaults to the minimum weight.
+    The fingerprint hashes the distribution and the N_t counts of the
+    minimum-weight words.
     """
+    counts = {w: int(c) for w, c in enumerate(dist) if c}
+    d = min(w for w in counts if w > 0)
+    masks = codeword_masks_of_weight(code, d, threads=threads)
+    return d, {"distribution": _digest(counts), "nt": _digest(nt_from_masks(masks, code.n))}
+
+
+def _predicates(code: LinearCode) -> tuple[bool, bool, bool]:
+    """The record flags (self_dual, doubly_even, lcd)."""
+    return is_self_dual(code), is_doubly_even(code), is_lcd(code)
+
+
+def fingerprint_code(code: LinearCode, threads: int = 1) -> dict[str, str]:
+    """Dedup key: (weight-distribution hash, minimum-weight N_t hash)."""
     _, dist, _, _ = _scan_binary(code, want_dist=True, threads=threads)
-    counts = {int(w): int(c) for w, c in enumerate(dist) if c}
-    w = weight if weight is not None else min(v for v in counts if v > 0)
-    masks = codeword_masks_of_weight(code, w, threads=threads)
-    return _fingerprint(counts, nt_from_masks(masks, code.n))
+    return _certify(code, dist, threads)[1]
 
 
 @dataclass
@@ -247,6 +257,40 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
+            target: Callable[[bool, bool, bool], bool], violation: str,
+            d_target: int, seed_id: str, node_budget: int, threads: int,
+            stamp: bool) -> list[SearchRecord]:
+    """Transform, screen, certify and dedup each pair, pulled one at a time.
+
+    ``target`` takes the (self_dual, doubly_even, lcd) flags of a screen
+    survivor.  A survivor that misses it raises ``violation`` in checked
+    mode and is dropped in unchecked mode.
+    """
+    records: list[SearchRecord] = []
+    dedup: dict = {}
+    for pair in pairs:
+        out = transform_code(form, pair, mode=mode)
+        best, dist, _, aborted = _scan_binary(
+            out, abort_below=d_target, want_dist=True, threads=threads)
+        if aborted or best < d_target:
+            continue
+        flags = _predicates(out)
+        if not target(*flags):
+            if mode == "checked":
+                raise PostconditionError(violation)
+            continue
+        d, fp = _certify(out, dist, threads)
+        rec = SearchRecord(
+            seed_id=seed_id, x=pair.x.to_string(), y=pair.y.to_string(),
+            n=out.n, k=out.k, d=d,
+            self_dual=flags[0], doubly_even=flags[1], lcd=flags[2],
+            fingerprint=fp, created=_timestamp() if stamp else None,
+        )
+        _emit(records, dedup, rec, out, node_budget, threads)
+    return records
+
+
 def sd_search(seed: LinearCode, y: FieldVector,
               x_candidates: Iterable[FieldVector], d_target: int,
               rule: str = "mod4", seed_id: str = "seed",
@@ -258,8 +302,11 @@ def sd_search(seed: LinearCode, y: FieldVector,
     rule="mod4" enforces the double-evenness hypothesis wt(x) = 0 (mod 4)
     and transforms in checked mode; rule="even" admits all even-weight x,
     transforms unchecked, and keeps only outputs passing post-hoc doubly
-    even + self-dual verification.  Candidates failing the rule are skipped.
+    even + self-dual verification.  Candidates failing the rule are skipped;
+    any other rule raises ValueError.
     """
+    if rule not in ("mod4", "even"):
+        raise ValueError(f"unknown rule {rule!r}")
     if not seed.field.binary:
         raise PredicateError("sd_search operates on binary seeds")
     if not is_self_dual(seed) or not is_doubly_even(seed):
@@ -269,34 +316,11 @@ def sd_search(seed: LinearCode, y: FieldVector,
     form = standard_form(seed)
     if len(y) != form.a_block.cols:
         raise PredicateError(f"y must have length n-k = {form.a_block.cols}")
-    records: list[SearchRecord] = []
-    dedup: dict = {}
-    for x in x_candidates:
-        if not _x_ok(x, y, rule):
-            continue
-        pair = TransformPair(x, y)
-        mode = "checked" if rule == "mod4" else "unchecked"
-        out = transform_code(form, pair, mode=mode)
-        if rule == "even" and not (is_doubly_even(out) and is_self_dual(out)):
-            continue
-        best, dist, _, aborted = _scan_binary(
-            out, abort_below=d_target, want_dist=True, threads=threads)
-        if aborted or best < d_target:
-            continue
-        if not (is_doubly_even(out) and is_self_dual(out)):
-            raise PostconditionError("sd_search emitted a non doubly-even-self-dual code")
-        counts = {int(wt): int(c) for wt, c in enumerate(dist) if c}
-        d = min(wt for wt in counts if wt > 0)
-        masks = codeword_masks_of_weight(out, d, threads=threads)
-        rec = SearchRecord(
-            seed_id=seed_id, x=x.to_string(), y=y.to_string(),
-            n=out.n, k=out.k, d=d,
-            self_dual=True, doubly_even=True, lcd=False,
-            fingerprint=_fingerprint(counts, nt_from_masks(masks, out.n)),
-            created=_timestamp() if stamp else None,
-        )
-        _emit(records, dedup, rec, out, node_budget, threads)
-    return records
+    pairs = (TransformPair(x, y) for x in x_candidates if _x_ok(x, y, rule))
+    return _search(form, pairs, "checked" if rule == "mod4" else "unchecked",
+                   lambda sd, de, lcd: sd and de,
+                   "sd_search emitted a non doubly-even-self-dual code",
+                   d_target, seed_id, node_budget, threads, stamp)
 
 
 def lcd_improve(seed: LinearCode, pairs: Iterable[TransformPair], d_target: int,
@@ -309,32 +333,19 @@ def lcd_improve(seed: LinearCode, pairs: Iterable[TransformPair], d_target: int,
     if not is_lcd(seed):
         raise PredicateError("lcd_improve needs an LCD seed")
     form = standard_form(seed)
-    records: list[SearchRecord] = []
-    dedup: dict = {}
-    for pair in pairs:
-        if not pair.isotropic:
-            continue
-        if pair.length != form.a_block.cols:
-            raise PredicateError(f"pair length must be n-k = {form.a_block.cols}")
-        out = transform_code(form, pair, mode="checked")
-        if not is_lcd(out):
-            raise PostconditionError("lcd_improve emitted a non-LCD code")
-        best, dist, _, aborted = _scan_binary(
-            out, abort_below=d_target, want_dist=True, threads=threads)
-        if aborted or best < d_target:
-            continue
-        counts = {int(wt): int(c) for wt, c in enumerate(dist) if c}
-        d = min(wt for wt in counts if wt > 0)
-        masks = codeword_masks_of_weight(out, d, threads=threads)
-        rec = SearchRecord(
-            seed_id=seed_id, x=pair.x.to_string(), y=pair.y.to_string(),
-            n=out.n, k=out.k, d=d,
-            self_dual=is_self_dual(out), doubly_even=is_doubly_even(out), lcd=True,
-            fingerprint=_fingerprint(counts, nt_from_masks(masks, out.n)),
-            created=_timestamp() if stamp else None,
-        )
-        _emit(records, dedup, rec, out, node_budget, threads)
-    return records
+    m = form.a_block.cols
+
+    def isotropic():
+        for pair in pairs:
+            if not pair.isotropic:
+                continue
+            if pair.length != m:
+                raise PredicateError(f"pair length must be n-k = {m}")
+            yield pair
+
+    return _search(form, isotropic(), "checked", lambda sd, de, lcd: lcd,
+                   "lcd_improve emitted a non-LCD code",
+                   d_target, seed_id, node_budget, threads, stamp)
 
 
 def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
@@ -359,13 +370,13 @@ def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
         raise IntegrityError(
             f"replayed parameters [{out.n},{out.k}] != recorded [{record.n},{record.k}]"
         )
-    d = min_weight(out, threads=threads)
+    _, dist, _, _ = _scan_binary(out, want_dist=True, threads=threads)
+    d, fp = _certify(out, dist, threads)
     if d != record.d:
         raise IntegrityError(f"replayed d={d} != recorded d={record.d}")
-    certs = (is_self_dual(out), is_doubly_even(out), is_lcd(out))
+    certs = _predicates(out)
     if certs != (record.self_dual, record.doubly_even, record.lcd):
         raise IntegrityError(f"replayed predicates {certs} do not match record")
-    fp = fingerprint_code(out, weight=d, threads=threads)
     if fp != record.fingerprint:
         raise IntegrityError("replayed fingerprint does not match record")
     return out

@@ -29,7 +29,6 @@ from .errors import (
     DimensionError,
     HypothesisError,
     PostconditionError,
-    UnsupportedFieldError,
 )
 from .field import (
     FieldMatrix,
@@ -241,28 +240,3 @@ def sign_variants(pair: TransformPair) -> list[TransformPair]:
         TransformPair(x, -y),
         TransformPair(-x, y),
     ]
-
-
-def weight_identity_check(u: FieldVector, v: FieldVector) -> bool:
-    """wt(u+v) = wt(u) + wt(v) - 2 wt(u*v) over GF(2) (test oracle; always true)."""
-    if not u.field.binary or not v.field.binary:
-        raise UnsupportedFieldError("weight identity is a GF(2) statement")
-    if len(u) != len(v):
-        raise DimensionError("length mismatch")
-    return (u + v).weight == u.weight + v.weight - 2 * u.hadamard(v).weight
-
-
-def mod4_weight_check(a: FieldMatrix, pair: TransformPair) -> bool:
-    """Every row of A(x,y) has weight congruent to its source row mod 4.
-
-    Requires a de_safe pair (test oracle; always true under the hypothesis).
-    """
-    if not a.field.binary:
-        raise UnsupportedFieldError("mod-4 weight congruence is a GF(2) statement")
-    if not pair.de_safe:
-        raise HypothesisError("mod-4 congruence needs wt(x)=wt(y)=0 mod 4 and (x,y)=0")
-    out = transform_rows(a, pair)
-    return all(
-        rb.bit_count() % 4 == ob.bit_count() % 4
-        for rb, ob in zip(a.row_bits, out.row_bits)
-    )

@@ -27,7 +27,6 @@ from hullkit import (
     make_yi,
     matmul,
     min_weight,
-    mod4_weight_check,
     replay,
     sampled_x,
     sd_search,
@@ -36,7 +35,6 @@ from hullkit import (
     transform_rows,
     transpose,
     weight_distribution,
-    weight_identity_check,
 )
 from hullkit.artifacts import (
     CIRCULANT_SEED_NAMES,
@@ -54,6 +52,7 @@ from conftest import (
     enumerate_codewords_naive,
     equivalent_brute_force,
     extended_hamming,
+    mod4_weight_check,
     nt_counts_naive,
     random_code,
     random_de_safe_pair,
@@ -61,6 +60,7 @@ from conftest import (
     random_matrix,
     random_standard_code,
     random_vector,
+    weight_identity_check,
 )
 
 THREADS = 2

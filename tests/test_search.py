@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from hullkit import (
@@ -79,6 +82,8 @@ def test_sd_search_preconditions():
         sd_search(load_a_block_code("a37225"), make_yi(15, 4), [], d_target=1)
     with pytest.raises(PredicateError):
         sd_search(ham, make_yi(4, 2), [], d_target=1)  # wt(y) not 0 mod 4
+    with pytest.raises(ValueError, match="unknown rule"):
+        sd_search(ham, make_yi(4, 4), [], d_target=1, rule="bogus")
 
 
 def test_sd_search_even_rule_post_hoc_verifies():
@@ -135,6 +140,34 @@ def test_search_determinism_byte_identical():
     assert [r.to_json_line() for r in r1] == [r.to_json_line() for r in r2]
 
 
+# SHA-256 over the newline-joined sorted-key JSON payloads, taken from the two
+# separate drivers that preceded search._search, not from the code under test
+GOLDEN_PAYLOADS = {
+    ("ham8", "mod4"): (1, "a41878ae639bd8f48f79d4964a61c83ac0d424149fe1e1181616bb621698383a"),
+    ("ham8", "even"): (1, "a41878ae639bd8f48f79d4964a61c83ac0d424149fe1e1181616bb621698383a"),
+    ("a381310", "lcd"): (19, "878a4db227e0a91da0fd2cc88c337018345006c75ba3d543d77592cd45b08503"),
+}
+
+
+def _payload_digest(records):
+    blob = "\n".join(json.dumps(r.payload(), sort_keys=True) for r in records)
+    return len(records), hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_search_payloads_match_golden_digests():
+    ham = extended_hamming()
+    y = make_yi(4, 4)
+    for rule in ("mod4", "even"):
+        records = sd_search(ham, y, exhaustive_x(4, y, rule=rule), d_target=4,
+                            rule=rule, seed_id="ham8")
+        assert _payload_digest(records) == GOLDEN_PAYLOADS[("ham8", rule)]
+    records = lcd_improve(load_a_block_code("a381310"),
+                          sampled_isotropic_pairs(25, 24, rng_seed=7),
+                          d_target=8, seed_id="a381310")
+    assert len(records) >= 5
+    assert _payload_digest(records) == GOLDEN_PAYLOADS[("a381310", "lcd")]
+
+
 def test_records_write_read_replay_round_trip(tmp_path):
     seed = load_a_block_code("a381310")
     pairs = sampled_isotropic_pairs(25, 24, rng_seed=7)
@@ -167,8 +200,6 @@ def test_replay_detects_tampering():
 def test_fingerprint_stability():
     ham = extended_hamming()
     fp1 = fingerprint_code(ham)
-    fp2 = fingerprint_code(ham, weight=4)
-    assert fp1 == fp2  # default weight is the minimum weight
     assert set(fp1) == {"distribution", "nt"}
     other = fingerprint_code(load_a_block_code("a381310"))
     assert other != fp1

@@ -19,13 +19,11 @@ from hullkit import (
     m_matrix,
     matmul,
     min_weight,
-    mod4_weight_check,
     sign_variants,
     standard_form,
     transform_code,
     transform_rows,
     transpose,
-    weight_identity_check,
 )
 from hullkit.artifacts import load_a_block_code, load_pair, load_seed
 from hullkit.transform import _transform_rows_symbols
@@ -35,11 +33,13 @@ from conftest import (
     GF5,
     enumerate_codewords_naive,
     extended_hamming,
+    mod4_weight_check,
     random_de_safe_pair,
     random_isotropic_pair,
     random_matrix,
     random_standard_code,
     random_vector,
+    weight_identity_check,
 )
 
 
