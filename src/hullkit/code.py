@@ -8,6 +8,7 @@ the 1-based original coordinate placed at position i+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -20,11 +21,11 @@ from .field import (
     FieldMatrix,
     FieldVector,
     PrimeField,
-    matmul,
+    gram,
     rank,
     rref,
-    transpose,
 )
+from .field import matmul  # noqa: F401  (perfbench/tracing.py wraps code.matmul)
 
 
 class LinearCode:
@@ -112,6 +113,9 @@ class StandardForm:
     ``column_permutation`` is in source-order form: position i holds the
     1-based original coordinate that lands at coordinate i+1.  Identity is
     (1, 2, ..., n).
+
+    The seed-side facts a checked transform compares against (``a_gram``,
+    ``doubly_even``) are computed on first use and kept.
     """
 
     column_permutation: tuple[int, ...]
@@ -135,6 +139,16 @@ class StandardForm:
 
     def generator(self) -> FieldMatrix:
         return FieldMatrix.identity(self.field, self.k).hstack(self.a_block)
+
+    @cached_property
+    def a_gram(self) -> FieldMatrix:
+        """A A^T, so that G G^T = I + A A^T for G = [I_k | A]."""
+        return gram(self.a_block)
+
+    @cached_property
+    def doubly_even(self) -> bool:
+        """Whether the code is doubly even (GF(2) only)."""
+        return is_doubly_even(self.code())
 
     def code(self) -> LinearCode:
         prov = {}
@@ -192,7 +206,7 @@ def dual(code: LinearCode) -> LinearCode:
 
 def gram_matrix(code: LinearCode) -> FieldMatrix:
     """G G^T for the stored generator."""
-    return matmul(code.generator, transpose(code.generator))
+    return gram(code.generator)
 
 
 def hull_dim(code: LinearCode) -> int:
@@ -206,7 +220,8 @@ def is_lcd(code: LinearCode) -> bool:
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:
-    return hull_dim(code) == code.k
+    """C is contained in its dual, i.e. G G^T = 0."""
+    return gram_matrix(code) == FieldMatrix.zeros(code.field, code.k, code.k)
 
 
 def is_self_dual(code: LinearCode) -> bool:

@@ -4,10 +4,13 @@ Everything above this module is field-generic.  Vectors and matrices are
 immutable values: operations return fresh objects and never mutate inputs,
 so all types are safe to share between threads.
 
-Over GF(2) a vector additionally carries its coordinates packed into a
-Python int (``bits``, bit i = coordinate i) and inner products reduce to
-``(a & b).bit_count() & 1``; the generic modular path covers p >= 3.  Both
-paths are kept alive and differentially tested against each other.
+Over GF(2), vectors and matrices are packed-first: a vector keeps its
+coordinates packed into a Python int (``bits``, bit i = coordinate i), a
+matrix its rows, and symbol tuples are unpacked only when asked for.  Inner
+products reduce to ``(a & b).bit_count() & 1``, and products, transposes
+and Gram matrices work on the packed rows.  The generic modular path covers
+p >= 3.  Both paths are kept alive and differentially tested against each
+other.
 
 Public coordinate references (pivot columns and the like) are 1-based,
 following the conventions of the coding-theory literature; see README.
@@ -81,22 +84,30 @@ def _pack_bits(symbols: Sequence[int]) -> int:
     return bits
 
 
+def _bit_string(bits: int, length: int) -> str:
+    """'0'/'1' string of a packed GF(2) row, coordinate 0 first."""
+    # bin() of bits | 1 << length is '0b1' followed by the row, coordinate 0 last
+    return bin(bits | 1 << length)[:2:-1]
+
+
 class FieldVector:
     """Immutable vector over a prime field.
 
-    ``symbols`` is a tuple of ints in [0, p).  Over GF(2), ``bits`` holds
-    the packed form (bit i = coordinate i); it is None for p >= 3.
+    ``symbols`` is a tuple of ints in [0, p).  Over GF(2) the stored state
+    is ``bits`` (bit i = coordinate i) and the length; ``symbols`` is
+    unpacked on first use and cached.  For p >= 3, ``bits`` is None.
     """
 
-    __slots__ = ("field", "symbols", "bits")
+    __slots__ = ("field", "_symbols", "bits", "_length")
 
     def __init__(self, field: PrimeField, symbols: Iterable[int]):
         syms = tuple(int(s) for s in symbols)
         for s in syms:
             field.check(s)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "symbols", syms)
+        object.__setattr__(self, "_symbols", syms)
         object.__setattr__(self, "bits", _pack_bits(syms) if field.p == 2 else None)
+        object.__setattr__(self, "_length", len(syms))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldVector is immutable")
@@ -107,7 +118,12 @@ class FieldVector:
             raise ValueError("from_bits is a GF(2) constructor")
         if bits < 0 or bits >> length:
             raise ValueError(f"bits 0x{bits:x} do not fit in length {length}")
-        return cls(field, [(bits >> i) & 1 for i in range(length)])
+        v = object.__new__(cls)
+        object.__setattr__(v, "field", field)
+        object.__setattr__(v, "_symbols", None)
+        object.__setattr__(v, "bits", int(bits))
+        object.__setattr__(v, "_length", length)
+        return v
 
     @classmethod
     def zeros(cls, field: PrimeField, length: int) -> "FieldVector":
@@ -117,8 +133,14 @@ class FieldVector:
     def all_ones(cls, field: PrimeField, length: int) -> "FieldVector":
         return cls(field, [1] * length)
 
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        if self._symbols is None:
+            object.__setattr__(self, "_symbols", tuple(map(int, _bit_string(self.bits, self._length))))
+        return self._symbols
+
     def __len__(self) -> int:
-        return len(self.symbols)
+        return self._length
 
     def __getitem__(self, i: int) -> int:
         return self.symbols[i]
@@ -127,13 +149,16 @@ class FieldVector:
         return iter(self.symbols)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldVector)
-            and other.field == self.field
-            and other.symbols == self.symbols
-        )
+        if not (isinstance(other, FieldVector) and other.field == self.field
+                and len(other) == len(self)):
+            return False
+        if self.field.binary:
+            return other.bits == self.bits
+        return other.symbols == self.symbols
 
     def __hash__(self) -> int:
+        if self.field.binary:
+            return hash((2, self._length, self.bits))
         return hash((self.field.p, self.symbols))
 
     def __repr__(self) -> str:
@@ -143,6 +168,8 @@ class FieldVector:
         """Whitespace-free symbol string, e.g. '0110'. Requires p <= 7."""
         if self.field.p > 7:
             raise ValueError("symbol strings only support single-digit moduli")
+        if self.field.binary:
+            return _bit_string(self.bits, self._length)
         return "".join(str(s) for s in self.symbols)
 
     @property
@@ -152,6 +179,8 @@ class FieldVector:
         return sum(1 for s in self.symbols if s)
 
     def is_zero(self) -> bool:
+        if self.bits is not None:
+            return self.bits == 0
         return all(s == 0 for s in self.symbols)
 
     def _require_compatible(self, other: "FieldVector") -> None:
@@ -204,10 +233,12 @@ def _inner_product_symbols(u: FieldVector, v: FieldVector) -> int:
 class FieldMatrix:
     """Immutable r x c matrix over a prime field.
 
-    Over GF(2), ``row_bits`` caches each row packed into an int.
+    Over GF(2) the stored state is ``row_bits``, each row packed into an
+    int (bit j = column j); ``entries`` is unpacked from it on first use and
+    cached.  For p >= 3, ``entries`` is stored and ``row_bits`` is None.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "row_bits")
+    __slots__ = ("field", "rows", "cols", "_entries", "row_bits")
 
     def __init__(self, field: PrimeField, entries: Iterable[Iterable[int]], cols: int | None = None):
         rows = tuple(tuple(int(s) for s in row) for row in entries)
@@ -226,7 +257,7 @@ class FieldMatrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", c)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_entries", rows)
         object.__setattr__(
             self, "row_bits", tuple(_pack_bits(r) for r in rows) if field.p == 2 else None
         )
@@ -235,18 +266,40 @@ class FieldMatrix:
         raise AttributeError("FieldMatrix is immutable")
 
     @classmethod
+    def from_bit_rows(cls, bit_rows: Sequence[int], cols: int, field: PrimeField = GF2) -> "FieldMatrix":
+        """GF(2) matrix from packed rows (bit j of a row = column j)."""
+        if not field.binary:
+            raise ValueError("from_bit_rows is a GF(2) constructor")
+        packed = tuple(int(b) for b in bit_rows)
+        for b in packed:
+            if b < 0 or b >> cols:
+                raise ValueError(f"row bits 0x{b:x} do not fit in {cols} columns")
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", len(packed))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_entries", None)
+        object.__setattr__(m, "row_bits", packed)
+        return m
+
+    @classmethod
     def identity(cls, field: PrimeField, n: int) -> "FieldMatrix":
+        if field.binary:
+            return cls.from_bit_rows([1 << i for i in range(n)], n)
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
     def zeros(cls, field: PrimeField, r: int, c: int) -> "FieldMatrix":
+        if field.binary:
+            return cls.from_bit_rows([0] * r, c)
         return cls(field, [[0] * c for _ in range(r)], cols=c)
 
-    @classmethod
-    def from_bit_rows(cls, bit_rows: Sequence[int], cols: int, field: PrimeField = GF2) -> "FieldMatrix":
-        if not field.binary:
-            raise ValueError("from_bit_rows is a GF(2) constructor")
-        return cls(field, [[(b >> i) & 1 for i in range(cols)] for b in bit_rows], cols=cols)
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        if self._entries is None:
+            unpacked = tuple(tuple(map(int, _bit_string(b, self.cols))) for b in self.row_bits)
+            object.__setattr__(self, "_entries", unpacked)
+        return self._entries
 
     def row(self, i: int) -> FieldVector:
         return FieldVector(self.field, self.entries[i])
@@ -255,14 +308,16 @@ class FieldMatrix:
         return np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldMatrix)
-            and other.field == self.field
-            and other.cols == self.cols
-            and other.entries == self.entries
-        )
+        if not (isinstance(other, FieldMatrix) and other.field == self.field
+                and other.cols == self.cols):
+            return False
+        if self.field.binary:
+            return other.row_bits == self.row_bits
+        return other.entries == self.entries
 
     def __hash__(self) -> int:
+        if self.field.binary:
+            return hash((2, self.cols, self.row_bits))
         return hash((self.field.p, self.cols, self.entries))
 
     def __repr__(self) -> str:
@@ -271,6 +326,11 @@ class FieldMatrix:
     def hstack(self, other: "FieldMatrix") -> "FieldMatrix":
         if other.field != self.field or other.rows != self.rows:
             raise DimensionError("hstack needs same field and row count")
+        if self.field.binary:
+            return FieldMatrix.from_bit_rows(
+                [a | b << self.cols for a, b in zip(self.row_bits, other.row_bits)],
+                self.cols + other.cols,
+            )
         return FieldMatrix(
             self.field,
             [a + b for a, b in zip(self.entries, other.entries)],
@@ -279,28 +339,58 @@ class FieldMatrix:
 
     def take_columns(self, js: Sequence[int]) -> "FieldMatrix":
         """New matrix whose column i is this matrix's column js[i] (0-based)."""
+        if self.field.binary:
+            return FieldMatrix.from_bit_rows(
+                [sum(((b >> j) & 1) << i for i, j in enumerate(js)) for b in self.row_bits],
+                len(js),
+            )
         return FieldMatrix(self.field, [[r[j] for j in js] for r in self.entries], cols=len(js))
 
 
+def _xor_rows(mask: int, rows: Sequence[int]) -> int:
+    """XOR of the packed rows selected by the set bits of ``mask``."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def transpose(m: FieldMatrix) -> FieldMatrix:
+    if m.field.binary:
+        return FieldMatrix.from_bit_rows(
+            [_pack_bits([(b >> j) & 1 for b in m.row_bits]) for j in range(m.cols)], m.rows
+        )
     return FieldMatrix(
         m.field, [[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)], cols=m.rows
     )
 
 
 def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Matrix product over the common field (bit-packed path over GF(2))."""
+    """Matrix product over the common field (bit-packed path over GF(2)).
+
+    Over GF(2), row i of the product is the XOR of the rows of ``b`` picked
+    by the set bits of row i of ``a``.
+    """
     if a.field != b.field:
         raise DimensionError(f"field mismatch: GF({a.field.p}) vs GF({b.field.p})")
     if a.cols != b.rows:
         raise DimensionError(f"inner dimension mismatch: {a.cols} vs {b.rows}")
     if a.field.binary:
-        col_bits = [_pack_bits([b.entries[i][j] for i in range(b.rows)]) for j in range(b.cols)]
-        out_rows = [
-            _pack_bits([(rb & cb).bit_count() & 1 for cb in col_bits]) for rb in a.row_bits
-        ]
-        return FieldMatrix.from_bit_rows(out_rows, b.cols)
+        return FieldMatrix.from_bit_rows([_xor_rows(rb, b.row_bits) for rb in a.row_bits], b.cols)
     return _matmul_symbols(a, b)
+
+
+def gram(m: FieldMatrix) -> FieldMatrix:
+    """The Gram matrix M M^T; over GF(2) entry (i, j) is parity(r_i & r_j)."""
+    if m.field.binary:
+        rb = m.row_bits
+        return FieldMatrix.from_bit_rows(
+            [sum(((ri & rj).bit_count() & 1) << j for j, rj in enumerate(rb)) for ri in rb],
+            m.rows,
+        )
+    return matmul(m, transpose(m))
 
 
 def _matmul_symbols(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
@@ -316,13 +406,15 @@ def _rref_gf2(row_bits: list[int], cols: int) -> tuple[list[int], list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, len(work)) if (work[i] >> c) & 1), None)
+        bit = 1 << c
+        piv = next((i for i in range(r, len(work)) if work[i] & bit), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
+        pr = work[r]
         for i in range(len(work)):
-            if i != r and (work[i] >> c) & 1:
-                work[i] ^= work[r]
+            if i != r and work[i] & bit:
+                work[i] ^= pr
         pivots.append(c)
         r += 1
         if r == len(work):

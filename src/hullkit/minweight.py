@@ -9,15 +9,25 @@ row-XOR plus a vectorized popcount over that table.  Blocks follow the
 Gray code on the top bits with alternating sweep direction, which is
 exactly the global reflected-Gray visit order, so ``codewords_of_weight``
 emits codewords in true Gray sequence.  Multi-threading splits the block
-range; partial results merge deterministically in block order.
+range; partial results merge deterministically in block order, and an
+early abort in one chunk stops the others at their next block.
+
+An early-abort screen first probes the sums of at most ``_PROBE_ROWS``
+generator rows in one vectorized pass, in the spirit of information-set
+search (Grassl 2006): generator rows are independent, so every such sum is
+a nonzero codeword, and a light one decides the screen without building
+the Gray table.
 
 q >= 3 codes are enumerated directly over all q^k information vectors
 (small-k property testing only).
 """
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -27,6 +37,7 @@ from .errors import CapacityError
 from .field import FieldVector
 
 LOW_BITS = 18
+_PROBE_ROWS = 3
 _GF2_K_LIMIT = 30
 _GENERIC_K_LIMIT = 12
 
@@ -59,21 +70,41 @@ def _packed_rows(code: LinearCode) -> np.ndarray:
 
     Shape (k,) when n <= 64, else (k, W) with W words per row.
     """
-    words = max(1, (code.n + 63) // 64)
-    out = np.zeros((code.k, words), dtype=np.uint64)
-    for i, bits in enumerate(code.generator.row_bits):
-        for w in range(words):
-            out[i, w] = (bits >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-    return out[:, 0] if words == 1 else out
+    rows = code.generator.row_bits
+    if code.n <= 64:
+        return np.array(rows, dtype=np.uint64)
+    words = (code.n + 63) // 64
+    return np.array([[(b >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(words)]
+                     for b in rows], dtype=np.uint64).reshape(code.k, words)
 
 
 def _gray_low_table(rows: np.ndarray, low: int) -> np.ndarray:
     """All XOR combinations of the first ``low`` rows, in Gray-code order."""
-    shape = (1,) if rows.ndim == 1 else (1, rows.shape[1])
-    arr = np.zeros(shape, dtype=np.uint64)
+    table = np.zeros((1 << low,) + rows.shape[1:], dtype=np.uint64)
     for j in range(low):
-        arr = np.concatenate([arr, arr[::-1] ^ rows[j]])
-    return arr
+        half = 1 << j
+        np.bitwise_xor(table[half - 1::-1], rows[j], out=table[half:2 * half])
+    return table
+
+
+@lru_cache(maxsize=_GF2_K_LIMIT)  # one entry per k the scan accepts
+def _probe_index(k: int) -> np.ndarray:
+    """Every set of 1.._PROBE_ROWS distinct row indices of a k-row generator,
+    one set per line, padded with k (the index of an appended zero row)."""
+    depth = min(k, _PROBE_ROWS)
+    sets = [c + (k,) * (depth - size)
+            for size in range(1, depth + 1) for c in combinations(range(k), size)]
+    index = np.array(sets, dtype=np.intp).reshape(len(sets), depth)
+    index.flags.writeable = False  # shared by every caller through the cache
+    return index
+
+
+def _probe(rows: np.ndarray) -> int:
+    """Least weight among the sums of at most _PROBE_ROWS generator rows."""
+    k = rows.shape[0]
+    padded = np.concatenate([rows, np.zeros_like(rows[:1])])
+    words = np.bitwise_xor.reduce(padded[_probe_index(k)], axis=1)
+    return int(_popcounts(words).min())
 
 
 def _popcounts(arr: np.ndarray) -> np.ndarray:
@@ -112,13 +143,20 @@ def _mask_of(cur: np.ndarray, i: int) -> int:
 
 
 def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
-                abort_below, want_dist, collect_weight):
-    """Walk blocks [block_lo, block_hi); see _scan_binary for the contract."""
+                abort_below, want_dist, collect_weight, stop=None):
+    """Walk blocks [block_lo, block_hi); see _scan_binary for the contract.
+
+    ``stop`` is shared by the chunks of one threaded scan: a chunk that
+    aborts sets it, and every chunk returns as aborted at its next block
+    once it is set.
+    """
     dist = np.zeros(n + 1, dtype=np.int64) if want_dist else None
     collected: list[int] = []
     best = n + 1
     off = _block_offset(rows, low, block_lo)
     for t in range(block_lo, block_hi):
+        if stop is not None and stop.is_set():
+            return best, None, collected, True
         if t > block_lo:
             b = (t & -t).bit_length() - 1
             off = off ^ rows[low + b]
@@ -132,13 +170,15 @@ def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
             block_min = int(w.min())
         if block_min < best:
             best = block_min
-        if want_dist:
-            dist += np.bincount(w.astype(np.intp), minlength=n + 1)
         if collect_weight is not None:
             for i in np.nonzero(w == collect_weight)[0]:
                 collected.append(_mask_of(cur, int(i)))
         if abort_below is not None and best < abort_below:
+            if stop is not None:
+                stop.set()
             return best, None, collected, True
+        if want_dist:
+            dist += np.bincount(w.astype(np.intp), minlength=n + 1)
     return best, dist, collected, False
 
 
@@ -149,7 +189,10 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
 
     Returns (min_nonzero_weight, dist_or_None, collected_masks, aborted).
     ``dist`` is only meaningful when the walk completed; on abort the
-    returned min is the smallest weight seen so far (an upper bound).
+    returned min is the weight of a codeword lighter than ``abort_below``
+    (an upper bound on d).  The scan aborts exactly when d < abort_below:
+    the probe of light row sums only ever aborts on a real codeword, and
+    the walk finds any lighter word the probe missed.
     """
     if not code.field.binary:
         raise CapacityError("binary scan called on a non-binary code")
@@ -163,20 +206,26 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
         collected = [0] if collect_weight == 0 else []
         return code.n + 1, (dist if want_dist else None), collected, False
     rows = _packed_rows(code)
+    if abort_below is not None:
+        probed = _probe(rows)
+        if probed < abort_below:
+            return probed, None, [], True
     low = min(code.k, LOW_BITS)
     table = _gray_low_table(rows, low)
-    table_rev = table[::-1].copy()
+    # the order within a block matters only to the words collected
+    table_rev = table[::-1].copy() if collect_weight is not None else table
     blocks = 1 << (code.k - low)
     if threads <= 1 or blocks < 4:
         return _scan_range(rows, low, table, table_rev, code.n, 0, blocks,
                            abort_below, want_dist, collect_weight)
     nchunks = min(threads * 4, blocks)
     bounds = [round(i * blocks / nchunks) for i in range(nchunks + 1)]
+    stop = threading.Event() if abort_below is not None else None
     with ThreadPoolExecutor(max_workers=threads) as ex:
         jobs = [
             ex.submit(_scan_range, rows, low, table, table_rev, code.n,
                       bounds[i], bounds[i + 1], abort_below, want_dist,
-                      collect_weight)
+                      collect_weight, stop)
             for i in range(nchunks)
         ]
         parts = [j.result() for j in jobs]
@@ -236,8 +285,8 @@ def min_weight(code: LinearCode, abort_above: int | None = None,
                threads: int = 1) -> int:
     """Exact minimum nonzero codeword weight.
 
-    With ``abort_above = t`` the walk may stop at the first nonzero codeword
-    of weight < t; the returned value is then that weight (an upper bound on
+    With ``abort_above = t`` the scan may stop at a nonzero codeword of
+    weight < t; the returned value is then that weight (an upper bound on
     d certifying d < t).  Any returned value >= t is the exact minimum.
     """
     if code.k == 0:

@@ -16,7 +16,7 @@ from hullkit import (
     rref,
     transpose,
 )
-from hullkit.field import _inner_product_symbols, _matmul_symbols
+from hullkit.field import _inner_product_symbols, _matmul_symbols, gram
 
 from conftest import GF3, GF5, random_matrix, random_vector
 
@@ -42,6 +42,20 @@ def test_gf2_vector_packs_and_round_trips():
     assert FieldVector.from_bits(v.bits, 5) == v
     assert v.weight == 3
     assert v.to_string() == "10110"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 70).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+def test_packed_vector_matches_symbol_built(n_bits):
+    n, bits = n_bits
+    packed = FieldVector.from_bits(bits, n)
+    sym = FieldVector(GF2, [(bits >> i) & 1 for i in range(n)])
+    assert len(packed) == n
+    assert packed.to_string() == sym.to_string()
+    assert packed.is_zero() == sym.is_zero() == (bits == 0)
+    assert packed == sym and hash(packed) == hash(sym)
+    assert packed.symbols == sym.symbols
+    assert packed != FieldVector.from_bits(bits, n + 1)
 
 
 def test_inner_product_examples():
@@ -160,3 +174,50 @@ def test_matrices_are_immutable_values():
     v = FieldVector(GF2, [1, 0])
     with pytest.raises(AttributeError):
         v.bits = 3
+
+
+def test_from_bit_rows_rejects_rows_that_do_not_fit():
+    with pytest.raises(ValueError):
+        FieldMatrix.from_bit_rows([0b100, 0b11], 2)
+    with pytest.raises(ValueError):
+        FieldMatrix.from_bit_rows([-1], 4)
+    with pytest.raises(ValueError):
+        FieldMatrix.from_bit_rows([1], 0)
+    m = FieldMatrix.from_bit_rows([0b10, 0b11], 2)
+    assert m.entries == ((0, 1), (1, 1))
+    assert m != FieldMatrix.from_bit_rows([0b10, 0b01], 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_packed_matrix_ops_match_symbol_built(seed):
+    # oracle: the same matrices built entry by entry through the symbol constructor
+    rng = random.Random(seed)
+    r, c, c2 = rng.randint(0, 8), rng.randint(0, 70), rng.randint(0, 9)
+    ent = [[rng.randrange(2) for _ in range(c)] for _ in range(r)]
+    sym = FieldMatrix(GF2, ent, cols=c)
+    packed = FieldMatrix.from_bit_rows(sym.row_bits, c)
+    assert packed == sym and hash(packed) == hash(sym)
+    assert packed.entries == sym.entries
+    t = FieldMatrix(GF2, [[ent[i][j] for i in range(r)] for j in range(c)], cols=r)
+    assert transpose(packed) == t
+    other = random_matrix(rng, GF2, r, c2)
+    joined = [a + list(b) for a, b in zip(ent, other.entries)]
+    assert packed.hstack(other) == FieldMatrix(GF2, joined, cols=c + c2)
+    js = [rng.randrange(c) for _ in range(rng.randint(0, 6))] if c else []
+    assert packed.take_columns(js) == FieldMatrix(GF2, [[row[j] for j in js] for row in ent],
+                                                  cols=len(js))
+    assert gram(packed) == _matmul_symbols(sym, t)
+    b = random_matrix(rng, GF2, c, c2)
+    assert matmul(packed, b) == _matmul_symbols(sym, b)
+    size = rng.randint(0, 8)
+    eye = FieldMatrix(GF2, [[int(i == j) for j in range(size)] for i in range(size)], cols=size)
+    assert FieldMatrix.identity(GF2, size) == eye
+    assert hash(FieldMatrix.identity(GF2, size)) == hash(eye)
+
+
+def test_gram_generic_field_matches_symbol_product():
+    rng = random.Random(17)
+    for field in (GF3, GF5):
+        m = random_matrix(rng, field, 4, 6)
+        assert gram(m) == _matmul_symbols(m, transpose(m))

@@ -1,6 +1,10 @@
 import random
+import sys
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullkit import (
     GF2,
@@ -13,7 +17,8 @@ from hullkit import (
     min_weight,
     weight_distribution,
 )
-from hullkit.artifacts import load_a_block_code, load_seed
+from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_seed
+from hullkit.minweight import _PROBE_ROWS, _scan_binary
 
 from conftest import (
     GF3,
@@ -160,3 +165,73 @@ def test_sum_counts_is_2k():
     for _ in range(5):
         c = random_code(rng, GF2, 16, rng.randint(1, 10))
         assert weight_distribution(c).total() == 2**c.k
+
+
+def _assert_screen_exact(code, dist, ts):
+    """_scan_binary(abort_below=t) aborts exactly when d < t; an abort
+    returns the weight of a word with d <= weight < t, a full walk d."""
+    d = min(w for w in dist if w > 0)
+    for t in ts:
+        best, _, _, aborted = _scan_binary(code, abort_below=t)
+        assert aborted == (d < t), (code, t, d)
+        if aborted:
+            assert d <= best < t, (code, t, best)
+        else:
+            assert best == d, (code, t, best)
+
+
+def test_screen_is_exact_on_bundled_codes():
+    # Every t on D11 and the small codes.  On the other [56,28,12] seeds t
+    # runs from d up: a screen below d can abort neither in the probe nor in
+    # the walk (no nonzero word is lighter than d), so it walks exactly as
+    # the t = d screen does, at 0.5 s a walk.
+    for name in CIRCULANT_SEED_NAMES:
+        code = load_seed(name)
+        low = 1 if name == "D11" else 12
+        _assert_screen_exact(code, GLEASON_56_EXTREMAL, range(low, code.n + 2))
+    small = [load_a_block_code(nm) for nm in ("a37225", "a381310", "a40226")]
+    for code in small + [extended_hamming()]:
+        dist = weight_distribution(code).counts
+        _assert_screen_exact(code, dist, range(1, code.n + 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_screen_is_exact_on_random_codes(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 20)
+    code = random_code(rng, GF2, n, rng.randint(1, min(n, 12)))
+    _assert_screen_exact(code, weight_distribution_naive(code), range(1, n + 2))
+
+
+def _code_with_hidden_light_word(k: int, m: int, seed: int) -> LinearCode:
+    """[I_k | A] with heavy random rows a_i, except a_k = a_(k-1) + a_(k-2) +
+    a_(k-3): the sum of the last four generator rows has weight 4."""
+    rng = random.Random(seed)
+    a = [rng.getrandbits(m) for _ in range(k - 1)]
+    a.append(a[-1] ^ a[-2] ^ a[-3])
+    return LinearCode(FieldMatrix.from_bit_rows([1 << i | ai << k for i, ai in enumerate(a)], k + m))
+
+
+def test_threaded_abort_when_the_probe_misses():
+    # The only light word needs four rows, all in the top bits the blocks
+    # walk, so the probe misses it and a threaded walk must find it in one
+    # chunk and stop the rest.
+    code = _code_with_hidden_light_word(22, 40, seed=5)
+    rows = code.generator.row_bits
+    t = 5
+    for size in range(1, _PROBE_ROWS + 1):
+        for idx in combinations(rows, size):
+            acc = 0
+            for r in idx:
+                acc ^= r
+            assert acc.bit_count() >= t
+    single = _scan_binary(code, abort_below=t, threads=1)
+    assert single[3] and single[0] == 4 and single[1] is None
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the chunks as often as possible
+    try:
+        for threads in (2, 4):
+            assert _scan_binary(code, abort_below=t, threads=threads) == single
+    finally:
+        sys.setswitchinterval(switch)

@@ -10,6 +10,7 @@ from hullkit import (
     FieldVector,
     HypothesisError,
     LinearCode,
+    PostconditionError,
     TransformPair,
     hull_dim,
     inner_product,
@@ -19,12 +20,14 @@ from hullkit import (
     m_matrix,
     matmul,
     min_weight,
+    sd_search,
     sign_variants,
     standard_form,
     transform_code,
     transform_rows,
     transpose,
 )
+import hullkit.transform
 from hullkit.artifacts import load_a_block_code, load_pair, load_seed
 from hullkit.transform import _transform_rows_symbols
 
@@ -162,6 +165,33 @@ def test_transform_code_checked_requires_hypothesis():
         transform_code(code, bad)
     out = transform_code(code, bad, mode="unchecked")
     assert (out.n, out.k) == (10, 4)
+
+
+def test_checked_mode_catches_a_bug_after_seed_facts_are_cached(monkeypatch):
+    ham = extended_hamming()
+    form = standard_form(ham)
+    y4 = FieldVector(GF2, [1, 1, 1, 1])
+    pair = TransformPair(y4, y4)
+    assert pair.isotropic and pair.de_safe
+    transform_code(form, pair, mode="checked")
+    assert {"a_gram", "doubly_even"} <= vars(form).keys()  # seed side now cached
+
+    real = transform_rows
+
+    def flip_one_bit(a, p):
+        rows = list(real(a, p).row_bits)
+        rows[0] ^= 1
+        return FieldMatrix.from_bit_rows(rows, a.cols)
+
+    monkeypatch.setattr(hullkit.transform, "transform_rows", flip_one_bit)
+    with pytest.raises(PostconditionError):
+        transform_code(form, pair, mode="checked")
+    iso_only = TransformPair(FieldVector(GF2, [1, 1, 0, 0]), FieldVector(GF2, [0, 0, 1, 1]))
+    assert iso_only.isotropic and not iso_only.de_safe  # the Gram check alone
+    with pytest.raises(PostconditionError):
+        transform_code(form, iso_only, mode="checked")
+    with pytest.raises(PostconditionError):
+        sd_search(ham, y4, [y4], d_target=4)
 
 
 def test_transform_code_records_permutation_provenance():
