@@ -277,8 +277,14 @@ def _cmd_replay(args) -> int:
         for spec in args.seed_file:
             name, _, path = spec.partition("=")
             store[name] = parse_code(_read_text(path), source=path)
-    picked = records if args.index is None else [records[args.index]]
-    for i, rec in enumerate(picked):
+    if args.index is None:
+        picked = list(enumerate(records))
+    elif 0 <= args.index < len(records):
+        picked = [(args.index, records[args.index])]
+    else:
+        raise HullkitError(f"--index {args.index} is out of range: "
+                           f"{args.records} holds {len(records)} record(s)")
+    for i, rec in picked:
         code = replay(rec, store, threads=args.threads)
         print(f"record {i}: [{code.n},{code.k},{rec.d}] replay OK")
     return 0

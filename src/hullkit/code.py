@@ -24,6 +24,7 @@ from .field import (
     gram,
     rank,
     rref,
+    transpose,
 )
 from .field import matmul  # noqa: F401  (perfbench/tracing.py wraps code.matmul)
 
@@ -89,12 +90,14 @@ class LinearCode:
 
 
 def _first_dependent_row(mat: FieldMatrix) -> int:
-    """1-based index of the first row dependent on its predecessors."""
-    for i in range(1, mat.rows + 1):
-        sub = FieldMatrix(mat.field, mat.entries[:i], cols=mat.cols)
-        if rank(sub) < i:
-            return i
-    return mat.rows
+    """1-based index of the first row dependent on its predecessors.
+
+    The rows of ``mat`` are the columns of its transpose, and a column of a
+    row-reduced matrix is a pivot exactly when it is independent of the
+    columns before it, so the answer is the first non-pivot column.
+    """
+    _, pivots = rref(transpose(mat))
+    return next((i for i, c in enumerate(pivots, start=1) if c != i), len(pivots) + 1)
 
 
 def same_code(c1: LinearCode, c2: LinearCode) -> bool:
@@ -166,24 +169,17 @@ def standard_form(code: LinearCode) -> StandardForm:
     """
     if code.k == 0:
         raise PredicateError("standard form of the zero code is undefined")
-    reduced, pivots = code._reduced, code._pivots
-    piv0 = [p - 1 for p in pivots]
-    if piv0 == list(range(code.k)):
-        perm = tuple(range(1, code.n + 1))
-        a = reduced.take_columns(list(range(code.k, code.n)))
-        return StandardForm(perm, a)
-    nonpiv = [j for j in range(code.n) if j not in set(piv0)]
-    order = piv0 + nonpiv
-    a = reduced.take_columns(nonpiv)
-    return StandardForm(tuple(j + 1 for j in order), a)
+    piv0 = [p - 1 for p in code._pivots]
+    nonpiv = sorted(set(range(code.n)) - set(piv0))
+    a = code._reduced.take_columns(nonpiv)
+    return StandardForm(tuple(j + 1 for j in piv0 + nonpiv), a)
 
 
 def apply_column_permutation(code: LinearCode, perm: Sequence[int]) -> LinearCode:
     """Permute coordinates: new column i is old column perm[i] (1-based values)."""
     if sorted(perm) != list(range(1, code.n + 1)):
         raise DimensionError("not a permutation of {1..n}")
-    mat = code.generator.take_columns([p - 1 for p in perm])
-    return LinearCode.from_spanning_rows(code.field, mat.entries, n=code.n)
+    return LinearCode(code.generator.take_columns([p - 1 for p in perm]))
 
 
 def dual(code: LinearCode) -> LinearCode:
@@ -273,26 +269,13 @@ def puncture(code: LinearCode, coords: Iterable[int]) -> LinearCode:
 
 
 def shorten(code: LinearCode, coords: Iterable[int]) -> LinearCode:
-    """Restrict to codewords zero on ``coords`` (1-based), then delete them."""
-    t = _check_coords(code, coords)
-    p = code.field.p
-    work = [list(r) for r in code.generator.entries]
-    alive = list(range(len(work)))
-    for c1 in t:
-        j = c1 - 1
-        piv = next((i for i in alive if work[i][j] % p), None)
-        if piv is None:
-            continue
-        inv = pow(work[piv][j], p - 2, p)
-        work[piv] = [(inv * s) % p for s in work[piv]]
-        for i in alive:
-            if i != piv and work[i][j]:
-                ci = work[i][j]
-                work[i] = [(a - ci * b) % p for a, b in zip(work[i], work[piv])]
-        alive.remove(piv)
-    keep = [j for j in range(code.n) if j + 1 not in set(t)]
-    rows = [[work[i][j] for j in keep] for i in alive]
-    return LinearCode.from_spanning_rows(code.field, rows, n=len(keep))
+    """Restrict to codewords zero on ``coords`` (1-based), then delete them.
+
+    The shortened code is the dual of the punctured dual (Huffman & Pless,
+    *Fundamentals of Error-Correcting Codes*, §1.5); it is returned with its
+    generator in reduced row-echelon form.
+    """
+    return LinearCode(dual(puncture(dual(code), coords))._reduced)
 
 
 # --- code file format -------------------------------------------------------

@@ -3,8 +3,10 @@ exact permutation-equivalence test with budgeted backtracking.
 
 N_t counts the 4-subsets of columns covered by exactly t of the weight-w
 codewords; the sequence is invariant under column permutation, so distinct
-sequences certify inequivalence.  Equal sequences prove nothing, which is
-why :func:`is_equivalent` exists: column-signature refinement plus
+sequences certify inequivalence.  Both N_t and the pairwise co-occurrence
+counts that drive the equivalence search are popcounts of ANDed column
+incidence masks (:func:`column_masks`).  Equal sequences prove nothing,
+which is why :func:`is_equivalent` exists: column-signature refinement plus
 backtracking, exact because every "equivalent" answer carries a witness
 permutation verified by generator membership, and every "inequivalent"
 answer comes from exhausting a search pruned only by permutation
@@ -14,11 +16,8 @@ answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .code import LinearCode, same_code
 from .errors import DimensionError, UnsupportedFieldError
@@ -31,13 +30,12 @@ _SIGNATURE_CODEWORD_CAP = 60_000
 
 @dataclass(frozen=True)
 class NtSequence:
-    """Counts N_t of column ``tuple_size``-subsets covered by exactly t
-    weight-w codewords, for t >= 1 (t = 0 subsets are the complement)."""
+    """Counts N_t of column 4-subsets covered by exactly t weight-w
+    codewords, for t >= 1 (t = 0 subsets are the complement)."""
 
     n: int
     k: int
     weight: int
-    tuple_size: int
     counts: Mapping[int, int]
 
     @property
@@ -49,7 +47,7 @@ class NtSequence:
         return sum(self.counts.values())
 
     def zero_subsets(self) -> int:
-        return comb(self.n, self.tuple_size) - self.covered_subsets()
+        return comb(self.n, 4) - self.covered_subsets()
 
     def to_jsonable(self) -> list[int]:
         return list(self.sequence)
@@ -67,54 +65,35 @@ def column_masks(codeword_masks: Sequence[int], n: int) -> list[int]:
     return cols
 
 
-def subset_cover_count(cols: Sequence[int], subset: Sequence[int]) -> int:
-    """Number of listed codewords that are 1 on every column of ``subset``."""
-    it = iter(subset)
-    acc = cols[next(it)]
-    for j in it:
-        acc &= cols[j]
-        if not acc:
-            return 0
-    return acc.bit_count()
-
-
-def nt_from_masks(masks: Sequence[int], n: int, tuple_size: int = 4) -> dict[int, int]:
+def nt_from_masks(masks: Sequence[int], n: int) -> dict[int, int]:
     """Raw N_t counts from packed codeword masks."""
     cols = column_masks(masks, n)
     counts: dict[int, int] = {}
-    if tuple_size == 4:
-        for j1 in range(n):
-            c1 = cols[j1]
-            if not c1:
+    for j1 in range(n):
+        c1 = cols[j1]
+        if not c1:
+            continue
+        for j2 in range(j1 + 1, n):
+            c12 = c1 & cols[j2]
+            if not c12:
                 continue
-            for j2 in range(j1 + 1, n):
-                c12 = c1 & cols[j2]
-                if not c12:
+            for j3 in range(j2 + 1, n):
+                c123 = c12 & cols[j3]
+                if not c123:
                     continue
-                for j3 in range(j2 + 1, n):
-                    c123 = c12 & cols[j3]
-                    if not c123:
-                        continue
-                    for j4 in range(j3 + 1, n):
-                        t = (c123 & cols[j4]).bit_count()
-                        if t:
-                            counts[t] = counts.get(t, 0) + 1
-        return counts
-    for subset in combinations(range(n), tuple_size):
-        t = subset_cover_count(cols, subset)
-        if t:
-            counts[t] = counts.get(t, 0) + 1
+                for j4 in range(j3 + 1, n):
+                    t = (c123 & cols[j4]).bit_count()
+                    if t:
+                        counts[t] = counts.get(t, 0) + 1
     return counts
 
 
-def nt_sequence(code: LinearCode, w: int, tuple_size: int = 4,
-                threads: int = 1) -> NtSequence:
+def nt_sequence(code: LinearCode, w: int, threads: int = 1) -> NtSequence:
     """The (N_1, ..., N_n) invariant of ``code`` at codeword weight w."""
     if not code.field.binary:
         raise UnsupportedFieldError("N_t invariant is defined for binary codes")
     masks = codeword_masks_of_weight(code, w, threads=threads)
-    counts = nt_from_masks(masks, code.n, tuple_size)
-    return NtSequence(code.n, code.k, w, tuple_size, counts)
+    return NtSequence(code.n, code.k, w, nt_from_masks(masks, code.n))
 
 
 def inequivalent_by_invariant(c1: LinearCode, c2: LinearCode, w: int,
@@ -128,13 +107,8 @@ def inequivalent_by_invariant(c1: LinearCode, c2: LinearCode, w: int,
         raise DimensionError("codes must share (n, k)")
     s1 = nt_sequence(c1, w, threads=threads)
     s2 = nt_sequence(c2, w, threads=threads)
-    if s1.counts == s2.counts:
-        return None
     ts = sorted(set(s1.counts) | set(s2.counts))
-    for t in ts:
-        if s1.counts.get(t, 0) != s2.counts.get(t, 0):
-            return t
-    return None  # unreachable
+    return next((t for t in ts if s1.counts.get(t, 0) != s2.counts.get(t, 0)), None)
 
 
 @dataclass(frozen=True)
@@ -189,12 +163,8 @@ def _signature_weights(dist, cap: int = _SIGNATURE_CODEWORD_CAP) -> list[int]:
 
 def _co_occurrence(masks: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
     """co[j][i] = number of listed codewords covering both columns j and i."""
-    m = np.zeros((len(masks), n), dtype=np.uint8)
-    for r, b in enumerate(masks):
-        for j in range(n):
-            m[r, j] = (b >> j) & 1
-    co = m.T.astype(np.int64) @ m.astype(np.int64)
-    return tuple(tuple(int(v) for v in row) for row in co)
+    cols = column_masks(masks, n)
+    return tuple(tuple((cj & ci).bit_count() for ci in cols) for cj in cols)
 
 
 def _refine_column_classes(cos1, cos2, n: int):
@@ -251,10 +221,8 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
         raise UnsupportedFieldError("equivalence test implemented for binary codes")
     if (c1.n, c1.k) != (c2.n, c2.k):
         raise DimensionError("codes must share (n, k)")
-    n, k = c1.n, c1.k
-    if k == 0:
-        return EquivalenceResult("equivalent", tuple(range(1, n + 1)), 0)
-    if same_code(c1, c2):
+    n = c1.n
+    if same_code(c1, c2):  # also every pair of zero codes
         return EquivalenceResult("equivalent", tuple(range(1, n + 1)), 0)
 
     d1 = weight_distribution(c1, threads=threads)

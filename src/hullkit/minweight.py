@@ -18,8 +18,9 @@ search (Grassl 2006): generator rows are independent, so every such sum is
 a nonzero codeword, and a light one decides the screen without building
 the Gray table.
 
-q >= 3 codes are enumerated directly over all q^k information vectors
-(small-k property testing only).
+q >= 3 codes are enumerated directly over all q^k information vectors in
+lexicographic chunks; only each chunk's weights are kept (small-k property
+testing only).
 """
 from __future__ import annotations
 
@@ -240,41 +241,26 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
     return best, dist, collected, aborted
 
 
-def _iter_generic_words(code: LinearCode, chunk: int = 1 << 14):
-    """Yield (weights, words) chunks over all q^k codewords, lexicographic."""
-    q, k = code.field.p, code.k
-    total = q**k
-    gen = code.generator.to_numpy()
-    digits = q ** np.arange(k, dtype=np.int64)
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coeffs = (idx[:, None] // digits[None, :]) % q
-        words = (coeffs @ gen) % q
-        weights = np.count_nonzero(words, axis=1)
-        yield weights, words
-        start = stop
-
-
 def _scan_generic(code: LinearCode, *, abort_below: int | None = None):
-    """Direct q^k enumeration for q >= 3; returns (min_weight, dist, aborted)."""
+    """Direct q^k enumeration for q >= 3, lexicographic over the information
+    vectors in chunks of 2^14; returns (min_weight, dist, aborted)."""
     q, k = code.field.p, code.k
     if k > _GENERIC_K_LIMIT:
         raise CapacityError(
             f"exhaustive GF({q}) enumeration supports k <= {_GENERIC_K_LIMIT}, got k={k}"
         )
+    gen = code.generator.to_numpy()
+    digits = q ** np.arange(k, dtype=np.int64)
     dist = np.zeros(code.n + 1, dtype=np.int64)
     best = code.n + 1
-    first = True
-    for weights, _ in _iter_generic_words(code):
-        if first:
-            nz = weights[1:]
-            m = int(nz.min()) if nz.size else code.n + 1
-            first = False
-        else:
-            m = int(weights.min())
-        best = min(best, m)
+    chunk, total = 1 << 14, q**k
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        coeffs = (idx[:, None] // digits[None, :]) % q
+        weights = np.count_nonzero((coeffs @ gen) % q, axis=1)
+        nz = weights[1:] if start == 0 else weights  # index 0 is the zero codeword
+        if nz.size:
+            best = min(best, int(nz.min()))
         dist += np.bincount(weights, minlength=code.n + 1)
         if abort_below is not None and best < abort_below:
             return best, None, True

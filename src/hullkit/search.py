@@ -137,12 +137,23 @@ def read_records(path: str) -> tuple[dict | None, list[SearchRecord]]:
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise IntegrityError(f"{path}:{i}: invalid JSON: {e}") from None
+            if not isinstance(doc, dict):
+                raise IntegrityError(f"{path}:{i}: expected a JSON object, "
+                                     f"got {type(doc).__name__}")
             kind = doc.get("kind")
             if kind == "header":
                 header = {k: v for k, v in doc.items() if k != "kind"}
             elif kind == "record":
-                records.append(SearchRecord.from_json_doc(doc))
+                try:
+                    records.append(SearchRecord.from_json_doc(doc))
+                except KeyError as e:
+                    raise IntegrityError(f"{path}:{i}: record has no {e.args[0]!r} field") from None
+                except (TypeError, ValueError) as e:
+                    raise IntegrityError(f"{path}:{i}: malformed record: {e}") from None
             else:
                 raise IntegrityError(f"{path}:{i}: unknown line kind {kind!r}")
     return header, records

@@ -149,11 +149,11 @@ def hull_dim_naive(code: LinearCode) -> int:
     return dim
 
 
-def nt_counts_naive(code: LinearCode, w: int, tuple_size: int = 4) -> dict[int, int]:
+def nt_counts_naive(code: LinearCode, w: int) -> dict[int, int]:
     """Quadruple-loop N_t oracle over symbol-level codewords."""
     rows = [word for word in enumerate_codewords_naive(code) if sum(map(bool, word)) == w]
     counts: dict[int, int] = {}
-    for subset in combinations(range(code.n), tuple_size):
+    for subset in combinations(range(code.n), 4):
         t = 0
         for word in rows:
             prod = 1
@@ -163,6 +163,15 @@ def nt_counts_naive(code: LinearCode, w: int, tuple_size: int = 4) -> dict[int, 
         if t:
             counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+def subset_cover_count(cols: list[int], subset: tuple[int, ...]) -> int:
+    """Number of codewords that are 1 on every column of ``subset``, from the
+    per-column incidence masks of :func:`hullkit.invariant.column_masks`."""
+    acc = cols[subset[0]]
+    for j in subset[1:]:
+        acc &= cols[j]
+    return acc.bit_count()
 
 
 def equivalent_brute_force(c1: LinearCode, c2: LinearCode) -> bool:

@@ -42,7 +42,7 @@ from hullkit.artifacts import (
     load_pair,
     load_seed,
 )
-from hullkit.invariant import column_masks, is_equivalent, nt_sequence, subset_cover_count
+from hullkit.invariant import column_masks, is_equivalent, nt_sequence
 from hullkit.minweight import codeword_masks_of_weight
 
 from conftest import (
@@ -60,6 +60,7 @@ from conftest import (
     random_matrix,
     random_standard_code,
     random_vector,
+    subset_cover_count,
     weight_identity_check,
 )
 

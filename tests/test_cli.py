@@ -136,6 +136,84 @@ def test_search_and_replay(capsys, tmp_path):
     assert "replay OK" in out or len(lines) == 1
 
 
+HAMMING_TEXT = "2 8 4\n10000111\n01001011\n00101101\n00011110\n"
+GF3_TEXT = "3 7 3\n1201102\n0112021\n2210110\n"
+
+# frozen output of each command: shorten prints its code in RREF, dual does not
+CODE_OPS = [
+    (HAMMING_TEXT, ("shorten", "--coords", "1,2"), "2 6 2\n101101\n011110\n"),
+    (HAMMING_TEXT, ("shorten", "--coords", "3,1"), "2 6 2\n101011\n011110\n"),
+    (HAMMING_TEXT, ("shorten", "--coords", "2"), "2 7 3\n1000111\n0101101\n0011110\n"),
+    (HAMMING_TEXT, ("shorten", "--coords", "1,2,3,4,5,6,7,8"), "2 0 0\n"),
+    (HAMMING_TEXT, ("puncture", "--coords", "8"),
+     "2 7 4\n1000011\n0100101\n0010110\n0001111\n"),
+    (HAMMING_TEXT, ("puncture", "--coords", "2,5"),
+     "2 6 4\n100100\n010101\n001101\n000011\n"),
+    (HAMMING_TEXT, ("dual",), "2 8 4\n01111000\n10110100\n11010010\n11100001\n"),
+    (GF3_TEXT, ("shorten", "--coords", "4"), "3 6 2\n101120\n011100\n"),
+    (GF3_TEXT, ("shorten", "--coords", "1,7"), "3 5 1\n11010\n"),
+    (GF3_TEXT, ("shorten", "--coords", "1,2,3,4,5"), "3 2 0\n"),
+    (GF3_TEXT, ("puncture", "--coords", "2,5"), "3 5 3\n10020\n01000\n00112\n"),
+    (GF3_TEXT, ("puncture", "--coords", "7"), "3 6 3\n101012\n011010\n000111\n"),
+    (GF3_TEXT, ("dual",), "3 7 4\n2210000\n2202100\n1002010\n0001001\n"),
+]
+
+
+@pytest.mark.parametrize("text, op, expected", CODE_OPS,
+                         ids=[f"q{t[0]}-{' '.join(op)}" for t, op, _ in CODE_OPS])
+def test_code_operation_output_is_exact(capsys, tmp_path, text, op, expected):
+    path = tmp_path / "in.code"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, op[0], str(path), *op[1:])
+    assert (code, out, err) == (0, expected, "")
+
+
+def _lcd_records(capsys, tmp_path, extra_line=None):
+    """A header and one record line from a search, then ``extra_line``
+    (default: a second copy of the record)."""
+    records = tmp_path / "lcd.jsonl"
+    code, _, _ = run_cli(capsys, "search-lcd", "--seed", "a37225", "--pair", "c37226",
+                         "--d-target", "6", "--out", str(records))
+    assert code == 0
+    header, record = records.read_text().splitlines()
+    records.write_text("\n".join([header, record, extra_line or record]) + "\n")
+    return records
+
+
+def test_replay_index_labels_the_picked_record(capsys, tmp_path):
+    records = _lcd_records(capsys, tmp_path)
+    code, out, _ = run_cli(capsys, "replay", "--records", str(records), "--index", "1")
+    assert code == 0
+    assert out == "record 1: [37,22,6] replay OK\n"
+    code, out, _ = run_cli(capsys, "replay", "--records", str(records))
+    assert code == 0
+    assert [ln.split(":")[0] for ln in out.splitlines()] == ["record 0", "record 1"]
+
+
+@pytest.mark.parametrize("index", ["7", "2", "-1"])
+def test_replay_index_out_of_range_is_a_domain_error(capsys, tmp_path, index):
+    records = _lcd_records(capsys, tmp_path)
+    code, out, err = run_cli(capsys, "replay", "--records", str(records), "--index", index)
+    assert (code, out) == (1, "")
+    assert err.startswith("hullkit: error: --index ") and "2 record(s)" in err
+
+
+@pytest.mark.parametrize("bad_line, reason", [
+    ("{not json", "invalid JSON"),
+    ('{"kind": "record", "x": "0"}', "no 'seed_id' field"),
+    ('["kind", "record"]', "expected a JSON object"),
+    ('{"kind": "record", "seed_id": "a37225", "x": "0", "y": "0", "n": 37, "k": 22, '
+     '"d": 6, "self_dual": false, "doubly_even": false, "lcd": true, "fingerprint": 5}',
+     "malformed record"),
+])
+def test_replay_names_the_bad_line(capsys, tmp_path, bad_line, reason):
+    records = _lcd_records(capsys, tmp_path, bad_line)
+    code, out, err = run_cli(capsys, "replay", "--records", str(records))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"hullkit: error: {records}:3: ")
+    assert reason in err
+
+
 def test_search_sd_cli(capsys, tmp_path):
     seed_path = tmp_path / "ham.code"
     run_cli(capsys, "build-circulant", "0111", "--pure", "-o", str(seed_path))

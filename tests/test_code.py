@@ -208,6 +208,26 @@ def test_shorten_reinflates_into_parent():
             assert c.contains(FieldVector(GF2, inflated))
 
 
+def test_shorten_matches_naive_oracle():
+    # shorten goes through dual(puncture(dual(C))); check it against the
+    # definition instead: the codewords of C that vanish on T, T deleted
+    rng = random.Random(23)
+    for field in (GF2, GF3):
+        for _ in range(20):
+            n = rng.randint(2, 8)
+            c = random_code(rng, field, n, rng.randint(1, min(4, n)))
+            t = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            keep = [j for j in range(n) if j + 1 not in t]
+            expected = {
+                tuple(word[j] for j in keep)
+                for word in enumerate_codewords_naive(c)
+                if all(word[j - 1] == 0 for j in t)
+            }
+            s = shorten(c, t)
+            assert s.n == len(keep)
+            assert set(enumerate_codewords_naive(s)) == expected
+
+
 def test_puncture_shorten_duality():
     rng = random.Random(22)
     for field in (GF2, GF3):
@@ -240,6 +260,23 @@ def test_code_file_diagnostics():
         parse_code("2 4 1\n1121")
     with pytest.raises(CodeParseError, match="row 2 is linearly dependent"):
         parse_code("2 4 2\n1100\n1100")
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])
+def test_dependency_diagnostics_name_the_first_dependent_row(field):
+    # row 3 = row 1 + row 2 (row 4 also depends, but row 3 comes first)
+    rows = [[1, 0, 1, 0], [0, 1, 1, 1], [1, 1, 2 % field.p, 1], [1, 0, 1, 0]]
+    with pytest.raises(ValueError, match="row 3 depends on earlier rows"):
+        _code(rows, field=field)
+    text = f"{field.p} 4 4\n" + "\n".join("".join(map(str, r)) for r in rows)
+    with pytest.raises(CodeParseError, match=r"<string>:4: row 3 is linearly dependent on rows 1\.\.2"):
+        parse_code(text)
+    # a zero first row depends on the empty set of rows before it
+    rows = [[0, 0, 0, 0], [1, 0, 1, 0]]
+    with pytest.raises(ValueError, match="row 1 depends on earlier rows"):
+        _code(rows, field=field)
+    with pytest.raises(CodeParseError, match="<string>:2: row 1 is linearly dependent"):
+        parse_code(f"{field.p} 4 2\n0000\n1010")
 
 
 def test_zero_code_and_full_space_are_legal_degenerates():

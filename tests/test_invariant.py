@@ -15,7 +15,7 @@ from hullkit import (
     same_code,
 )
 from hullkit.artifacts import load_seed
-from hullkit.invariant import column_masks, nt_from_masks, subset_cover_count
+from hullkit.invariant import column_masks, nt_from_masks
 from hullkit.minweight import codeword_masks_of_weight
 
 from conftest import (
@@ -23,6 +23,7 @@ from conftest import (
     extended_hamming,
     nt_counts_naive,
     random_code,
+    subset_cover_count,
 )
 
 
@@ -69,12 +70,6 @@ def test_nt_permutation_invariance_small():
         ).counts
 
 
-def test_nt_generalizes_tuple_size():
-    ham = extended_hamming()
-    seq3 = nt_sequence(ham, 4, tuple_size=3)
-    assert dict(seq3.counts) == nt_counts_naive(ham, 4, tuple_size=3)
-
-
 def test_subset_cover_helpers():
     # bit i of a mask is coordinate i; bit j of a column mask is codeword j
     masks = [0b0111, 0b1011]
@@ -82,7 +77,15 @@ def test_subset_cover_helpers():
     assert cols == [0b11, 0b11, 0b01, 0b10]
     assert subset_cover_count(cols, (0, 1)) == 2
     assert subset_cover_count(cols, (2, 3)) == 0
-    assert nt_from_masks(masks, 4, tuple_size=2) == {1: 4, 2: 1}
+    # [5,2] code spanned by 11110 and 01111: its weight-4 words are the two
+    # rows, each covering one column 4-subset of its own
+    code = LinearCode(FieldMatrix(GF2, [[1, 1, 1, 1, 0], [0, 1, 1, 1, 1]]))
+    masks = codeword_masks_of_weight(code, 4)
+    assert sorted(masks) == [0b01111, 0b11110]
+    cols = column_masks(masks, 5)
+    assert subset_cover_count(cols, (0, 1, 2, 3)) == 1
+    assert subset_cover_count(cols, (0, 1, 2, 4)) == 0
+    assert nt_from_masks(masks, 5) == nt_counts_naive(code, 4) == {1: 2}
 
 
 def test_d11_and_c56_sequences_differ():
