@@ -3,21 +3,25 @@ exact permutation-equivalence test with budgeted backtracking.
 
 N_t counts the 4-subsets of columns covered by exactly t of the weight-w
 codewords; the sequence is invariant under column permutation, so distinct
-sequences certify inequivalence.  Both N_t and the pairwise co-occurrence
-counts that drive the equivalence search are popcounts of ANDed column
-incidence masks (:func:`column_masks`).  Equal sequences prove nothing,
-which is why :func:`is_equivalent` exists: column-signature refinement plus
-backtracking, exact because every "equivalent" answer carries a witness
-permutation verified by generator membership, and every "inequivalent"
-answer comes from exhausting a search pruned only by permutation
-invariants.  A blown node budget yields verdict "unknown", never a wrong
-answer.
+sequences certify inequivalence.  N_t is a histogram of cover counts
+indexed by the colex ranks of 4-subsets; the pairwise co-occurrence counts
+that drive the equivalence search are popcounts of ANDed column incidence
+masks (:func:`column_masks`).  Equal sequences prove nothing, which is why
+:func:`is_equivalent` exists: an N_t comparison, then column-signature
+refinement plus backtracking, exact because every "equivalent" answer
+carries a witness permutation verified by generator membership, and every
+"inequivalent" answer comes from a permutation invariant or from
+exhausting a search pruned only by permutation invariants.  A blown node
+budget yields verdict "unknown", never a wrong answer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .code import LinearCode, same_code
 from .errors import DimensionError, UnsupportedFieldError
@@ -66,26 +70,35 @@ def column_masks(codeword_masks: Sequence[int], n: int) -> list[int]:
 
 
 def nt_from_masks(masks: Sequence[int], n: int) -> dict[int, int]:
-    """Raw N_t counts from packed codeword masks."""
-    cols = column_masks(masks, n)
-    counts: dict[int, int] = {}
-    for j1 in range(n):
-        c1 = cols[j1]
-        if not c1:
-            continue
-        for j2 in range(j1 + 1, n):
-            c12 = c1 & cols[j2]
-            if not c12:
-                continue
-            for j3 in range(j2 + 1, n):
-                c123 = c12 & cols[j3]
-                if not c123:
-                    continue
-                for j4 in range(j3 + 1, n):
-                    t = (c123 & cols[j4]).bit_count()
-                    if t:
-                        counts[t] = counts.get(t, 0) + 1
-    return counts
+    """Raw N_t counts from packed codeword masks of any weights.
+
+    Every 4-subset {a < b < c < e} of a word's support adds one to the cover
+    count at its colex rank C(a,1) + C(b,2) + C(c,3) + C(e,4); N_t is the
+    number of ranks covered exactly t times.  Words are handled in chunks of
+    about 2^17 ranks (1 MB).
+    """
+    if not masks:
+        return {}
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+                           dtype=np.uint8).reshape(len(masks), nbytes)
+    bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+    weights = bits.sum(axis=1)
+    # binom[q][j] = C(j, q + 1): the colex rank term of column j at place q
+    binom = np.array([[comb(j, q + 1) for j in range(n)] for q in range(4)], dtype=np.intp)
+    cover = np.zeros(comb(n, 4), dtype=np.int64)
+    for w in np.unique(weights[weights >= 4]).tolist():
+        rows = np.flatnonzero(weights == w)
+        places = np.array(list(combinations(range(w), 4)), dtype=np.intp)
+        step = max(1, (1 << 17) // len(places))
+        for lo in range(0, len(rows), step):
+            chunk = np.nonzero(bits[rows[lo:lo + step]])[1].reshape(-1, w)  # supports
+            ranks = binom[0][chunk][:, places[:, 0]]
+            for q in range(1, 4):
+                ranks += binom[q][chunk][:, places[:, q]]
+            cover += np.bincount(ranks.ravel(), minlength=len(cover))
+    hist = np.bincount(cover)
+    return {t: int(c) for t, c in enumerate(hist) if t and c}
 
 
 def nt_sequence(code: LinearCode, w: int, threads: int = 1) -> NtSequence:
@@ -208,8 +221,11 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
                   threads: int = 1) -> EquivalenceResult:
     """Exact permutation-equivalence test for binary codes of equal (n, k).
 
-    Column candidates come from iteratively refined incidence signatures over
-    the few smallest nonzero-weight codeword sets; backtracking prunes by
+    Equal weight distributions are followed by the N_t counts of the
+    lightest signature weight's words, which answer "inequivalent" with 0
+    nodes when they differ (as for D11 against C56.1).  Column candidates
+    then come from iteratively refined incidence signatures over the few
+    smallest nonzero-weight codeword sets; backtracking prunes by
     pairwise co-occurrence counts.  All filters are permutation invariants,
     so exhausting the search space proves inequivalence, and every positive
     answer is re-verified by mapping a generator through the witness.  Codes
@@ -231,8 +247,12 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
         return EquivalenceResult("inequivalent", None, 0)
 
     ws = _signature_weights(d1)
-    cos1 = [_co_occurrence(codeword_masks_of_weight(c1, w, threads=threads), n) for w in ws]
-    cos2 = [_co_occurrence(codeword_masks_of_weight(c2, w, threads=threads), n) for w in ws]
+    masks1 = [codeword_masks_of_weight(c1, w, threads=threads) for w in ws]
+    masks2 = [codeword_masks_of_weight(c2, w, threads=threads) for w in ws]
+    if nt_from_masks(masks1[0], n) != nt_from_masks(masks2[0], n):
+        return EquivalenceResult("inequivalent", None, 0)
+    cos1 = [_co_occurrence(m, n) for m in masks1]
+    cos2 = [_co_occurrence(m, n) for m in masks2]
 
     refined = _refine_column_classes(cos1, cos2, n)
     if refined is None:

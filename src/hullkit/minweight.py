@@ -18,6 +18,13 @@ search (Grassl 2006): generator rows are independent, so every such sum is
 a nonzero codeword, and a light one decides the screen without building
 the Gray table.
 
+A doubly even self-dual code can skip the walk: ``_scan_two_sets`` lists
+the words of low information weight on two disjoint information sets
+(Brouwer-Zimmermann), which fixes d and the weight-d words, and takes the
+rest of the distribution from Gleason's theorem.  The public functions
+here always walk; the search chooses the two-set path for the codes it
+certifies (see ``search._scan``), and the tests hold the two paths equal.
+
 q >= 3 codes are enumerated directly over all q^k information vectors in
 lexicographic chunks; only each chunk's weights are kept (small-k property
 testing only).
@@ -29,12 +36,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping
+from math import comb
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .code import LinearCode
-from .errors import CapacityError
+from .errors import CapacityError, PostconditionError, PredicateError
 from .field import FieldVector
 
 LOW_BITS = 18
@@ -66,17 +74,16 @@ class WeightDistribution:
         return [[w, c] for w, c in self.items()]
 
 
-def _packed_rows(code: LinearCode) -> np.ndarray:
-    """Generator rows packed little-endian into uint64 words.
+def _packed_rows(rows: Sequence[int], n: int) -> np.ndarray:
+    """Length-n rows packed little-endian into uint64 words.
 
-    Shape (k,) when n <= 64, else (k, W) with W words per row.
+    Shape (len(rows),) when n <= 64, else (len(rows), W) with W words per row.
     """
-    rows = code.generator.row_bits
-    if code.n <= 64:
+    if n <= 64:
         return np.array(rows, dtype=np.uint64)
-    words = (code.n + 63) // 64
+    words = (n + 63) // 64
     return np.array([[(b >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(words)]
-                     for b in rows], dtype=np.uint64).reshape(code.k, words)
+                     for b in rows], dtype=np.uint64).reshape(len(rows), words)
 
 
 def _gray_low_table(rows: np.ndarray, low: int) -> np.ndarray:
@@ -206,7 +213,7 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
         dist[0] = 1
         collected = [0] if collect_weight == 0 else []
         return code.n + 1, (dist if want_dist else None), collected, False
-    rows = _packed_rows(code)
+    rows = _packed_rows(code.generator.row_bits, code.n)
     if abort_below is not None:
         probed = _probe(rows)
         if probed < abort_below:
@@ -239,6 +246,126 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
             dist += p[1]
     collected = [m for p in parts for m in p[2]]
     return best, dist, collected, aborted
+
+
+def _next_level(prev: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
+    """Sums of r distinct rows in colex order, from the sums of r - 1 rows in
+    colex order: the sums whose largest row is j are the first C(j, r-1)
+    sums of r - 1 rows, each XORed with row j."""
+    k = rows.shape[0]
+    out = np.empty((comb(k, r),) + rows.shape[1:], dtype=np.uint64)
+    pos = 0
+    for j in range(r - 1, k):
+        c = comb(j, r - 1)
+        np.bitwise_xor(prev[:c], rows[j], out=out[pos:pos + c])
+        pos += c
+    return out
+
+
+def _gleason_distribution(n: int, low: Sequence[int]) -> dict[int, int]:
+    """Weight distribution of a doubly even self-dual [n, n/2] code from its
+    counts A_0, A_4, ..., A_(4 floor(n/24)) (Gleason's theorem).
+
+    The enumerator is sum_j a_j g1^(n/8 - 3j) g2^j with
+    g1 = x^8 + 14 x^4 y^4 + y^8 and g2 = x^4 y^4 (x^4 - y^4)^4.  In t = y^4
+    (x = 1) the j-th basis polynomial starts at t^j with coefficient 1, so
+    the a_j follow from the A_4j by forward substitution, exactly in
+    integers.
+    """
+    size = n // 4 + 1
+
+    def mul(p, q):
+        out = [0] * size
+        for i, a in enumerate(p):
+            for j, b in enumerate(q[:size - i]):
+                out[i + j] += a * b
+        return out
+
+    def power(p, e):
+        out = [1]
+        for _ in range(e):
+            out = mul(out, p)
+        return out
+
+    g1, g2 = [1, 14, 1], [0, 1, -4, 6, -4, 1]
+    basis = [mul(power(g1, n // 8 - 3 * j), power(g2, j)) for j in range(len(low))]
+    coeffs: list[int] = []
+    for j, a in enumerate(low):
+        coeffs.append(a - sum(c * b[j] for c, b in zip(coeffs, basis)))
+    dist = {4 * i: sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(size)}
+    return {w: c for w, c in dist.items() if c}
+
+
+def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None):
+    """Minimum weight, distribution and minimum-weight words of a doubly even
+    self-dual code, from two disjoint information sets with no Gray walk
+    (Brouwer-Zimmermann; Grassl 2006).
+
+    The RREF generator ``[I | A]`` is the identity on its pivot columns P.
+    Self-duality with n = 2k gives A A^T = A^T A = I, so the rows of
+    ``A^T [I | A] = [A^T | I]`` are the identity on the other columns Q.
+    Level r lists every word that is 1 on exactly r columns of P, and every
+    word that is 1 on exactly r columns of Q.  After level r, a word not yet
+    listed has more than r ones on each side, so it weighs at least 2(r+1).
+    The levels stop at the first r where every word of weight up to
+    max(d, 4 floor(n/24)) has been listed; the distribution then follows
+    from A_0, A_4, ..., A_(4 floor(n/24)) by :func:`_gleason_distribution`,
+    checked against every count listed up to that weight.
+
+    Returns (min_nonzero_weight, dist_or_None, minimum_weight_masks, aborted)
+    with the abort contract of :func:`_scan_binary`: it aborts exactly when
+    d < abort_below, returning the weight of a word lighter than that.  The
+    masks are the weight-d words in no particular order.
+    """
+    if code.k > _GF2_K_LIMIT:
+        raise CapacityError(
+            f"exhaustive GF(2) enumeration supports k <= {_GF2_K_LIMIT}, got k={code.k}"
+        )
+    n, k = code.n, code.k
+    left = code._reduced.row_bits
+    p_mask = sum(1 << (p - 1) for p in code._pivots)
+    q_cols = [j for j in range(n) if not p_mask >> j & 1]
+    right = []
+    for j in q_cols:
+        acc = 0
+        for row in left:
+            if row >> j & 1:
+                acc ^= row
+        right.append(acc)
+    if n != 2 * k or any(row & ~p_mask != 1 << j for row, j in zip(right, q_cols)):
+        raise PredicateError("two information sets need a self-dual code with n = 2k")
+    floor = 4 * (n // 24)
+    sides = [_packed_rows(left, n), _packed_rows(right, n)]
+    levels = [np.zeros((1,) + rows.shape[1:], dtype=np.uint64) for rows in sides]
+    best = n + 1
+    light: list[tuple[int, int]] = []  # (word, side) of every word kept so far
+    for r in range(1, k + 1):
+        for side, rows in enumerate(sides):
+            level = levels[side] = _next_level(levels[side], rows, r)
+            w = _popcounts(level)
+            best = min(best, int(w.min()))
+            if abort_below is not None and best < abort_below:
+                return best, None, [], True
+            light += [(_mask_of(level, int(i)), side)
+                      for i in np.nonzero(w <= max(best, floor))[0]]
+        if max(best, floor) < 2 * (r + 1):
+            break
+    # a Q-side word with at most r ones on P was listed on the P side too
+    bound = max(best, floor)
+    words = [m for m, side in light
+             if m.bit_count() <= bound and (side == 0 or (m & p_mask).bit_count() > r)]
+    counts = {0: 1}
+    for m in words:
+        counts[m.bit_count()] = counts.get(m.bit_count(), 0) + 1
+    dist = _gleason_distribution(n, [counts.get(w, 0) for w in range(0, floor + 1, 4)])
+    if any(dist.get(w, 0) != counts.get(w, 0) for w in range(bound + 1)):
+        raise PostconditionError(
+            "Gleason distribution disagrees with the listed light words; "
+            "the code is not doubly even self-dual")
+    out = np.zeros(n + 1, dtype=np.int64)
+    for w, c in dist.items():
+        out[w] = c
+    return best, out, [m for m in words if m.bit_count() == best], False
 
 
 def _scan_generic(code: LinearCode, *, abort_below: int | None = None):

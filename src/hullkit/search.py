@@ -6,6 +6,16 @@ Both drivers are front-ends to one loop (transform, screen, certify,
 dedup).  Every emitted record's code is certified against its guaranteed
 predicate at emission time, and records are reproducible: replaying
 (seed, x, y) must give back identical parameters and fingerprint.
+
+Screening and certification take one of two paths, chosen by one gate
+(``_scan``) for the loop, ``fingerprint_code`` and ``replay`` alike.  A
+doubly even self-dual code (n = 2k, then the predicates) is decided from
+two information sets with a Gleason distribution and no Gray walk; when
+the loop screens an n = 2k code, a probe of light row sums runs before the
+predicates, so most rejects never reach them.  Every other code is
+screened by the early-abort Gray walk, which also yields its
+distribution, and its minimum-weight words are enumerated by a second
+walk.  Both paths give the same records.
 """
 from __future__ import annotations
 
@@ -27,7 +37,13 @@ from .code import (
 from .errors import CapacityError, IntegrityError, PostconditionError, PredicateError
 from .field import GF2, FieldVector, inner_product
 from .invariant import is_equivalent, nt_from_masks
-from .minweight import _scan_binary, codeword_masks_of_weight
+from .minweight import (
+    _packed_rows,
+    _probe,
+    _scan_binary,
+    _scan_two_sets,
+    codeword_masks_of_weight,
+)
 from .minweight import min_weight  # noqa: F401  (perfbench/tracing.py wraps search.min_weight)
 from .transform import TransformPair, transform_code
 
@@ -47,16 +63,40 @@ def _digest(counts: Mapping[int, int]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _certify(code: LinearCode, dist, threads: int) -> tuple[int, dict[str, str]]:
-    """(d, fingerprint) from the complete weight distribution of ``code``.
+def _scan(code: LinearCode, abort_below: int | None, threads: int):
+    """(minimum weight, distribution, weight-d masks or None, aborted) of
+    ``code``, with the abort contract of ``_scan_binary``.
+
+    The gate: a doubly even self-dual code (n = 2k is tested first, the
+    predicates after it) is scanned from two information sets, which lists
+    its weight-d words too.  A screen of an n = 2k code runs the probe that
+    opens a Gray-walk screen ahead of the predicates, so that no probe
+    reject pays for them.  Every other code takes the Gray walk, and its
+    weight-d words are enumerated later, by ``_certify``.
+    """
+    if code.n == 2 * code.k:
+        if abort_below is not None:
+            probed = _probe(_packed_rows(code.generator.row_bits, code.n))
+            if probed < abort_below:
+                return probed, None, None, True
+        if is_self_dual(code) and is_doubly_even(code):
+            return _scan_two_sets(code, abort_below=abort_below)
+    best, dist, _, aborted = _scan_binary(code, abort_below=abort_below,
+                                          want_dist=True, threads=threads)
+    return best, dist, None, aborted
+
+
+def _certify(code: LinearCode, d: int, dist, masks, threads: int) -> dict[str, str]:
+    """The fingerprint of ``code`` from its complete weight distribution and
+    its weight-d words (enumerated by Gray walk when ``masks`` is None).
 
     The fingerprint hashes the distribution and the N_t counts of the
     minimum-weight words.
     """
     counts = {w: int(c) for w, c in enumerate(dist) if c}
-    d = min(w for w in counts if w > 0)
-    masks = codeword_masks_of_weight(code, d, threads=threads)
-    return d, {"distribution": _digest(counts), "nt": _digest(nt_from_masks(masks, code.n))}
+    if masks is None:
+        masks = codeword_masks_of_weight(code, d, threads=threads)
+    return {"distribution": _digest(counts), "nt": _digest(nt_from_masks(masks, code.n))}
 
 
 def _predicates(code: LinearCode) -> tuple[bool, bool, bool]:
@@ -66,8 +106,8 @@ def _predicates(code: LinearCode) -> tuple[bool, bool, bool]:
 
 def fingerprint_code(code: LinearCode, threads: int = 1) -> dict[str, str]:
     """Dedup key: (weight-distribution hash, minimum-weight N_t hash)."""
-    _, dist, _, _ = _scan_binary(code, want_dist=True, threads=threads)
-    return _certify(code, dist, threads)[1]
+    d, dist, masks, _ = _scan(code, None, threads)
+    return _certify(code, d, dist, masks, threads)
 
 
 @dataclass
@@ -282,16 +322,15 @@ def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
     dedup: dict = {}
     for pair in pairs:
         out = transform_code(form, pair, mode=mode)
-        best, dist, _, aborted = _scan_binary(
-            out, abort_below=d_target, want_dist=True, threads=threads)
-        if aborted or best < d_target:
+        d, dist, masks, aborted = _scan(out, d_target, threads)
+        if aborted or d < d_target:
             continue
         flags = _predicates(out)
         if not target(*flags):
             if mode == "checked":
                 raise PostconditionError(violation)
             continue
-        d, fp = _certify(out, dist, threads)
+        fp = _certify(out, d, dist, masks, threads)
         rec = SearchRecord(
             seed_id=seed_id, x=pair.x.to_string(), y=pair.y.to_string(),
             n=out.n, k=out.k, d=d,
@@ -381,13 +420,12 @@ def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
         raise IntegrityError(
             f"replayed parameters [{out.n},{out.k}] != recorded [{record.n},{record.k}]"
         )
-    _, dist, _, _ = _scan_binary(out, want_dist=True, threads=threads)
-    d, fp = _certify(out, dist, threads)
+    d, dist, masks, _ = _scan(out, None, threads)
     if d != record.d:
         raise IntegrityError(f"replayed d={d} != recorded d={record.d}")
     certs = _predicates(out)
     if certs != (record.self_dual, record.doubly_even, record.lcd):
         raise IntegrityError(f"replayed predicates {certs} do not match record")
-    if fp != record.fingerprint:
+    if _certify(out, d, dist, masks, threads) != record.fingerprint:
         raise IntegrityError("replayed fingerprint does not match record")
     return out

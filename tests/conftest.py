@@ -23,6 +23,7 @@ from hullkit import (
     PrimeField,
     TransformPair,
     UnsupportedFieldError,
+    bordered_double_circulant,
     dual,
     pure_double_circulant,
     transform_rows,
@@ -49,6 +50,22 @@ def rng():
 def extended_hamming() -> LinearCode:
     """The [8,4,4] extended Hamming code as a pure double circulant."""
     return pure_double_circulant(CirculantSpec(FieldVector(GF2, [0, 1, 1, 1])))
+
+
+def bordered_golay() -> LinearCode:
+    """The [24,12,8] extended Golay code as a bordered double circulant: 1s
+    at {0} plus the quadratic residues mod 11."""
+    row = FieldVector(GF2, [1 if i in {0, 1, 3, 4, 5, 9} else 0 for i in range(11)])
+    return bordered_double_circulant(CirculantSpec(row))
+
+
+def direct_sum(*codes: LinearCode) -> LinearCode:
+    """The binary code with block-diagonal generator diag(G_1, G_2, ...)."""
+    rows, n = [], 0
+    for c in codes:
+        rows += [b << n for b in c.generator.row_bits]
+        n += c.n
+    return LinearCode(FieldMatrix.from_bit_rows(rows, n))
 
 
 def random_matrix(rng: random.Random, field: PrimeField, r: int, c: int) -> FieldMatrix:
@@ -162,6 +179,20 @@ def nt_counts_naive(code: LinearCode, w: int) -> dict[int, int]:
             t += prod
         if t:
             counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
+def nt_masks_naive(masks: list[int], n: int) -> dict[int, int]:
+    """N_t from packed words: count every 4-subset of every word's support
+    in a dict keyed by the subset, then count the subsets per cover count."""
+    cover: dict[tuple[int, ...], int] = {}
+    for m in masks:
+        support = [j for j in range(n) if m >> j & 1]
+        for subset in combinations(support, 4):
+            cover[subset] = cover.get(subset, 0) + 1
+    counts: dict[int, int] = {}
+    for t in cover.values():
+        counts[t] = counts.get(t, 0) + 1
     return counts
 
 

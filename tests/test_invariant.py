@@ -2,6 +2,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullkit import (
     GF2,
@@ -22,6 +24,7 @@ from conftest import (
     equivalent_brute_force,
     extended_hamming,
     nt_counts_naive,
+    nt_masks_naive,
     random_code,
     subset_cover_count,
 )
@@ -86,6 +89,17 @@ def test_subset_cover_helpers():
     assert subset_cover_count(cols, (0, 1, 2, 3)) == 1
     assert subset_cover_count(cols, (0, 1, 2, 4)) == 0
     assert nt_from_masks(masks, 5) == nt_counts_naive(code, 4) == {1: 2}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_nt_from_masks_matches_the_subset_loop(data):
+    # mixed weights, lengths past one 64-bit word, and the empty list
+    n = data.draw(st.integers(4, 80))
+    supports = data.draw(st.lists(
+        st.sets(st.integers(0, n - 1), max_size=min(n, 12)), max_size=30))
+    masks = [sum(1 << j for j in support) for support in supports]
+    assert nt_from_masks(masks, n) == nt_masks_naive(masks, n)
 
 
 def test_d11_and_c56_sequences_differ():
@@ -203,3 +217,11 @@ def test_equivalence_design_structured_code_exhausts_budget():
     res = is_equivalent(golay, permuted, node_budget=50_000)
     assert res.verdict == "unknown"
     assert res.nodes > 50_000
+
+
+def test_equivalence_separates_d11_from_c56_1_by_nt():
+    # weight-12 words of both codes form 3-designs, so column signatures
+    # cannot split them; their N_t counts differ and settle it at once
+    res = is_equivalent(load_seed("D11"), load_seed("C56.1"), node_budget=50_000, threads=2)
+    assert res.verdict == "inequivalent"
+    assert res.nodes == 0 and res.witness is None

@@ -12,20 +12,38 @@ from hullkit import (
     FieldMatrix,
     FieldVector,
     LinearCode,
+    TransformPair,
     codeword_masks_of_weight,
     codewords_of_weight,
+    fingerprint_code,
+    make_yi,
     min_weight,
+    sampled_x,
+    standard_form,
+    transform_code,
     weight_distribution,
 )
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_seed
-from hullkit.minweight import _PROBE_ROWS, _scan_binary
+from hullkit.minweight import (
+    _PROBE_ROWS,
+    _gleason_distribution,
+    _packed_rows,
+    _probe,
+    _scan_binary,
+    _scan_two_sets,
+)
+from hullkit.invariant import nt_from_masks
+from hullkit.search import _digest
 
 from conftest import (
     GF3,
     GF5,
     GLEASON_56_EXTREMAL,
+    bordered_golay,
+    direct_sum,
     extended_hamming,
     random_code,
+    random_de_safe_pair,
     weight_distribution_naive,
 )
 
@@ -167,12 +185,12 @@ def test_sum_counts_is_2k():
         assert weight_distribution(c).total() == 2**c.k
 
 
-def _assert_screen_exact(code, dist, ts):
-    """_scan_binary(abort_below=t) aborts exactly when d < t; an abort
-    returns the weight of a word with d <= weight < t, a full walk d."""
+def _assert_screen_exact(code, dist, ts, scan=_scan_binary):
+    """scan(abort_below=t) aborts exactly when d < t; an abort returns the
+    weight of a word with d <= weight < t, a full scan d."""
     d = min(w for w in dist if w > 0)
     for t in ts:
-        best, _, _, aborted = _scan_binary(code, abort_below=t)
+        best, _, _, aborted = scan(code, abort_below=t)
         assert aborted == (d < t), (code, t, d)
         if aborted:
             assert d <= best < t, (code, t, best)
@@ -235,3 +253,89 @@ def test_threaded_abort_when_the_probe_misses():
             assert _scan_binary(code, abort_below=t, threads=threads) == single
     finally:
         sys.setswitchinterval(switch)
+
+
+# --- two information sets -------------------------------------------------------
+
+def _assert_two_sets_match_walk(code, dist=None, threads=1):
+    """_scan_two_sets gives the walk's d, weight-d words (as a set),
+    distribution and fingerprint; ``dist`` stands in for a walked
+    distribution that another test already pins."""
+    if dist is None:
+        dist = dict(weight_distribution(code, threads=threads).counts)
+    d, got, masks, aborted = _scan_two_sets(code)
+    assert not aborted
+    assert d == min(w for w in dist if w > 0)
+    assert {w: int(c) for w, c in enumerate(got) if c} == dist
+    walked = codeword_masks_of_weight(code, d, threads=threads)
+    assert len(masks) == len(set(masks)) == len(walked)
+    assert set(masks) == set(walked)
+    assert fingerprint_code(code) == {"distribution": _digest(dist),
+                                      "nt": _digest(nt_from_masks(walked, code.n))}
+
+
+def test_two_sets_match_the_walk_on_bundled_codes():
+    for name in CIRCULANT_SEED_NAMES:
+        _assert_two_sets_match_walk(load_seed(name), GLEASON_56_EXTREMAL, threads=2)
+    for code in (extended_hamming(), bordered_golay()):
+        _assert_two_sets_match_walk(code)
+    # d = 4 below 4 floor(48/24) = 8: the A_8 the Gleason solve needs are
+    # heavier than the minimum weight
+    _assert_two_sets_match_walk(direct_sum(*[extended_hamming()] * 6), threads=2)
+
+
+def test_two_sets_screen_is_exact_on_bundled_codes():
+    for name in CIRCULANT_SEED_NAMES:
+        low = 1 if name == "D11" else 12
+        _assert_screen_exact(load_seed(name), GLEASON_56_EXTREMAL, range(low, 58),
+                             scan=_scan_two_sets)
+    for code in (extended_hamming(), bordered_golay()):
+        dist = weight_distribution(code).counts
+        _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan_two_sets)
+
+
+_E8 = extended_hamming()
+_DE_SD_BASES = (_E8, direct_sum(_E8, _E8), bordered_golay(),
+                direct_sum(bordered_golay(), _E8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(_DE_SD_BASES) - 1), st.integers(0, 10**6))
+def test_two_sets_match_the_walk_on_random_doubly_even_self_dual_codes(base, seed):
+    code = _DE_SD_BASES[base]
+    form = standard_form(code)
+    code = transform_code(form, random_de_safe_pair(random.Random(seed), form.a_block.cols))
+    _assert_two_sets_match_walk(code)
+    dist = weight_distribution(code).counts
+    _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan_two_sets)
+
+
+def test_two_sets_decide_the_sd_screen_probe_misses():
+    # The D11/y4 candidates of this pool whose light words all need four
+    # information rows: the 3-row probe passes them, and both scans find
+    # the same weight-8 word bound.
+    form = standard_form(load_seed("D11"))
+    y = make_yi(28, 4)
+    xs = sampled_x(28, y, 1500, rng_seed=22, rule="mod4")
+    outs = [transform_code(form, TransformPair(x, y)) for x in xs]
+    misses = [i for i, out in enumerate(outs)
+              if _probe(_packed_rows(out.generator.row_bits, out.n)) >= 12]
+    assert misses == [294, 569, 640, 853, 864, 1057, 1267, 1420]
+    for i in misses:
+        walked = _scan_binary(outs[i], abort_below=12)
+        assert walked[0] == 8 and walked[3]
+        assert _scan_two_sets(outs[i], abort_below=12) == (8, None, [], True)
+        assert _scan_two_sets(outs[i])[0] == 8
+
+
+def test_gleason_solver_matches_the_table_and_walked_distributions():
+    assert _gleason_distribution(56, [1, 0, 0]) == GLEASON_56_EXTREMAL
+    golay = bordered_golay()
+    # floor(n/24) = 0, 1, 1 (A_4 = 14 > 0) and 2 (A_8 = 1518); e8 + e8 is a
+    # non-extremal [16,8,4] code with A_4 = 28
+    for code in (direct_sum(_E8, _E8), golay, direct_sum(golay, _E8),
+                 direct_sum(golay, golay)):
+        dist = dict(weight_distribution(code, threads=2).counts)
+        low = [dist.get(w, 0) for w in range(0, 4 * (code.n // 24) + 1, 4)]
+        assert _gleason_distribution(code.n, low) == dist
+    assert dict(weight_distribution(direct_sum(_E8, _E8)).counts)[4] == 28
