@@ -12,7 +12,9 @@ refinement plus backtracking, exact because every "equivalent" answer
 carries a witness permutation verified by generator membership, and every
 "inequivalent" answer comes from a permutation invariant or from
 exhausting a search pruned only by permutation invariants.  A blown node
-budget yields verdict "unknown", never a wrong answer.
+budget yields verdict "unknown", never a wrong answer.  Its distributions
+and minimum-weight words come from the gate ``minweight._scan`` (no Gray
+walk for doubly even self-dual codes); heavier words are walked.
 """
 from __future__ import annotations
 
@@ -26,7 +28,9 @@ import numpy as np
 from .code import LinearCode, same_code
 from .errors import DimensionError, UnsupportedFieldError
 from .field import FieldVector
-from .minweight import codeword_masks_of_weight, weight_distribution
+from .minweight import _scan, codeword_masks_of_weight
+# tracer-only: perfbench/tracing.py wraps this name, and invariant does not call it
+from .minweight import weight_distribution  # noqa: F401
 
 DEFAULT_NODE_BUDGET = 10_000_000
 _SIGNATURE_CODEWORD_CAP = 60_000
@@ -241,14 +245,14 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     if same_code(c1, c2):  # also every pair of zero codes
         return EquivalenceResult("equivalent", tuple(range(1, n + 1)), 0)
 
-    d1 = weight_distribution(c1, threads=threads)
-    d2 = weight_distribution(c2, threads=threads)
+    _, d1, words1, _ = _scan(c1, threads=threads)
+    _, d2, words2, _ = _scan(c2, threads=threads)
     if d1.counts != d2.counts:
         return EquivalenceResult("inequivalent", None, 0)
 
-    ws = _signature_weights(d1)
-    masks1 = [codeword_masks_of_weight(c1, w, threads=threads) for w in ws]
-    masks2 = [codeword_masks_of_weight(c2, w, threads=threads) for w in ws]
+    ws = _signature_weights(d1)  # ws[0] is the minimum weight d
+    masks1 = [words1] + [codeword_masks_of_weight(c1, w, threads=threads) for w in ws[1:]]
+    masks2 = [words2] + [codeword_masks_of_weight(c2, w, threads=threads) for w in ws[1:]]
     if nt_from_masks(masks1[0], n) != nt_from_masks(masks2[0], n):
         return EquivalenceResult("inequivalent", None, 0)
     cos1 = [_co_occurrence(m, n) for m in masks1]

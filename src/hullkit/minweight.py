@@ -21,9 +21,12 @@ the Gray table.
 A doubly even self-dual code can skip the walk: ``_scan_two_sets`` lists
 the words of low information weight on two disjoint information sets
 (Brouwer-Zimmermann), which fixes d and the weight-d words, and takes the
-rest of the distribution from Gleason's theorem.  The public functions
-here always walk; the search chooses the two-set path for the codes it
-certifies (see ``search._scan``), and the tests hold the two paths equal.
+rest of the distribution from Gleason's theorem.  One gate, ``_scan``,
+gives the search, replay and ``is_equivalent`` d, the distribution and the
+weight-d words: it probes a screen first, takes the two-set path for a
+doubly even self-dual code with n = 2k, and walks any other code twice
+(distribution, then weight-d words).  The public functions here always
+walk; the tests hold the two paths equal.
 
 q >= 3 codes are enumerated directly over all q^k information vectors in
 lexicographic chunks; only each chunk's weights are kept (small-k property
@@ -41,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .code import LinearCode
+from .code import LinearCode, is_doubly_even, is_self_dual
 from .errors import CapacityError, PostconditionError, PredicateError
 from .field import FieldVector
 
@@ -65,6 +68,8 @@ class WeightDistribution:
         return sum(self.counts.values())
 
     def min_nonzero(self) -> int:
+        if not any(w > 0 for w in self.counts):
+            raise ValueError("the zero code has no nonzero codewords")
         return min(w for w in self.counts if w > 0)
 
     def items(self):
@@ -190,34 +195,28 @@ def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
     return best, dist, collected, False
 
 
-def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
-                 want_dist: bool = False, collect_weight: int | None = None,
-                 threads: int = 1):
-    """Exhaustive Gray walk over all 2^k codewords.
-
-    Returns (min_nonzero_weight, dist_or_None, collected_masks, aborted).
-    ``dist`` is only meaningful when the walk completed; on abort the
-    returned min is the weight of a codeword lighter than ``abort_below``
-    (an upper bound on d).  The scan aborts exactly when d < abort_below:
-    the probe of light row sums only ever aborts on a real codeword, and
-    the walk finds any lighter word the probe missed.
-    """
+def _check_gf2(code: LinearCode) -> None:
     if not code.field.binary:
         raise CapacityError("binary scan called on a non-binary code")
     if code.k > _GF2_K_LIMIT:
         raise CapacityError(
             f"exhaustive GF(2) enumeration supports k <= {_GF2_K_LIMIT}, got k={code.k}"
         )
-    if code.k == 0:
-        dist = np.zeros(code.n + 1, dtype=np.int64)
-        dist[0] = 1
-        collected = [0] if collect_weight == 0 else []
-        return code.n + 1, (dist if want_dist else None), collected, False
+
+
+def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
+                 want_dist: bool = False, collect_weight: int | None = None,
+                 threads: int = 1):
+    """Exhaustive Gray walk over all 2^k codewords, with no probe ahead of it.
+
+    Returns (min_nonzero_weight, dist_or_None, collected_masks, aborted).
+    ``dist`` is only meaningful when the walk completed; on abort the
+    returned min is the weight of a codeword lighter than ``abort_below``
+    (an upper bound on d).  The walk aborts exactly when d < abort_below,
+    at the end of the first block that holds a lighter word.
+    """
+    _check_gf2(code)
     rows = _packed_rows(code.generator.row_bits, code.n)
-    if abort_below is not None:
-        probed = _probe(rows)
-        if probed < abort_below:
-            return probed, None, [], True
     low = min(code.k, LOW_BITS)
     table = _gray_low_table(rows, low)
     # the order within a block matters only to the words collected
@@ -317,10 +316,7 @@ def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None):
     d < abort_below, returning the weight of a word lighter than that.  The
     masks are the weight-d words in no particular order.
     """
-    if code.k > _GF2_K_LIMIT:
-        raise CapacityError(
-            f"exhaustive GF(2) enumeration supports k <= {_GF2_K_LIMIT}, got k={code.k}"
-        )
+    _check_gf2(code)
     n, k = code.n, code.k
     left = code._reduced.row_bits
     p_mask = sum(1 << (p - 1) for p in code._pivots)
@@ -368,6 +364,29 @@ def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None):
     return best, out, [m for m in words if m.bit_count() == best], False
 
 
+def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1):
+    """(d, distribution, weight-d masks, aborted) of a binary code by the
+    gate of the module docstring, with the abort contract of
+    :func:`_scan_binary`; on abort the distribution is None and no masks.
+    n = 2k is tested before the predicates, which cost more."""
+    _check_gf2(code)
+    if abort_below is not None and code.k:
+        probed = _probe(_packed_rows(code.generator.row_bits, code.n))
+        if probed < abort_below:
+            return probed, None, [], True
+    if code.n == 2 * code.k and is_self_dual(code) and is_doubly_even(code):
+        best, dist, masks, aborted = _scan_two_sets(code, abort_below=abort_below)
+    else:
+        best, dist, _, aborted = _scan_binary(code, abort_below=abort_below,
+                                              want_dist=True, threads=threads)
+        masks = [] if aborted else _scan_binary(code, collect_weight=best, threads=threads)[2]
+    return best, None if aborted else _distribution(code.n, dist), masks, aborted
+
+
+def _distribution(n: int, dist: np.ndarray) -> WeightDistribution:
+    return WeightDistribution(n, {int(w): int(c) for w, c in enumerate(dist) if c})
+
+
 def _scan_generic(code: LinearCode, *, abort_below: int | None = None):
     """Direct q^k enumeration for q >= 3, lexicographic over the information
     vectors in chunks of 2^14; returns (min_weight, dist, aborted)."""
@@ -405,8 +424,12 @@ def min_weight(code: LinearCode, abort_above: int | None = None,
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     if code.field.binary:
-        best, _, _, _ = _scan_binary(code, abort_below=abort_above, threads=threads)
-        return best
+        _check_gf2(code)
+        if abort_above is not None:
+            probed = _probe(_packed_rows(code.generator.row_bits, code.n))
+            if probed < abort_above:
+                return probed
+        return _scan_binary(code, abort_below=abort_above, threads=threads)[0]
     best, _, _ = _scan_generic(code, abort_below=abort_above)
     return best
 
@@ -417,8 +440,7 @@ def weight_distribution(code: LinearCode, threads: int = 1) -> WeightDistributio
         _, dist, _, _ = _scan_binary(code, want_dist=True, threads=threads)
     else:
         _, dist, _ = _scan_generic(code)
-    counts = {int(w): int(c) for w, c in enumerate(dist) if c}
-    return WeightDistribution(code.n, counts)
+    return _distribution(code.n, dist)
 
 
 def codewords_of_weight(code: LinearCode, w: int, threads: int = 1) -> list[FieldVector]:

@@ -7,15 +7,9 @@ dedup).  Every emitted record's code is certified against its guaranteed
 predicate at emission time, and records are reproducible: replaying
 (seed, x, y) must give back identical parameters and fingerprint.
 
-Screening and certification take one of two paths, chosen by one gate
-(``_scan``) for the loop, ``fingerprint_code`` and ``replay`` alike.  A
-doubly even self-dual code (n = 2k, then the predicates) is decided from
-two information sets with a Gleason distribution and no Gray walk; when
-the loop screens an n = 2k code, a probe of light row sums runs before the
-predicates, so most rejects never reach them.  Every other code is
-screened by the early-abort Gray walk, which also yields its
-distribution, and its minimum-weight words are enumerated by a second
-walk.  Both paths give the same records.
+The loop, ``fingerprint_code`` and ``replay`` take d, the distribution
+and the weight-d words from one gate, ``minweight._scan``, which chooses
+between the two-information-set path and the Gray walk.
 """
 from __future__ import annotations
 
@@ -37,14 +31,9 @@ from .code import (
 from .errors import CapacityError, IntegrityError, PostconditionError, PredicateError
 from .field import GF2, FieldVector, inner_product
 from .invariant import is_equivalent, nt_from_masks
-from .minweight import (
-    _packed_rows,
-    _probe,
-    _scan_binary,
-    _scan_two_sets,
-    codeword_masks_of_weight,
-)
-from .minweight import min_weight  # noqa: F401  (perfbench/tracing.py wraps search.min_weight)
+from .minweight import _scan
+# tracer-only: perfbench/tracing.py wraps these names, and search calls none of them
+from .minweight import _scan_binary, codeword_masks_of_weight, min_weight  # noqa: F401
 from .transform import TransformPair, transform_code
 
 RNG_NAME = "python-random-mt19937"
@@ -63,40 +52,11 @@ def _digest(counts: Mapping[int, int]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _scan(code: LinearCode, abort_below: int | None, threads: int):
-    """(minimum weight, distribution, weight-d masks or None, aborted) of
-    ``code``, with the abort contract of ``_scan_binary``.
-
-    The gate: a doubly even self-dual code (n = 2k is tested first, the
-    predicates after it) is scanned from two information sets, which lists
-    its weight-d words too.  A screen of an n = 2k code runs the probe that
-    opens a Gray-walk screen ahead of the predicates, so that no probe
-    reject pays for them.  Every other code takes the Gray walk, and its
-    weight-d words are enumerated later, by ``_certify``.
-    """
-    if code.n == 2 * code.k:
-        if abort_below is not None:
-            probed = _probe(_packed_rows(code.generator.row_bits, code.n))
-            if probed < abort_below:
-                return probed, None, None, True
-        if is_self_dual(code) and is_doubly_even(code):
-            return _scan_two_sets(code, abort_below=abort_below)
-    best, dist, _, aborted = _scan_binary(code, abort_below=abort_below,
-                                          want_dist=True, threads=threads)
-    return best, dist, None, aborted
-
-
-def _certify(code: LinearCode, d: int, dist, masks, threads: int) -> dict[str, str]:
-    """The fingerprint of ``code`` from its complete weight distribution and
-    its weight-d words (enumerated by Gray walk when ``masks`` is None).
-
-    The fingerprint hashes the distribution and the N_t counts of the
-    minimum-weight words.
-    """
-    counts = {w: int(c) for w, c in enumerate(dist) if c}
-    if masks is None:
-        masks = codeword_masks_of_weight(code, d, threads=threads)
-    return {"distribution": _digest(counts), "nt": _digest(nt_from_masks(masks, code.n))}
+def _certify(n: int, dist, masks) -> dict[str, str]:
+    """The fingerprint of a code of length n from its complete weight
+    distribution and its weight-d words: a hash of each, the words hashed
+    through the N_t counts, which do not depend on their order."""
+    return {"distribution": _digest(dist.counts), "nt": _digest(nt_from_masks(masks, n))}
 
 
 def _predicates(code: LinearCode) -> tuple[bool, bool, bool]:
@@ -106,8 +66,8 @@ def _predicates(code: LinearCode) -> tuple[bool, bool, bool]:
 
 def fingerprint_code(code: LinearCode, threads: int = 1) -> dict[str, str]:
     """Dedup key: (weight-distribution hash, minimum-weight N_t hash)."""
-    d, dist, masks, _ = _scan(code, None, threads)
-    return _certify(code, d, dist, masks, threads)
+    _, dist, masks, _ = _scan(code, threads=threads)
+    return _certify(code.n, dist, masks)
 
 
 @dataclass
@@ -323,14 +283,14 @@ def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
     for pair in pairs:
         out = transform_code(form, pair, mode=mode)
         d, dist, masks, aborted = _scan(out, d_target, threads)
-        if aborted or d < d_target:
+        if aborted:
             continue
         flags = _predicates(out)
         if not target(*flags):
             if mode == "checked":
                 raise PostconditionError(violation)
             continue
-        fp = _certify(out, d, dist, masks, threads)
+        fp = _certify(out.n, dist, masks)
         rec = SearchRecord(
             seed_id=seed_id, x=pair.x.to_string(), y=pair.y.to_string(),
             n=out.n, k=out.k, d=d,
@@ -398,6 +358,18 @@ def lcd_improve(seed: LinearCode, pairs: Iterable[TransformPair], d_target: int,
                    d_target, seed_id, node_budget, threads, stamp)
 
 
+def _record_vector(record: SearchRecord, name: str, seed: LinearCode) -> FieldVector:
+    """The record's ``x`` or ``y`` as a nonzero vector over the seed's field."""
+    text = getattr(record, name)
+    try:
+        v = FieldVector(seed.field, [int(c) for c in text])
+    except ValueError as e:
+        raise IntegrityError(f"record {name}={text!r} is not a vector: {e}") from None
+    if v.is_zero():
+        raise IntegrityError(f"record {name}={text!r} is the zero vector")
+    return v
+
+
 def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
            threads: int = 1) -> LinearCode:
     """Reconstruct a record's code and verify parameters and fingerprint."""
@@ -411,8 +383,7 @@ def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
             f"record vectors have length {len(record.x)}/{len(record.y)}, "
             f"seed needs {m}"
         )
-    x = FieldVector(seed.field, [int(c) for c in record.x])
-    y = FieldVector(seed.field, [int(c) for c in record.y])
+    x, y = (_record_vector(record, name, seed) for name in ("x", "y"))
     pair = TransformPair(x, y)
     mode = "checked" if (pair.isotropic or pair.de_safe) else "unchecked"
     out = transform_code(form, pair, mode=mode)
@@ -420,12 +391,12 @@ def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
         raise IntegrityError(
             f"replayed parameters [{out.n},{out.k}] != recorded [{record.n},{record.k}]"
         )
-    d, dist, masks, _ = _scan(out, None, threads)
+    d, dist, masks, _ = _scan(out, threads=threads)
     if d != record.d:
         raise IntegrityError(f"replayed d={d} != recorded d={record.d}")
     certs = _predicates(out)
     if certs != (record.self_dual, record.doubly_even, record.lcd):
         raise IntegrityError(f"replayed predicates {certs} do not match record")
-    if _certify(out, d, dist, masks, threads) != record.fingerprint:
+    if _certify(out.n, dist, masks) != record.fingerprint:
         raise IntegrityError("replayed fingerprint does not match record")
     return out

@@ -8,8 +8,11 @@ computed by these, then check the production kernels against them.
 """
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,20 @@ from hullkit.circulant import CirculantSpec
 
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str, monkeypatch):
+    """Import perfbench/<name>.py for one test.  Its sibling modules import
+    each other by bare name, so the directory goes on sys.path first."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
 
 # Weight enumerator of ANY extremal doubly even self-dual [56,28,12] code,
 # uniquely determined by the Gleason polynomial basis once A_4 = A_8 = 0

@@ -72,6 +72,14 @@ def test_minweight_with_distribution(capsys, tmp_path):
     assert doc["counts"] == [[0, 1], [4, 14], [8, 1]]
 
 
+def test_minweight_distribution_of_the_zero_code(capsys, tmp_path):
+    path = tmp_path / "zero.code"
+    path.write_text("2 4 0\n")
+    code, out, err = run_cli(capsys, "minweight", str(path), "--distribution")
+    assert (code, out) == (1, "")
+    assert err == "hullkit: error: the zero code has no nonzero codewords\n"
+
+
 def test_minweight_abort_above(capsys):
     code, out, _ = run_cli(capsys, "minweight", "a37225", "--abort-above", "6",
                            "--format", "json")
@@ -212,6 +220,17 @@ def test_replay_names_the_bad_line(capsys, tmp_path, bad_line, reason):
     assert (code, out) == (1, "")
     assert err.startswith(f"hullkit: error: {records}:3: ")
     assert reason in err
+
+
+def test_replay_names_a_malformed_vector(capsys, tmp_path):
+    records = _lcd_records(capsys, tmp_path)
+    header, record, _ = records.read_text().splitlines()
+    doc = json.loads(record)
+    doc["x"] = doc["x"][:-1] + "a"
+    records.write_text("\n".join([header, json.dumps(doc)]) + "\n")
+    code, out, err = run_cli(capsys, "replay", "--records", str(records))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"hullkit: error: record x='{doc['x']}'")
 
 
 def test_search_sd_cli(capsys, tmp_path):

@@ -29,6 +29,7 @@ from hullkit.minweight import (
     _gleason_distribution,
     _packed_rows,
     _probe,
+    _scan,
     _scan_binary,
     _scan_two_sets,
 )
@@ -178,6 +179,14 @@ def test_d11_weight12_codeword_count():
     assert len(set(masks)) == len(masks)
 
 
+def test_walk_of_the_zero_code():
+    for n in (4, 70):  # one packed word per row, and two
+        zero = LinearCode(FieldMatrix.from_bit_rows([], n))
+        best, dist, collected, aborted = _scan_binary(zero, want_dist=True, collect_weight=0)
+        assert (best, dist.tolist(), collected, aborted) == (n + 1, [1] + [0] * n, [0], False)
+        assert _scan(zero, abort_below=3)[1].counts == {0: 1}
+
+
 def test_sum_counts_is_2k():
     rng = random.Random(107)
     for _ in range(5):
@@ -207,10 +216,13 @@ def test_screen_is_exact_on_bundled_codes():
         code = load_seed(name)
         low = 1 if name == "D11" else 12
         _assert_screen_exact(code, GLEASON_56_EXTREMAL, range(low, code.n + 2))
+        # the gate takes the two-set path here, which is cheap at every t
+        _assert_screen_exact(code, GLEASON_56_EXTREMAL, range(1, code.n + 2), scan=_scan)
     small = [load_a_block_code(nm) for nm in ("a37225", "a381310", "a40226")]
     for code in small + [extended_hamming()]:
         dist = weight_distribution(code).counts
         _assert_screen_exact(code, dist, range(1, code.n + 2))
+        _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan)
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,6 +232,7 @@ def test_screen_is_exact_on_random_codes(seed):
     n = rng.randint(2, 20)
     code = random_code(rng, GF2, n, rng.randint(1, min(n, 12)))
     _assert_screen_exact(code, weight_distribution_naive(code), range(1, n + 2))
+    _assert_screen_exact(code, weight_distribution_naive(code), range(1, n + 2), scan=_scan)
 
 
 def _code_with_hidden_light_word(k: int, m: int, seed: int) -> LinearCode:

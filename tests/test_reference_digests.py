@@ -4,28 +4,16 @@ and a digest of each circulant seed's N_t sequence at weight 12.  The
 library must still produce each of them byte for byte; the file is read,
 never written."""
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import hullkit
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name: str, monkeypatch):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+from conftest import PERFBENCH, load_perfbench
 
 
 def test_reference_digests_are_reproduced(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports its sibling harness
-    harness = _load("harness", monkeypatch)
-    workloads = _load("workloads", monkeypatch)
+    harness = load_perfbench("harness", monkeypatch)
+    workloads = load_perfbench("workloads", monkeypatch)
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
     records, nt = {}, {}
     for name in hullkit.artifacts.CIRCULANT_SEED_NAMES:

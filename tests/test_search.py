@@ -1,8 +1,10 @@
 import hashlib
 import json
+import random
 
 import pytest
 
+import hullkit
 from hullkit import (
     GF2,
     FieldVector,
@@ -11,7 +13,9 @@ from hullkit import (
     TransformPair,
     exhaustive_isotropic_pairs,
     exhaustive_x,
+    apply_column_permutation,
     fingerprint_code,
+    is_equivalent,
     lcd_improve,
     make_yi,
     min_weight,
@@ -22,7 +26,7 @@ from hullkit import (
     sd_search,
     write_records,
 )
-from hullkit.artifacts import load_a_block_code, load_pair, seed_store
+from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_pair, load_seed, seed_store
 
 from conftest import extended_hamming
 
@@ -195,6 +199,39 @@ def test_replay_detects_tampering():
         replay(rec, store)
     with pytest.raises(IntegrityError):
         replay(rec, {})
+
+
+@pytest.mark.parametrize("x, reason", [
+    ("11a1", "invalid literal"),
+    ("1121", "out of range"),
+    ("0000", "zero vector"),
+])
+def test_replay_names_a_malformed_vector(x, reason):
+    ham = extended_hamming()
+    y = make_yi(4, 4)
+    rec = sd_search(ham, y, exhaustive_x(4, y), d_target=4, seed_id="ham8")[0]
+    rec.x = x
+    with pytest.raises(IntegrityError, match=f"record x='{x}'.*{reason}"):
+        replay(rec, {"ham8": ham})
+
+
+def test_doubly_even_self_dual_codes_need_no_gray_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("Gray walk on a doubly even self-dual code")
+
+    monkeypatch.setattr(hullkit.minweight, "_scan_binary", no_walk)
+    d11 = load_seed("D11")
+    res = is_equivalent(d11, load_seed("C56.1"))
+    assert (res.verdict, res.nodes) == ("inequivalent", 0)
+    perm = list(range(1, d11.n + 1))
+    random.Random(11).shuffle(perm)
+    res = is_equivalent(d11, apply_column_permutation(d11, perm), node_budget=2000)
+    assert (res.verdict, res.nodes) == ("unknown", 2001)
+    for name in CIRCULANT_SEED_NAMES:
+        assert set(fingerprint_code(load_seed(name))) == {"distribution", "nt"}
+    y = make_yi(28, 4)
+    (rec,) = sd_search(d11, y, [y], d_target=12, seed_id="D11")
+    assert replay(rec, {"D11": d11}).k == 28
 
 
 def test_fingerprint_stability():
