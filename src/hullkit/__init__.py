@@ -37,11 +37,9 @@ from .code import (
     is_lcd,
     is_self_dual,
     is_self_orthogonal,
-    load_code,
     parse_code,
     puncture,
     same_code,
-    save_code,
     shorten,
     standard_form,
 )

@@ -329,12 +329,3 @@ def format_code(code: LinearCode) -> str:
     lines += ["".join(str(s) for s in r) for r in code.generator.entries]
     return "\n".join(lines) + "\n"
 
-
-def load_code(path: str) -> LinearCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_code(fh.read(), source=path)
-
-
-def save_code(code: LinearCode, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_code(code))

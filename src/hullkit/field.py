@@ -58,11 +58,6 @@ class PrimeField:
             raise ValueError(f"element {a} out of range for GF({self.p})")
         return a
 
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
-        return pow(a, self.p - 2, self.p)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 

@@ -24,9 +24,10 @@ the words of low information weight on two disjoint information sets
 rest of the distribution from Gleason's theorem.  One gate, ``_scan``,
 gives the search, replay and ``is_equivalent`` d, the distribution and the
 weight-d words: it probes a screen first, takes the two-set path for a
-doubly even self-dual code with n = 2k, and walks any other code twice
-(distribution, then weight-d words).  The public functions here always
-walk; the tests hold the two paths equal.
+doubly even self-dual code with n = 2k, and walks any other code once,
+keeping the words at the running minimum weight as it counts the
+distribution.  The public functions here always walk; the tests hold the
+two paths equal.
 
 q >= 3 codes are enumerated directly over all q^k information vectors in
 lexicographic chunks; only each chunk's weights are kept (small-k property
@@ -44,7 +45,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .code import LinearCode, is_doubly_even, is_self_dual
+from .code import LinearCode, is_doubly_even
 from .errors import CapacityError, PostconditionError, PredicateError
 from .field import FieldVector
 
@@ -156,7 +157,7 @@ def _mask_of(cur: np.ndarray, i: int) -> int:
 
 
 def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
-                abort_below, want_dist, collect_weight, stop=None):
+                abort_below, want_dist, collect_weight, min_words, stop=None):
     """Walk blocks [block_lo, block_hi); see _scan_binary for the contract.
 
     ``stop`` is shared by the chunks of one threaded scan: a chunk that
@@ -183,8 +184,10 @@ def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
             block_min = int(w.min())
         if block_min < best:
             best = block_min
-        if collect_weight is not None:
-            for i in np.nonzero(w == collect_weight)[0]:
+            if min_words:
+                collected = []
+        if collect_weight is not None or (min_words and block_min == best):
+            for i in np.nonzero(w == (best if min_words else collect_weight))[0]:
                 collected.append(_mask_of(cur, int(i)))
         if abort_below is not None and best < abort_below:
             if stop is not None:
@@ -206,25 +209,27 @@ def _check_gf2(code: LinearCode) -> None:
 
 def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
                  want_dist: bool = False, collect_weight: int | None = None,
-                 threads: int = 1):
+                 threads: int = 1, _min_words: bool = False):
     """Exhaustive Gray walk over all 2^k codewords, with no probe ahead of it.
 
     Returns (min_nonzero_weight, dist_or_None, collected_masks, aborted).
     ``dist`` is only meaningful when the walk completed; on abort the
     returned min is the weight of a codeword lighter than ``abort_below``
     (an upper bound on d).  The walk aborts exactly when d < abort_below,
-    at the end of the first block that holds a lighter word.
+    at the end of the first block that holds a lighter word.  The masks
+    are the words of weight ``collect_weight`` or, with ``_min_words``, of
+    the minimum nonzero weight, in Gray order either way.
     """
     _check_gf2(code)
     rows = _packed_rows(code.generator.row_bits, code.n)
     low = min(code.k, LOW_BITS)
     table = _gray_low_table(rows, low)
     # the order within a block matters only to the words collected
-    table_rev = table[::-1].copy() if collect_weight is not None else table
+    table_rev = table[::-1].copy() if collect_weight is not None or _min_words else table
     blocks = 1 << (code.k - low)
     if threads <= 1 or blocks < 4:
         return _scan_range(rows, low, table, table_rev, code.n, 0, blocks,
-                           abort_below, want_dist, collect_weight)
+                           abort_below, want_dist, collect_weight, _min_words)
     nchunks = min(threads * 4, blocks)
     bounds = [round(i * blocks / nchunks) for i in range(nchunks + 1)]
     stop = threading.Event() if abort_below is not None else None
@@ -232,7 +237,7 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
         jobs = [
             ex.submit(_scan_range, rows, low, table, table_rev, code.n,
                       bounds[i], bounds[i + 1], abort_below, want_dist,
-                      collect_weight, stop)
+                      collect_weight, _min_words, stop)
             for i in range(nchunks)
         ]
         parts = [j.result() for j in jobs]
@@ -243,7 +248,7 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
         dist = np.zeros(code.n + 1, dtype=np.int64)
         for p in parts:
             dist += p[1]
-    collected = [m for p in parts for m in p[2]]
+    collected = [m for p in parts if not _min_words or p[0] == best for m in p[2]]
     return best, dist, collected, aborted
 
 
@@ -368,19 +373,21 @@ def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1):
     """(d, distribution, weight-d masks, aborted) of a binary code by the
     gate of the module docstring, with the abort contract of
     :func:`_scan_binary`; on abort the distribution is None and no masks.
-    n = 2k is tested before the predicates, which cost more."""
+    n = 2k is tested before double evenness, which costs more and implies
+    self-orthogonality, so with n = 2k self-duality."""
     _check_gf2(code)
     if abort_below is not None and code.k:
         probed = _probe(_packed_rows(code.generator.row_bits, code.n))
         if probed < abort_below:
             return probed, None, [], True
-    if code.n == 2 * code.k and is_self_dual(code) and is_doubly_even(code):
+    if code.n == 2 * code.k and is_doubly_even(code):
         best, dist, masks, aborted = _scan_two_sets(code, abort_below=abort_below)
     else:
-        best, dist, _, aborted = _scan_binary(code, abort_below=abort_below,
-                                              want_dist=True, threads=threads)
-        masks = [] if aborted else _scan_binary(code, collect_weight=best, threads=threads)[2]
-    return best, None if aborted else _distribution(code.n, dist), masks, aborted
+        best, dist, masks, aborted = _scan_binary(code, abort_below=abort_below, want_dist=True,
+                                                  threads=threads, _min_words=True)
+    if aborted:
+        return best, None, [], True
+    return best, _distribution(code.n, dist), masks, False
 
 
 def _distribution(n: int, dist: np.ndarray) -> WeightDistribution:

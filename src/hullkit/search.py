@@ -7,16 +7,18 @@ dedup).  Every emitted record's code is certified against its guaranteed
 predicate at emission time, and records are reproducible: replaying
 (seed, x, y) must give back identical parameters and fingerprint.
 
-The loop, ``fingerprint_code`` and ``replay`` take d, the distribution
-and the weight-d words from one gate, ``minweight._scan``, which chooses
-between the two-information-set path and the Gray walk.
+One certify step, ``_certify``, gives the loop, ``replay`` and
+``fingerprint_code`` a code's d, its (self_dual, doubly_even, lcd) flags
+and its fingerprint.  It takes d, the distribution and the weight-d words
+from one gate, ``minweight._scan``, which chooses between the
+two-information-set path and the Gray walk.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -52,22 +54,26 @@ def _digest(counts: Mapping[int, int]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _certify(n: int, dist, masks) -> dict[str, str]:
-    """The fingerprint of a code of length n from its complete weight
-    distribution and its weight-d words: a hash of each, the words hashed
-    through the N_t counts, which do not depend on their order."""
-    return {"distribution": _digest(dist.counts), "nt": _digest(nt_from_masks(masks, n))}
+def _certify(code: LinearCode, abort_below: int | None = None, threads: int = 1
+             ) -> tuple[int, tuple[bool, bool, bool], dict[str, str]] | None:
+    """None when the screen at ``abort_below`` aborts, else
+    (d, (self_dual, doubly_even, lcd), fingerprint).
 
-
-def _predicates(code: LinearCode) -> tuple[bool, bool, bool]:
-    """The record flags (self_dual, doubly_even, lcd)."""
-    return is_self_dual(code), is_doubly_even(code), is_lcd(code)
+    The fingerprint hashes the complete weight distribution and the
+    weight-d words, the words through their N_t counts, which do not depend
+    on their order.
+    """
+    d, dist, masks, aborted = _scan(code, abort_below, threads)
+    if aborted:
+        return None
+    flags = is_self_dual(code), is_doubly_even(code), is_lcd(code)
+    fp = {"distribution": _digest(dist.counts), "nt": _digest(nt_from_masks(masks, code.n))}
+    return d, flags, fp
 
 
 def fingerprint_code(code: LinearCode, threads: int = 1) -> dict[str, str]:
     """Dedup key: (weight-distribution hash, minimum-weight N_t hash)."""
-    _, dist, masks, _ = _scan(code, threads=threads)
-    return _certify(code.n, dist, masks)
+    return _certify(code, threads=threads)[2]
 
 
 @dataclass
@@ -87,21 +93,14 @@ class SearchRecord:
     collision: str | None = None
     created: str | None = None
 
+    def __post_init__(self):
+        self.fingerprint = dict(self.fingerprint)
+
     def payload(self) -> dict:
         """Deterministic content; excludes the creation timestamp."""
-        return {
-            "seed_id": self.seed_id,
-            "x": self.x,
-            "y": self.y,
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "self_dual": self.self_dual,
-            "doubly_even": self.doubly_even,
-            "lcd": self.lcd,
-            "fingerprint": dict(self.fingerprint),
-            "collision": self.collision,
-        }
+        doc = asdict(self)
+        del doc["created"]
+        return doc
 
     def to_json_line(self) -> str:
         doc = {"kind": "record", **self.payload()}
@@ -111,13 +110,10 @@ class SearchRecord:
 
     @classmethod
     def from_json_doc(cls, doc: Mapping) -> "SearchRecord":
-        return cls(
-            seed_id=doc["seed_id"], x=doc["x"], y=doc["y"],
-            n=doc["n"], k=doc["k"], d=doc["d"],
-            self_dual=doc["self_dual"], doubly_even=doc["doubly_even"],
-            lcd=doc["lcd"], fingerprint=dict(doc["fingerprint"]),
-            collision=doc.get("collision"), created=doc.get("created"),
-        )
+        """A field without a default is required: a missing one raises
+        KeyError naming it."""
+        return cls(**{f.name: doc[f.name] if f.default is MISSING else doc.get(f.name, f.default)
+                      for f in fields(cls)})
 
 
 def write_records(path: str, records: Iterable[SearchRecord],
@@ -181,28 +177,35 @@ def exhaustive_x(m: int, y: FieldVector, rule: str = "mod4") -> Iterator[FieldVe
             yield x
 
 
-def sampled_x(m: int, y: FieldVector, count: int, rng_seed: int,
-              rule: str = "mod4") -> list[FieldVector]:
-    """``count`` distinct valid x drawn with the named, seeded PRNG."""
+def _sample(count: int, rng_seed: int, draw: Callable, what: str, m: int) -> list:
+    """``count`` items from ``draw(rng)`` with distinct keys, drawn with the
+    named, seeded PRNG.  ``draw`` returns (key, item), item None for a
+    rejected draw."""
     rng = random.Random(rng_seed)
-    seen: set[int] = set()
-    out: list[FieldVector] = []
+    seen: set = set()
+    out: list = []
     attempts = 0
     limit = max(100_000, 10_000 * count)
     while len(out) < count:
         attempts += 1
         if attempts > limit:
-            raise CapacityError(
-                f"could not sample {count} valid x in {limit} attempts (m={m})"
-            )
-        v = rng.getrandbits(m)
-        if v == 0 or v in seen:
-            continue
-        x = FieldVector.from_bits(v, m)
-        if _x_ok(x, y, rule):
-            seen.add(v)
-            out.append(x)
+            raise CapacityError(f"could not sample {count} {what} in {limit} attempts (m={m})")
+        key, item = draw(rng)
+        if item is not None and key not in seen:
+            seen.add(key)
+            out.append(item)
     return out
+
+
+def sampled_x(m: int, y: FieldVector, count: int, rng_seed: int,
+              rule: str = "mod4") -> list[FieldVector]:
+    """``count`` distinct valid x drawn with the named, seeded PRNG."""
+    def draw(rng):
+        v = rng.getrandbits(m)
+        x = FieldVector.from_bits(v, m)
+        return v, x if _x_ok(x, y, rule) else None
+
+    return _sample(count, rng_seed, draw, "valid x", m)
 
 
 def exhaustive_isotropic_pairs(m: int) -> Iterator[TransformPair]:
@@ -218,25 +221,14 @@ def exhaustive_isotropic_pairs(m: int) -> Iterator[TransformPair]:
 
 def sampled_isotropic_pairs(m: int, count: int, rng_seed: int) -> list[TransformPair]:
     """``count`` isotropic pairs drawn with the named, seeded PRNG."""
-    rng = random.Random(rng_seed)
-    out: list[TransformPair] = []
-    seen: set[tuple[int, int]] = set()
-    attempts = 0
-    limit = max(100_000, 10_000 * count)
-    while len(out) < count:
-        attempts += 1
-        if attempts > limit:
-            raise CapacityError(
-                f"could not sample {count} isotropic pairs in {limit} attempts (m={m})"
-            )
+    def draw(rng):
         xv, yv = rng.getrandbits(m), rng.getrandbits(m)
-        if not xv or not yv or (xv, yv) in seen:
-            continue
-        if xv.bit_count() % 2 or yv.bit_count() % 2 or (xv & yv).bit_count() % 2:
-            continue
-        seen.add((xv, yv))
-        out.append(TransformPair(FieldVector.from_bits(xv, m), FieldVector.from_bits(yv, m)))
-    return out
+        if not xv or not yv or xv.bit_count() % 2 or yv.bit_count() % 2 \
+                or (xv & yv).bit_count() % 2:
+            return None, None
+        return (xv, yv), TransformPair(FieldVector.from_bits(xv, m), FieldVector.from_bits(yv, m))
+
+    return _sample(count, rng_seed, draw, "isotropic pairs", m)
 
 
 # --- drivers ------------------------------------------------------------------
@@ -270,7 +262,7 @@ def _timestamp() -> str:
 
 def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
             target: Callable[[bool, bool, bool], bool], violation: str,
-            d_target: int, seed_id: str, node_budget: int, threads: int,
+            d_target: int, seed_id: str, threads: int,
             stamp: bool) -> list[SearchRecord]:
     """Transform, screen, certify and dedup each pair, pulled one at a time.
 
@@ -282,29 +274,27 @@ def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
     dedup: dict = {}
     for pair in pairs:
         out = transform_code(form, pair, mode=mode)
-        d, dist, masks, aborted = _scan(out, d_target, threads)
-        if aborted:
+        cert = _certify(out, d_target, threads)
+        if cert is None:
             continue
-        flags = _predicates(out)
+        d, flags, fp = cert
         if not target(*flags):
             if mode == "checked":
                 raise PostconditionError(violation)
             continue
-        fp = _certify(out.n, dist, masks)
         rec = SearchRecord(
             seed_id=seed_id, x=pair.x.to_string(), y=pair.y.to_string(),
             n=out.n, k=out.k, d=d,
             self_dual=flags[0], doubly_even=flags[1], lcd=flags[2],
             fingerprint=fp, created=_timestamp() if stamp else None,
         )
-        _emit(records, dedup, rec, out, node_budget, threads)
+        _emit(records, dedup, rec, out, SEARCH_NODE_BUDGET, threads)
     return records
 
 
 def sd_search(seed: LinearCode, y: FieldVector,
               x_candidates: Iterable[FieldVector], d_target: int,
-              rule: str = "mod4", seed_id: str = "seed",
-              node_budget: int = SEARCH_NODE_BUDGET, threads: int = 1,
+              rule: str = "mod4", seed_id: str = "seed", threads: int = 1,
               stamp: bool = False) -> list[SearchRecord]:
     """Transform a doubly even self-dual seed by (x, y) candidates and keep
     outputs with min weight >= d_target.
@@ -330,12 +320,12 @@ def sd_search(seed: LinearCode, y: FieldVector,
     return _search(form, pairs, "checked" if rule == "mod4" else "unchecked",
                    lambda sd, de, lcd: sd and de,
                    "sd_search emitted a non doubly-even-self-dual code",
-                   d_target, seed_id, node_budget, threads, stamp)
+                   d_target, seed_id, threads, stamp)
 
 
 def lcd_improve(seed: LinearCode, pairs: Iterable[TransformPair], d_target: int,
-                seed_id: str = "seed", node_budget: int = SEARCH_NODE_BUDGET,
-                threads: int = 1, stamp: bool = False) -> list[SearchRecord]:
+                seed_id: str = "seed", threads: int = 1,
+                stamp: bool = False) -> list[SearchRecord]:
     """Transform an LCD seed by isotropic pairs; keep LCD outputs with
     min weight >= d_target.  Non-isotropic pairs are skipped."""
     if not seed.field.binary:
@@ -355,7 +345,7 @@ def lcd_improve(seed: LinearCode, pairs: Iterable[TransformPair], d_target: int,
 
     return _search(form, isotropic(), "checked", lambda sd, de, lcd: lcd,
                    "lcd_improve emitted a non-LCD code",
-                   d_target, seed_id, node_budget, threads, stamp)
+                   d_target, seed_id, threads, stamp)
 
 
 def _record_vector(record: SearchRecord, name: str, seed: LinearCode) -> FieldVector:
@@ -391,12 +381,11 @@ def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
         raise IntegrityError(
             f"replayed parameters [{out.n},{out.k}] != recorded [{record.n},{record.k}]"
         )
-    d, dist, masks, _ = _scan(out, threads=threads)
+    d, certs, fp = _certify(out, threads=threads)
     if d != record.d:
         raise IntegrityError(f"replayed d={d} != recorded d={record.d}")
-    certs = _predicates(out)
     if certs != (record.self_dual, record.doubly_even, record.lcd):
         raise IntegrityError(f"replayed predicates {certs} do not match record")
-    if _certify(out.n, dist, masks) != record.fingerprint:
+    if fp != record.fingerprint:
         raise IntegrityError("replayed fingerprint does not match record")
     return out

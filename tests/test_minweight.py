@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hullkit
 from hullkit import (
     GF2,
     CapacityError,
@@ -16,14 +17,18 @@ from hullkit import (
     codeword_masks_of_weight,
     codewords_of_weight,
     fingerprint_code,
+    is_doubly_even,
+    is_equivalent,
+    lcd_improve,
     make_yi,
     min_weight,
+    replay,
     sampled_x,
     standard_form,
     transform_code,
     weight_distribution,
 )
-from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_seed
+from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_pair, load_seed
 from hullkit.minweight import (
     _PROBE_ROWS,
     _gleason_distribution,
@@ -266,6 +271,76 @@ def test_threaded_abort_when_the_probe_misses():
             assert _scan_binary(code, abort_below=t, threads=threads) == single
     finally:
         sys.setswitchinterval(switch)
+
+
+# --- the scan gate on codes it walks ---------------------------------------------
+
+LCD_UPGRADES = [("a37225", "c37226"), ("a381310", "c381311"), ("a40226", "c40227")]
+
+
+def _lcd_seeds_and_upgrades():
+    for seed_name, pair_name in LCD_UPGRADES:
+        seed = load_a_block_code(seed_name)
+        yield seed
+        yield transform_code(standard_form(seed), load_pair(pair_name))
+
+
+def _assert_gate_matches_the_walk(code, threads, dist=None):
+    """The gate's (d, distribution, words) equals the public walks: the
+    weight-d words as a list, in Gray order."""
+    d, got, words, aborted = _scan(code, threads=threads)
+    assert not aborted
+    if dist is None:
+        dist = dict(weight_distribution(code, threads=threads).counts)
+    assert dict(got.counts) == dist
+    assert d == min(w for w in dist if w > 0)
+    assert words == codeword_masks_of_weight(code, d, threads=threads)
+
+
+def test_gate_matches_the_walk_on_the_lcd_seeds_and_their_upgrades():
+    for code in _lcd_seeds_and_upgrades():
+        for threads in (1, 2, 4):
+            _assert_gate_matches_the_walk(code, threads)
+    # the only weight-4 word lies in the top bits, so the chunks that hold no
+    # such word must drop the words they kept at a heavier running minimum
+    hidden = _code_with_hidden_light_word(22, 40, seed=5)
+    for threads in (1, 2, 4):
+        _assert_gate_matches_the_walk(hidden, threads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_gate_matches_the_naive_oracle_on_random_codes(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 20)
+    code = random_code(rng, GF2, n, rng.randint(1, min(n, 12)))
+    dist = weight_distribution_naive(code)
+    d, got, words, _ = _scan(code)
+    assert dict(got.counts) == dist
+    walked = codeword_masks_of_weight(code, d)
+    if code.n == 2 * code.k and is_doubly_even(code):  # the two-set path: no order
+        assert sorted(words) == sorted(walked)
+    else:
+        _assert_gate_matches_the_walk(code, 1, dist)
+
+
+def test_gate_walks_each_code_once(monkeypatch):
+    walked = []
+
+    def counting(code, **kwargs):
+        walked.append(code)
+        return _scan_binary(code, **kwargs)
+
+    monkeypatch.setattr(hullkit.minweight, "_scan_binary", counting)
+    seed = load_a_block_code("a40226")
+    upgrade = transform_code(standard_form(seed), load_pair("c40227"))
+    assert is_equivalent(seed, upgrade).verdict == "inequivalent"
+    assert walked == [seed, upgrade]
+    walked.clear()
+    (rec,) = lcd_improve(seed, [load_pair("c40227")], d_target=7, seed_id="a40226")
+    assert len(walked) == 1
+    replay(rec, {"a40226": seed})
+    assert len(walked) == 2
 
 
 # --- two information sets -------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,6 +8,7 @@ import pytest
 import hullkit
 from hullkit import (
     GF2,
+    CapacityError,
     FieldVector,
     IntegrityError,
     PredicateError,
@@ -27,6 +29,7 @@ from hullkit import (
     write_records,
 )
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_pair, load_seed, seed_store
+from hullkit.search import SearchRecord
 
 from conftest import extended_hamming
 
@@ -60,6 +63,42 @@ def test_sampled_x_deterministic():
     assert a == b
     assert len(set(v.bits for v in a)) == 25
     assert a != sampled_x(20, y, 25, rng_seed=100)
+
+
+# SHA-256 over the newline-joined draws ("x" or "x,y" per line), taken before
+# the two samplers shared one loop: a record header's rng_seed must keep
+# naming the same candidates
+GOLDEN_SAMPLES = {
+    ("x", "mod4"): "24e63b75bd0d83dc717545b8d284df76a45a87aa184751d3c55cf8be54deda66",
+    ("x", "even"): "fa8536fabc0ad57898276a84f32310605c7fb07ff0cb499d030c6c5470bdcb25",
+    ("pairs", 25): "09b6bc87250971fbf516efcc3a0e961a0f5e90cf34e422f7a599dcffe9ae171c",
+    ("pairs", 15): "51f0297496a0c4f97a893df0979d3cd3603f6edaacb7ef16909b1cb3136d46dc",
+}
+
+
+def _lines_digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_samplers_match_golden_digests():
+    y = make_yi(28, 4)
+    for rule in ("mod4", "even"):
+        xs = sampled_x(28, y, 1500, rng_seed=1, rule=rule)
+        assert _lines_digest(x.to_string() for x in xs) == GOLDEN_SAMPLES[("x", rule)]
+    for m in (25, 15):
+        pairs = sampled_isotropic_pairs(m, 400, rng_seed=7)
+        digest = _lines_digest(f"{p.x.to_string()},{p.y.to_string()}" for p in pairs)
+        assert digest == GOLDEN_SAMPLES[("pairs", m)]
+
+
+def test_samplers_name_their_capacity_limit():
+    # 1111 is the only valid x for y = 1111, and 11 the only even pair half at m = 2
+    with pytest.raises(CapacityError) as e:
+        sampled_x(4, make_yi(4, 4), 2, rng_seed=0)
+    assert str(e.value) == "could not sample 2 valid x in 100000 attempts (m=4)"
+    with pytest.raises(CapacityError) as e:
+        sampled_isotropic_pairs(2, 2, rng_seed=0)
+    assert str(e.value) == "could not sample 2 isotropic pairs in 100000 attempts (m=2)"
 
 
 def test_sd_search_extended_hamming_exhaustive():
@@ -186,6 +225,28 @@ def test_records_write_read_replay_round_trip(tmp_path):
     for rec in loaded[:20]:
         code = replay(rec, store)
         assert min_weight(code) == rec.d
+
+
+REQUIRED_RECORD_FIELDS = ["seed_id", "x", "y", "n", "k", "d",
+                          "self_dual", "doubly_even", "lcd", "fingerprint"]
+
+
+def test_required_record_fields_are_the_ones_without_defaults():
+    assert REQUIRED_RECORD_FIELDS == [f.name for f in dataclasses.fields(SearchRecord)
+                                      if f.default is dataclasses.MISSING]
+
+
+@pytest.mark.parametrize("name", REQUIRED_RECORD_FIELDS)
+def test_read_records_names_a_missing_field(tmp_path, name):
+    rec = SearchRecord(seed_id="ham8", x="1111", y="1111", n=8, k=4, d=4,
+                       self_dual=True, doubly_even=True, lcd=False,
+                       fingerprint={"distribution": "a", "nt": "b"})
+    doc = json.loads(rec.to_json_line())
+    del doc[name]
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    with pytest.raises(IntegrityError, match=f":1: record has no '{name}' field"):
+        read_records(str(path))
 
 
 def test_replay_detects_tampering():
