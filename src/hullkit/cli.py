@@ -275,7 +275,9 @@ def _cmd_replay(args) -> int:
     store = artifacts.seed_store()
     if args.seed_file:
         for spec in args.seed_file:
-            name, _, path = spec.partition("=")
+            name, eq, path = spec.partition("=")
+            if not (eq and name and path):
+                raise HullkitError(f"--seed-file {spec!r} is not NAME=PATH")
             store[name] = parse_code(_read_text(path), source=path)
     if args.index is None:
         picked = list(enumerate(records))
@@ -291,7 +293,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    report = run_verification(threads=args.threads, quick=args.quick)
+    report = run_verification(threads=args.threads)
     _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     ok = all(c["status"] == "pass" for c in report["checks"])
     for c in report["checks"]:
@@ -416,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the built-in verification suite")
     p.add_argument("--out", default="verify-paper-report.json")
-    p.add_argument("--quick", action="store_true",
-                   help="skip the six full [56,28] distribution scans")
     _add_common(p)
     p.set_defaults(fn=_cmd_verify_paper)
 

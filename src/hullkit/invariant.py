@@ -106,10 +106,13 @@ def nt_from_masks(masks: Sequence[int], n: int) -> dict[int, int]:
 
 
 def nt_sequence(code: LinearCode, w: int, threads: int = 1) -> NtSequence:
-    """The (N_1, ..., N_n) invariant of ``code`` at codeword weight w."""
+    """The (N_1, ..., N_n) invariant of ``code`` at codeword weight w: at
+    w = d over the gate's weight-d words, at any other w over a walk."""
     if not code.field.binary:
         raise UnsupportedFieldError("N_t invariant is defined for binary codes")
-    masks = codeword_masks_of_weight(code, w, threads=threads)
+    d, _, masks, _ = _scan(code, threads=threads)
+    if w != d:
+        masks = codeword_masks_of_weight(code, w, threads=threads)
     return NtSequence(code.n, code.k, w, nt_from_masks(masks, code.n))
 
 

@@ -26,8 +26,9 @@ gives the search, replay and ``is_equivalent`` d, the distribution and the
 weight-d words: it probes a screen first, takes the two-set path for a
 doubly even self-dual code with n = 2k, and walks any other code once,
 keeping the words at the running minimum weight as it counts the
-distribution.  The public functions here always walk; the tests hold the
-two paths equal.
+distribution.  The public ``min_weight`` and ``weight_distribution`` answer
+through the gate too; only fixed-weight enumeration walks, to keep its
+Gray-order contract.  The tests hold the gate equal to the walk.
 
 q >= 3 codes are enumerated directly over all q^k information vectors in
 lexicographic chunks; only each chunk's weights are kept (small-k property
@@ -422,7 +423,7 @@ def _scan_generic(code: LinearCode, *, abort_below: int | None = None):
 
 def min_weight(code: LinearCode, abort_above: int | None = None,
                threads: int = 1) -> int:
-    """Exact minimum nonzero codeword weight.
+    """Exact minimum nonzero codeword weight; binary codes take the gate.
 
     With ``abort_above = t`` the scan may stop at a nonzero codeword of
     weight < t; the returned value is then that weight (an upper bound on
@@ -431,22 +432,16 @@ def min_weight(code: LinearCode, abort_above: int | None = None,
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     if code.field.binary:
-        _check_gf2(code)
-        if abort_above is not None:
-            probed = _probe(_packed_rows(code.generator.row_bits, code.n))
-            if probed < abort_above:
-                return probed
-        return _scan_binary(code, abort_below=abort_above, threads=threads)[0]
+        return _scan(code, abort_below=abort_above, threads=threads)[0]
     best, _, _ = _scan_generic(code, abort_below=abort_above)
     return best
 
 
 def weight_distribution(code: LinearCode, threads: int = 1) -> WeightDistribution:
-    """Exact counts of codewords at every weight (sums to q^k)."""
+    """Exact codeword counts at every weight (sums to q^k); binary codes take the gate."""
     if code.field.binary:
-        _, dist, _, _ = _scan_binary(code, want_dist=True, threads=threads)
-    else:
-        _, dist, _ = _scan_generic(code)
+        return _scan(code, threads=threads)[1]
+    _, dist, _ = _scan_generic(code)
     return _distribution(code.n, dist)
 
 

@@ -39,7 +39,7 @@ def _extended_hamming():
     return pure_double_circulant(CirculantSpec(FieldVector(GF2, [0, 1, 1, 1])))
 
 
-def run_verification(threads: int = 1, quick: bool = False) -> dict:
+def run_verification(threads: int = 1) -> dict:
     checks: list[dict] = []
 
     # bundled payloads parse to the stated shapes and round-trip byte-exactly
@@ -62,18 +62,13 @@ def run_verification(threads: int = 1, quick: bool = False) -> dict:
     # six circulant seeds
     for name in artifacts.CIRCULANT_SEED_NAMES:
         code = artifacts.load_seed(name)
-        good = (code.n, code.k) == (56, 28) and is_self_dual(code) and is_doubly_even(code)
-        detail = f"[{code.n},{code.k}] self-dual doubly even"
-        if good and not quick:
-            dist = weight_distribution(code, threads=threads)
-            d = dist.min_nonzero()
-            good = (
-                d == 12
+        dist = weight_distribution(code, threads=threads)
+        d = dist.min_nonzero()
+        good = ((code.n, code.k) == (56, 28) and is_self_dual(code) and is_doubly_even(code)
                 and is_extremal_doubly_even_self_dual(code, d)
-                and dict(dist.counts) == EXTREMAL_56_ENUMERATOR
-            )
-            detail += f", d={d}, A_12={dist[12]} (enumerator exact)"
-        checks.append(_check(f"seed {name}", good, detail))
+                and dict(dist.counts) == EXTREMAL_56_ENUMERATOR)
+        checks.append(_check(f"seed {name}", good, f"[{code.n},{code.k}] self-dual doubly even, "
+                             f"d={d}, A_12={dist[12]} (enumerator exact)"))
 
     # LCD reproduction: base parameters and transform upgrades
     for code_name, pair_name, d_pre, d_post in LCD_CASES:
@@ -122,4 +117,4 @@ def run_verification(threads: int = 1, quick: bool = False) -> dict:
                 good = False
     checks.append(_check("row-transform factorization", good, f"{trials} random instances"))
 
-    return {"quick": quick, "checks": checks}
+    return {"checks": checks}

@@ -32,6 +32,7 @@ from hullkit import (
     transform_rows,
 )
 from hullkit.circulant import CirculantSpec
+from hullkit.minweight import WeightDistribution, _distribution, _scan_binary
 
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
@@ -164,6 +165,12 @@ def weight_distribution_naive(code: LinearCode) -> dict[int, int]:
         w = sum(1 for s in word if s)
         counts[w] = counts.get(w, 0) + 1
     return counts
+
+
+def walked_distribution(code: LinearCode, threads: int = 1) -> WeightDistribution:
+    """A binary code's distribution from the exhaustive Gray walk alone, the
+    reference the scan gate is held to (the public functions take the gate)."""
+    return _distribution(code.n, _scan_binary(code, want_dist=True, threads=threads)[1])
 
 
 def hull_dim_naive(code: LinearCode) -> int:

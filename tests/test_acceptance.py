@@ -34,7 +34,6 @@ from hullkit import (
     transform_code,
     transform_rows,
     transpose,
-    weight_distribution,
 )
 from hullkit.artifacts import (
     CIRCULANT_SEED_NAMES,
@@ -61,6 +60,7 @@ from conftest import (
     random_standard_code,
     random_vector,
     subset_cover_count,
+    walked_distribution,
     weight_identity_check,
 )
 
@@ -76,7 +76,7 @@ def seed_distributions():
     out = {}
     for name in CIRCULANT_SEED_NAMES:
         code = load_seed(name)
-        out[name] = (code, weight_distribution(code, threads=THREADS))
+        out[name] = (code, walked_distribution(code, threads=THREADS))
     return out
 
 

@@ -233,6 +233,28 @@ def test_replay_names_a_malformed_vector(capsys, tmp_path):
     assert err.startswith(f"hullkit: error: record x='{doc['x']}'")
 
 
+def test_replay_resolves_a_seed_file(capsys, tmp_path):
+    seed_path = tmp_path / "ham.code"
+    run_cli(capsys, "build-circulant", "0111", "--pure", "-o", str(seed_path))
+    records = tmp_path / "sd.jsonl"
+    code, _, _ = run_cli(capsys, "search-sd", "--seed", str(seed_path), "--y", "y4",
+                         "--exhaustive", "--d-target", "4", "--out", str(records))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "replay", "--records", str(records))
+    assert (code, out) == (1, "")  # the record names a seed that is not bundled
+    code, out, err = run_cli(capsys, "replay", "--records", str(records),
+                             "--seed-file", f"{seed_path}={seed_path}")
+    assert (code, out, err) == (0, "record 0: [8,4,4] replay OK\n", "")
+
+
+@pytest.mark.parametrize("spec", ["a40226", "=foo", "a40226="])
+def test_replay_names_a_malformed_seed_file_spec(capsys, tmp_path, spec):
+    records = _lcd_records(capsys, tmp_path)
+    code, out, err = run_cli(capsys, "replay", "--records", str(records), "--seed-file", spec)
+    assert (code, out) == (1, "")
+    assert err == f"hullkit: error: --seed-file {spec!r} is not NAME=PATH\n"
+
+
 def test_search_sd_cli(capsys, tmp_path):
     seed_path = tmp_path / "ham.code"
     run_cli(capsys, "build-circulant", "0111", "--pure", "-o", str(seed_path))
@@ -265,13 +287,24 @@ def test_domain_error_exit_1(capsys, tmp_path):
     assert "dependent" in err
 
 
-def test_verify_paper_quick(capsys, tmp_path):
+def test_verify_paper(capsys, tmp_path):
     report = tmp_path / "report.json"
-    code, out, _ = run_cli(capsys, "verify-paper", "--quick", "--out", str(report))
+    code, out, _ = run_cli(capsys, "verify-paper", "--out", str(report))
     assert code == 0
     doc = json.loads(report.read_text())
     assert all(c["status"] == "pass" for c in doc["checks"])
-    assert "PASSED" in out
+    assert set(doc) == {"checks"}
+    seeds = [c for c in doc["checks"] if c["name"].startswith("seed ")]
+    assert len(seeds) == 6
+    assert all("enumerator exact" in c["detail"] for c in seeds)
+    assert out.splitlines()[-1] == "verification PASSED (12/12)"
+
+
+def test_verify_paper_has_no_quick_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--quick"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
 
 
 def test_console_entry_point():

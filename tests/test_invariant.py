@@ -49,6 +49,8 @@ def test_nt_extended_hamming_against_naive_oracle():
     seq = nt_sequence(ham, 4)
     assert dict(seq.counts) == nt_counts_naive(ham, 4)
     assert seq.covered_subsets() + seq.zero_subsets() == comb(8, 4)
+    # w = 8 is not d = 4: the words come from the fixed-weight walk
+    assert dict(nt_sequence(ham, 8).counts) == nt_counts_naive(ham, 8) == {1: comb(8, 4)}
 
 
 def test_nt_matches_naive_on_random_small_codes():

@@ -50,6 +50,7 @@ from conftest import (
     extended_hamming,
     random_code,
     random_de_safe_pair,
+    walked_distribution,
     weight_distribution_naive,
 )
 
@@ -107,7 +108,7 @@ def test_distribution_matches_naive_oracle_on_random_codes():
 
 def test_d11_distribution_is_the_gleason_enumerator():
     d11 = load_seed("D11")
-    dist = weight_distribution(d11)
+    dist = walked_distribution(d11)
     assert dict(dist.counts) == GLEASON_56_EXTREMAL
     assert dist[12] == 8190
     assert min_weight(d11) == 12
@@ -115,14 +116,14 @@ def test_d11_distribution_is_the_gleason_enumerator():
 
 def test_threaded_scan_matches_single_threaded():
     d11 = load_seed("D11")
-    assert dict(weight_distribution(d11, threads=2).counts) == GLEASON_56_EXTREMAL
+    assert dict(walked_distribution(d11, threads=2).counts) == GLEASON_56_EXTREMAL
     code = load_a_block_code("a37225")
     assert min_weight(code, threads=2) == min_weight(code) == 5
 
 
 def test_doubly_even_distribution_sanity():
     for name in ("D11", "C56.2"):
-        dist = weight_distribution(load_seed(name))
+        dist = walked_distribution(load_seed(name))
         assert all(w % 4 == 0 for w in dist.counts)
         assert dist[56] in (0, 1)
 
@@ -225,7 +226,7 @@ def test_screen_is_exact_on_bundled_codes():
         _assert_screen_exact(code, GLEASON_56_EXTREMAL, range(1, code.n + 2), scan=_scan)
     small = [load_a_block_code(nm) for nm in ("a37225", "a381310", "a40226")]
     for code in small + [extended_hamming()]:
-        dist = weight_distribution(code).counts
+        dist = walked_distribution(code).counts
         _assert_screen_exact(code, dist, range(1, code.n + 2))
         _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan)
 
@@ -291,7 +292,7 @@ def _assert_gate_matches_the_walk(code, threads, dist=None):
     d, got, words, aborted = _scan(code, threads=threads)
     assert not aborted
     if dist is None:
-        dist = dict(weight_distribution(code, threads=threads).counts)
+        dist = dict(walked_distribution(code, threads=threads).counts)
     assert dict(got.counts) == dist
     assert d == min(w for w in dist if w > 0)
     assert words == codeword_masks_of_weight(code, d, threads=threads)
@@ -350,7 +351,7 @@ def _assert_two_sets_match_walk(code, dist=None, threads=1):
     distribution and fingerprint; ``dist`` stands in for a walked
     distribution that another test already pins."""
     if dist is None:
-        dist = dict(weight_distribution(code, threads=threads).counts)
+        dist = dict(walked_distribution(code, threads=threads).counts)
     d, got, masks, aborted = _scan_two_sets(code)
     assert not aborted
     assert d == min(w for w in dist if w > 0)
@@ -378,7 +379,7 @@ def test_two_sets_screen_is_exact_on_bundled_codes():
         _assert_screen_exact(load_seed(name), GLEASON_56_EXTREMAL, range(low, 58),
                              scan=_scan_two_sets)
     for code in (extended_hamming(), bordered_golay()):
-        dist = weight_distribution(code).counts
+        dist = walked_distribution(code).counts
         _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan_two_sets)
 
 
@@ -394,7 +395,7 @@ def test_two_sets_match_the_walk_on_random_doubly_even_self_dual_codes(base, see
     form = standard_form(code)
     code = transform_code(form, random_de_safe_pair(random.Random(seed), form.a_block.cols))
     _assert_two_sets_match_walk(code)
-    dist = weight_distribution(code).counts
+    dist = walked_distribution(code).counts
     _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan_two_sets)
 
 
@@ -423,7 +424,7 @@ def test_gleason_solver_matches_the_table_and_walked_distributions():
     # non-extremal [16,8,4] code with A_4 = 28
     for code in (direct_sum(_E8, _E8), golay, direct_sum(golay, _E8),
                  direct_sum(golay, golay)):
-        dist = dict(weight_distribution(code, threads=2).counts)
+        dist = dict(walked_distribution(code, threads=2).counts)
         low = [dist.get(w, 0) for w in range(0, 4 * (code.n // 24) + 1, 4)]
         assert _gleason_distribution(code.n, low) == dist
-    assert dict(weight_distribution(direct_sum(_E8, _E8)).counts)[4] == 28
+    assert dict(walked_distribution(direct_sum(_E8, _E8)).counts)[4] == 28

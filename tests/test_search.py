@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from math import comb
 
 import pytest
 
@@ -21,17 +22,19 @@ from hullkit import (
     lcd_improve,
     make_yi,
     min_weight,
+    nt_sequence,
     read_records,
     replay,
     sampled_isotropic_pairs,
     sampled_x,
     sd_search,
+    weight_distribution,
     write_records,
 )
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_pair, load_seed, seed_store
 from hullkit.search import SearchRecord
 
-from conftest import extended_hamming
+from conftest import GLEASON_56_EXTREMAL, extended_hamming
 
 
 def test_make_yi():
@@ -293,6 +296,11 @@ def test_doubly_even_self_dual_codes_need_no_gray_walk(monkeypatch):
     y = make_yi(28, 4)
     (rec,) = sd_search(d11, y, [y], d_target=12, seed_id="D11")
     assert replay(rec, {"D11": d11}).k == 28
+    # the public scans take the same gate
+    assert min_weight(d11) == min_weight(d11, abort_above=12) == 12
+    assert dict(weight_distribution(d11).counts) == GLEASON_56_EXTREMAL
+    seq = nt_sequence(d11, 12)
+    assert sum(t * c for t, c in seq.counts.items()) == GLEASON_56_EXTREMAL[12] * comb(12, 4)
 
 
 def test_fingerprint_stability():
