@@ -181,8 +181,7 @@ def _cmd_distribution(args) -> int:
 
 def _cmd_invariant(args) -> int:
     code = _load_code_arg(args.code)
-    w = args.weight if args.weight is not None else min_weight(code, threads=args.threads)
-    seq = nt_sequence(code, w, threads=args.threads)
+    seq = nt_sequence(code, args.weight, threads=args.threads)
     if args.format == "json":
         print(json.dumps({"n": seq.n, "k": seq.k, "weight": seq.weight,
                           "sequence": seq.to_jsonable()}))
@@ -362,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="exact permutation-equivalence test")
     p.add_argument("code1")
     p.add_argument("code2")
-    p.add_argument("--node-budget", type=int, default=10_000_000)
+    p.add_argument("--node-budget", type=int, default=10_000_000,
+                   help="search nodes before the verdict is 'unknown'; a node is "
+                        "one column tried as the image of an individualized column")
     _add_common(p, fmt=True)
     p.set_defaults(fn=_cmd_equiv)
 

@@ -1,15 +1,17 @@
 """Inequivalence invariants (the N_t sequence over column 4-subsets) and an
-exact permutation-equivalence test with budgeted backtracking.
+exact permutation-equivalence test by budgeted individualization-refinement.
 
 N_t counts the 4-subsets of columns covered by exactly t of the weight-w
 codewords; the sequence is invariant under column permutation, so distinct
-sequences certify inequivalence.  N_t is a histogram of cover counts
-indexed by the colex ranks of 4-subsets; the pairwise co-occurrence counts
-that drive the equivalence search are popcounts of ANDed column incidence
-masks (:func:`column_masks`).  Equal sequences prove nothing, which is why
-:func:`is_equivalent` exists: an N_t comparison, then column-signature
-refinement plus backtracking, exact because every "equivalent" answer
-carries a witness permutation verified by generator membership, and every
+sequences certify inequivalence.  N_t is the histogram of a cover array:
+the cover count of every 4-subset, indexed by its colex rank.  Equal
+sequences prove nothing, which is why :func:`is_equivalent` exists: it
+compares the N_t counts of both codes' minimum-weight words, then colours
+the columns of both codes jointly, by pair counts and, along each branch
+of an individualization-refinement search, by the cover counts of the
+4-subsets through each individualized column (the same cover arrays, read
+a slice at a time).  It is exact because every "equivalent" answer carries
+a witness permutation verified by generator membership, and every
 "inequivalent" answer comes from a permutation invariant or from
 exhausting a search pruned only by permutation invariants.  A blown node
 budget yields verdict "unknown", never a wrong answer.  Its distributions
@@ -28,7 +30,7 @@ import numpy as np
 from .code import LinearCode, same_code
 from .errors import DimensionError, UnsupportedFieldError
 from .field import FieldVector
-from .minweight import _scan, codeword_masks_of_weight
+from .minweight import _lists_two_sets, _scan, codeword_masks_of_weight
 # tracer-only: perfbench/tracing.py wraps this name, and invariant does not call it
 from .minweight import weight_distribution  # noqa: F401
 
@@ -73,23 +75,31 @@ def column_masks(codeword_masks: Sequence[int], n: int) -> list[int]:
     return cols
 
 
-def nt_from_masks(masks: Sequence[int], n: int) -> dict[int, int]:
-    """Raw N_t counts from packed codeword masks of any weights.
+def _colex_terms(n: int) -> np.ndarray:
+    """terms[q][j] = C(j, q + 1): the colex rank term of column j at place q
+    of a sorted 4-subset."""
+    return np.array([[comb(j, q + 1) for j in range(n)] for q in range(4)], dtype=np.intp)
 
-    Every 4-subset {a < b < c < e} of a word's support adds one to the cover
-    count at its colex rank C(a,1) + C(b,2) + C(c,3) + C(e,4); N_t is the
-    number of ranks covered exactly t times.  Words are handled in chunks of
-    about 2^17 ranks (1 MB).
-    """
-    if not masks:
-        return {}
+
+def _incidence(masks: Sequence[int], n: int) -> np.ndarray:
+    """(len(masks), n) 0/1 matrix: row i is codeword i's support."""
     nbytes = (n + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
                            dtype=np.uint8).reshape(len(masks), nbytes)
-    bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def _cover(bits: np.ndarray) -> np.ndarray:
+    """Cover counts of every column 4-subset by the words of ``bits``, indexed
+    by colex rank.
+
+    Every 4-subset {a < b < c < e} of a word's support adds one at rank
+    C(a,1) + C(b,2) + C(c,3) + C(e,4).  Words are handled in chunks of about
+    2^17 ranks (1 MB).
+    """
+    n = bits.shape[1]
     weights = bits.sum(axis=1)
-    # binom[q][j] = C(j, q + 1): the colex rank term of column j at place q
-    binom = np.array([[comb(j, q + 1) for j in range(n)] for q in range(4)], dtype=np.intp)
+    terms = _colex_terms(n)
     cover = np.zeros(comb(n, 4), dtype=np.int64)
     for w in np.unique(weights[weights >= 4]).tolist():
         rows = np.flatnonzero(weights == w)
@@ -97,20 +107,32 @@ def nt_from_masks(masks: Sequence[int], n: int) -> dict[int, int]:
         step = max(1, (1 << 17) // len(places))
         for lo in range(0, len(rows), step):
             chunk = np.nonzero(bits[rows[lo:lo + step]])[1].reshape(-1, w)  # supports
-            ranks = binom[0][chunk][:, places[:, 0]]
+            ranks = terms[0][chunk][:, places[:, 0]]
             for q in range(1, 4):
-                ranks += binom[q][chunk][:, places[:, q]]
+                ranks += terms[q][chunk][:, places[:, q]]
             cover += np.bincount(ranks.ravel(), minlength=len(cover))
-    hist = np.bincount(cover)
+    return cover
+
+
+def nt_from_masks(masks: Sequence[int], n: int) -> dict[int, int]:
+    """Raw N_t counts from packed codeword masks of any weights: N_t is the
+    number of column 4-subsets whose cover count is t."""
+    hist = np.bincount(_cover(_incidence(masks, n)))
     return {t: int(c) for t, c in enumerate(hist) if t and c}
 
 
-def nt_sequence(code: LinearCode, w: int, threads: int = 1) -> NtSequence:
-    """The (N_1, ..., N_n) invariant of ``code`` at codeword weight w: at
-    w = d over the gate's weight-d words, at any other w over a walk."""
+def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtSequence:
+    """The (N_1, ..., N_n) invariant of ``code`` at codeword weight w, by
+    default the minimum weight d.  The gate's weight-d words serve w = d;
+    a code the gate would walk is walked once, for its weight-w words."""
     if not code.field.binary:
         raise UnsupportedFieldError("N_t invariant is defined for binary codes")
-    d, _, masks, _ = _scan(code, threads=threads)
+    if w is None and code.k == 0:
+        raise ValueError("the zero code has no nonzero codewords")
+    d = None
+    if w is None or _lists_two_sets(code):
+        d, _, masks, _ = _scan(code, threads=threads)
+    w = d if w is None else w
     if w != d:
         masks = codeword_masks_of_weight(code, w, threads=threads)
     return NtSequence(code.n, code.k, w, nt_from_masks(masks, code.n))
@@ -148,22 +170,12 @@ class EquivalenceResult:
         return self.verdict == "equivalent"
 
 
-def _apply_perm_to_mask(mask: int, images0: Sequence[int]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << images0[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def _witness_ok(c1: LinearCode, c2: LinearCode, images0: Sequence[int]) -> bool:
+    """Whether moving column j to column images0[j] maps every generator row
+    of c1 into c2."""
     n = c1.n
-    for rb in c1.generator.row_bits:
-        v = FieldVector.from_bits(_apply_perm_to_mask(rb, images0), n)
-        if not c2.contains(v):
-            return False
-    return True
+    return all(c2.contains(FieldVector.from_bits(sum(1 << images0[j] for j in range(n) if rb >> j & 1), n))
+               for rb in c1.generator.row_bits)
 
 
 def _signature_weights(dist, cap: int = _SIGNATURE_CODEWORD_CAP) -> list[int]:
@@ -181,46 +193,98 @@ def _signature_weights(dist, cap: int = _SIGNATURE_CODEWORD_CAP) -> list[int]:
     return ws
 
 
-def _co_occurrence(masks: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
-    """co[j][i] = number of listed codewords covering both columns j and i."""
-    cols = column_masks(masks, n)
-    return tuple(tuple((cj & ci).bit_count() for ci in cols) for cj in cols)
+def _slice(cover: np.ndarray, a: int, n: int) -> np.ndarray:
+    """(n, C(n,2)) int32 array: entry [j, {i < h}] is the cover count of
+    {a, j, i, h}, or -1 when the four columns are not distinct."""
+    i, h = np.triu_indices(n, 1)
+    x = [np.int32(a), np.arange(n, dtype=np.int32)[:, None], i.astype(np.int32), h.astype(np.int32)]
+    for p, q in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):  # sorting network
+        x[p], x[q] = np.minimum(x[p], x[q]), np.maximum(x[p], x[q])
+    distinct = (x[0] != x[1]) & (x[1] != x[2]) & (x[2] != x[3])
+    terms = _colex_terms(n).astype(np.int32)
+    ranks = sum(terms[q][x[q]] for q in range(4)) * distinct
+    return np.where(distinct, cover[ranks], -1).astype(np.int32)
 
 
-def _refine_column_classes(cos1, cos2, n: int):
-    """Iterative signature refinement (permutation-invariant at every round).
+def _relabel(rows: np.ndarray) -> np.ndarray:
+    """(2, m) ids of the rows of a (2, m, ...) array, one id per distinct
+    row across both codes, in the order of the rows' bytes."""
+    keys = [r.tobytes() for r in rows.reshape(rows.shape[0] * rows.shape[1], -1)]
+    index = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return np.array([index[k] for k in keys]).reshape(rows.shape[:2])
 
-    Returns per-column class ids for both codes under a shared labelling, or
-    None when the class multisets diverge (a proof of inequivalence).
-    """
 
-    def relabel(sigs1, sigs2):
-        uniq = {s: i for i, s in enumerate(sorted(set(sigs1) | set(sigs2)))}
-        return [uniq[s] for s in sigs1], [uniq[s] for s in sigs2]
+class _BudgetSpent(Exception):
+    pass
 
-    cls1, cls2 = relabel(
-        [tuple(co[j][j] for co in cos1) for j in range(n)],
-        [tuple(co[j][j] for co in cos2) for j in range(n)],
-    )
-    for _ in range(n):
-        if sorted(cls1) != sorted(cls2):
-            return None
 
-        def round_sigs(classes, cos):
-            return [
-                (classes[j],)
-                + tuple(
-                    tuple(sorted((classes[i], co[j][i]) for i in range(n) if i != j))
-                    for co in cos
-                )
-                for j in range(n)
-            ]
+class _Search:
+    """Individualization-refinement over the joint column colourings of two
+    codes, from each code's cover and the pair classes of both."""
 
-        new1, new2 = relabel(round_sigs(cls1, cos1), round_sigs(cls2, cos2))
-        if len(set(new1)) == len(set(cls1)):
-            return new1, new2
-        cls1, cls2 = new1, new2
-    return cls1, cls2
+    def __init__(self, codes, covers, hist, pairs, node_budget):
+        self.codes, self.covers, self.pairs, self.node_budget = codes, covers, pairs, node_budget
+        # a constant cover gives slices that split nothing; with constant pair
+        # counts too (the [24,12,8] code), no refinement can split a colour class
+        self.flat = np.count_nonzero(hist) <= 1
+        diagonal = np.eye(pairs.shape[1], dtype=bool)
+        self.static = self.flat and all(np.ptp(pairs[0][m]) == 0 for m in (diagonal, ~diagonal))
+        self.reach = len(hist) + 1
+        self.nodes = 0
+
+    def refine(self, cols: np.ndarray, slices: list[np.ndarray]):
+        """Refine the column colours of both codes (rows 0 and 1 of ``cols``)
+        until no colour class splits, under one labelling shared by both.
+
+        A column's signature is its colour, the multiset over all columns i
+        of (colour of i, pair class of the column with i), and for each
+        slice (the cover counts of one individualized column, stacked for
+        both codes) the multiset over pairs {i, h} of (colours of i and h,
+        slice entry).  Each multiset is a sorted row, reduced to an id at
+        once.  Returns the refined (2, n) colours, compact from 0, or None
+        when the two codes' colour multisets differ.
+        """
+        if self.static:
+            return cols
+        n = cols.shape[1]
+        i, h = np.triu_indices(n, 1)
+        width = int(self.pairs.max()) + 1
+        while True:
+            c = int(cols.max()) + 1
+            parts = [cols, _relabel(np.sort(cols[:, None, :] * width + self.pairs, axis=2))]
+            lo, hi = np.minimum(cols[:, i], cols[:, h]), np.maximum(cols[:, i], cols[:, h])
+            for s in slices:
+                parts.append(_relabel(np.sort(((lo * c + hi) * self.reach)[:, None, :] + s, axis=2)))
+            new = _relabel(np.stack(parts, axis=-1))
+            if not np.array_equal(*(np.bincount(side, minlength=n) for side in new)):
+                return None
+            if new.max() == cols.max():
+                return new
+            cols = new
+
+    def extend(self, cols: np.ndarray, slices: list[np.ndarray]):
+        """Images of a verified witness that respects the colouring ``cols``
+        (refined from the individualizations behind ``slices``), or None."""
+        n = cols.shape[1]
+        sizes = np.bincount(cols[0])
+        if sizes.max() == 1:
+            images = np.argsort(cols[1])[cols[0]]
+            return images if _witness_ok(*self.codes, images.tolist()) else None
+        cell = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
+        a = int(np.argmax(cols[0] == cell))
+        lead = None if self.flat else _slice(self.covers[0], a, n)
+        for b in np.flatnonzero(cols[1] == cell).tolist():
+            self.nodes += 1
+            if self.nodes > self.node_budget:
+                raise _BudgetSpent
+            tried = cols.copy()
+            tried[0, a] = tried[1, b] = len(sizes)
+            deeper = slices if self.flat else slices + [np.stack([lead, _slice(self.covers[1], b, n)])]
+            refined = self.refine(tried, deeper)
+            found = None if refined is None else self.extend(refined, deeper)
+            if found is not None:
+                return found
+        return None
 
 
 def is_equivalent(c1: LinearCode, c2: LinearCode,
@@ -229,16 +293,21 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     """Exact permutation-equivalence test for binary codes of equal (n, k).
 
     Equal weight distributions are followed by the N_t counts of the
-    lightest signature weight's words, which answer "inequivalent" with 0
-    nodes when they differ (as for D11 against C56.1).  Column candidates
-    then come from iteratively refined incidence signatures over the few
-    smallest nonzero-weight codeword sets; backtracking prunes by
-    pairwise co-occurrence counts.  All filters are permutation invariants,
-    so exhausting the search space proves inequivalence, and every positive
-    answer is re-verified by mapping a generator through the witness.  Codes
-    whose low-weight codewords form designs (flat counts at every order, as
-    for the [24,12,8] code) defeat counting-based pruning; those runs exhaust
-    the node budget and come back "unknown".
+    minimum-weight words, which answer "inequivalent" with 0 nodes when
+    they differ (as for D11 against C56.1).  Then an individualization-
+    refinement search (McKay & Piperno 2014; Leon 1982) colours the columns
+    of both codes jointly by pair counts over the few smallest
+    nonzero-weight codeword sets and, for each individualized column a,
+    by the 4-subset cover counts of {a, j, i, h}.  It individualizes the
+    first column of the smallest non-singleton colour class of the first
+    code and tries each column of that colour in the second code: each try
+    is one node.  A discrete colouring is a candidate witness, verified by
+    mapping a generator through it; every prune is an invariant computed
+    alike on both codes, so exhausting the search proves inequivalence.
+    More than ``node_budget`` nodes yields "unknown", never a wrong answer.
+    Codes whose counts are flat at every order (the [24,12,8] code, whose
+    weight-8 words form a 5-design) give the search nothing to prune; those
+    runs exhaust the budget.
     """
     if not c1.field.binary or not c2.field.binary:
         raise UnsupportedFieldError("equivalence test implemented for binary codes")
@@ -248,72 +317,28 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     if same_code(c1, c2):  # also every pair of zero codes
         return EquivalenceResult("equivalent", tuple(range(1, n + 1)), 0)
 
-    _, d1, words1, _ = _scan(c1, threads=threads)
-    _, d2, words2, _ = _scan(c2, threads=threads)
+    (_, d1, words1, _), (_, d2, words2, _) = (_scan(c, threads=threads) for c in (c1, c2))
     if d1.counts != d2.counts:
         return EquivalenceResult("inequivalent", None, 0)
-
-    ws = _signature_weights(d1)  # ws[0] is the minimum weight d
-    masks1 = [words1] + [codeword_masks_of_weight(c1, w, threads=threads) for w in ws[1:]]
-    masks2 = [words2] + [codeword_masks_of_weight(c2, w, threads=threads) for w in ws[1:]]
-    if nt_from_masks(masks1[0], n) != nt_from_masks(masks2[0], n):
+    bits = [_incidence(words1, n), _incidence(words2, n)]
+    covers = [_cover(b).astype(np.int32) for b in bits]  # kept for the whole search
+    hist = np.bincount(covers[0])
+    if not np.array_equal(hist, np.bincount(covers[1])):
         return EquivalenceResult("inequivalent", None, 0)
-    cos1 = [_co_occurrence(m, n) for m in masks1]
-    cos2 = [_co_occurrence(m, n) for m in masks2]
 
-    refined = _refine_column_classes(cos1, cos2, n)
-    if refined is None:
-        return EquivalenceResult("inequivalent", None, 0)
-    cls1, cls2 = refined
-
-    cands = {j: [h for h in range(n) if cls2[h] == cls1[j]] for j in range(n)}
-    order = sorted(range(n), key=lambda j: (len(cands[j]), j))
-    images = [-1] * n
-    used = [False] * n
-    nodes = 0
-
-    def backtrack(pos: int) -> str | None:
-        nonlocal nodes
-        if pos == n:
-            if _witness_ok(c1, c2, images):
-                return "found"
-            return None
-        j = order[pos]
-        rows_a = [co[j] for co in cos1]
-        for h in cands[j]:
-            if used[h]:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                return "budget"
-            ok = True
-            for q in range(pos):
-                i = order[q]
-                hi = images[i]
-                for row_a, co_b in zip(rows_a, cos2):
-                    if row_a[i] != co_b[h][hi]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            images[j] = h
-            used[h] = True
-            res = backtrack(pos + 1)
-            if res is not None:
-                return res
-            images[j] = -1
-            used[h] = False
-        return None
-
-    outcome = backtrack(0)
-    if outcome == "found":
-        # convert the functional map j -> images[j] to source-order form
-        inv = [0] * n
-        for j in range(n):
-            inv[images[j]] = j + 1
-        return EquivalenceResult("equivalent", tuple(inv), nodes)
-    if outcome == "budget":
-        return EquivalenceResult("unknown", None, nodes)
-    return EquivalenceResult("inequivalent", None, nodes)
+    pair_counts = []  # per code: (n, n, weights) counts of words covering both columns
+    for code, b in zip((c1, c2), bits):
+        sets = [b] + [_incidence(codeword_masks_of_weight(code, w, threads=threads), n)
+                      for w in _signature_weights(d1)[1:]]
+        pair_counts.append(np.stack([f.T @ f for f in (m.astype(float) for m in sets)], axis=-1))
+    pairs = _relabel(np.reshape(pair_counts, (2, n * n, -1))).reshape(2, n, n)
+    search = _Search((c1, c2), covers, hist, pairs, node_budget)
+    try:
+        root = search.refine(np.zeros((2, n), dtype=np.intp), [])
+        images = None if root is None else search.extend(root, [])
+    except _BudgetSpent:
+        return EquivalenceResult("unknown", None, search.nodes)
+    if images is None:
+        return EquivalenceResult("inequivalent", None, search.nodes)
+    # source order: column h of the second code is column witness[h] of the first
+    return EquivalenceResult("equivalent", tuple((np.argsort(images) + 1).tolist()), search.nodes)

@@ -370,18 +370,22 @@ def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None):
     return best, out, [m for m in words if m.bit_count() == best], False
 
 
+def _lists_two_sets(code: LinearCode) -> bool:
+    """Whether the gate takes the two-set path.  n = 2k is tested first: double
+    evenness costs more and implies self-orthogonality, so with n = 2k self-duality."""
+    return code.n == 2 * code.k and is_doubly_even(code)
+
+
 def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1):
     """(d, distribution, weight-d masks, aborted) of a binary code by the
     gate of the module docstring, with the abort contract of
-    :func:`_scan_binary`; on abort the distribution is None and no masks.
-    n = 2k is tested before double evenness, which costs more and implies
-    self-orthogonality, so with n = 2k self-duality."""
+    :func:`_scan_binary`; on abort the distribution is None and no masks."""
     _check_gf2(code)
     if abort_below is not None and code.k:
         probed = _probe(_packed_rows(code.generator.row_bits, code.n))
         if probed < abort_below:
             return probed, None, [], True
-    if code.n == 2 * code.k and is_doubly_even(code):
+    if _lists_two_sets(code):
         best, dist, masks, aborted = _scan_two_sets(code, abort_below=abort_below)
     else:
         best, dist, masks, aborted = _scan_binary(code, abort_below=abort_below, want_dist=True,

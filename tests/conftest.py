@@ -258,6 +258,31 @@ def equivalent_brute_force(c1: LinearCode, c2: LinearCode) -> bool:
     return False
 
 
+def equivalent_by_columns(c1: LinearCode, c2: LinearCode) -> bool:
+    """Permutation equivalence of binary codes of small k over all k x k
+    matrices A: the codes are equivalent exactly when some A (necessarily
+    invertible) maps the multiset of generator columns of c1 onto that of
+    c2.  Costs 2^(k^2) trials, independent of n."""
+    assert c1.field.binary and c2.field.binary
+    if (c1.n, c1.k) != (c2.n, c2.k):
+        return False
+    k = c1.k
+
+    def columns(code):
+        rows = code.generator.row_bits
+        return [sum((rows[i] >> j & 1) << i for i in range(k)) for j in range(code.n)]
+
+    cols1, target = columns(c1), sorted(columns(c2))
+    for images in product(range(1 << k), repeat=k):  # images of the unit vectors
+        table = [0] * (1 << k)
+        for x in range(1, 1 << k):
+            low = (x & -x).bit_length() - 1
+            table[x] = table[x & (x - 1)] ^ images[low]
+        if sorted(table[x] for x in cols1) == target:
+            return True
+    return False
+
+
 def weight_identity_check(u: FieldVector, v: FieldVector) -> bool:
     """wt(u+v) = wt(u) + wt(v) - 2 wt(u*v) over GF(2) (test oracle; always true)."""
     if not u.field.binary or not v.field.binary:

@@ -15,13 +15,16 @@ from hullkit import (
     is_equivalent,
     nt_sequence,
     same_code,
+    weight_distribution,
 )
-from hullkit.artifacts import load_seed
+from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_seed
 from hullkit.invariant import column_masks, nt_from_masks
 from hullkit.minweight import codeword_masks_of_weight
+from hullkit.search import SEARCH_NODE_BUDGET
 
 from conftest import (
     equivalent_brute_force,
+    equivalent_by_columns,
     extended_hamming,
     nt_counts_naive,
     nt_masks_naive,
@@ -184,19 +187,66 @@ def test_equivalence_agrees_with_brute_force():
     assert checked == 24
 
 
+def _tied_pairs(rng, draws, sizes):
+    """(earlier code, later code, is_equivalent result) for each random
+    binary code, of a size (n, k) drawn from ``sizes``, that ties with an
+    earlier draw on weight distribution and N_t and that is_equivalent does
+    not call equivalent to it.  An "equivalent" verdict has its witness
+    checked here and drops the later code, so each class keeps one code."""
+    classes = {}
+    for _ in range(draws):
+        n, k = rng.choice(sizes)
+        code = random_code(rng, GF2, n, k)
+        key = (n, k, tuple(weight_distribution(code).items()), nt_sequence(code).sequence)
+        for other in classes.get(key, []):
+            res = is_equivalent(other, code)
+            if res.verdict == "equivalent":
+                assert same_code(apply_column_permutation(other, res.witness), code)
+                break
+            yield other, code, res
+        else:
+            classes.setdefault(key, []).append(code)
+
+
+def test_equivalence_agrees_with_brute_force_where_invariants_tie():
+    rng = random.Random(157)
+    ties = list(_tied_pairs(rng, 400, [(n, k) for n in (6, 7, 8) for k in range(2, n - 1)]))
+    assert ties
+    for c1, c2, res in ties:
+        assert res.verdict == "inequivalent"
+        assert not equivalent_brute_force(c1, c2)
+
+
+def test_equivalence_proves_inequivalence_by_exhausting_the_search():
+    # at n <= 8 the refinement before the first node splits every tie seen;
+    # at n = 9, 10 some ties need the whole search tree
+    rng = random.Random(3)
+    for c1, c2, res in _tied_pairs(rng, 2000, [(9, 3), (9, 4), (10, 3), (10, 4)]):
+        assert res.verdict == "inequivalent"
+        assert not equivalent_by_columns(c1, c2)
+        if res.nodes:
+            break
+    else:
+        pytest.fail("no tie needed the search")
+
+
 def test_equivalence_budget_exhaustion_returns_unknown():
+    # this pair needs two nodes: one short of them, the budget alone stops
+    # the search, and the next node past the budget is counted
     rng = random.Random(139)
     c1 = random_code(rng, GF2, 10, 5)
     c2 = apply_column_permutation(c1, random_perm(rng, 10))
     res = is_equivalent(c1, c2, node_budget=1)
-    assert res.verdict == "unknown"
-    assert res.witness is None
+    assert (res.verdict, res.witness, res.nodes) == ("unknown", None, 2)
+    res = is_equivalent(c1, c2, node_budget=2)
+    assert res.verdict == "equivalent" and res.nodes == 2
+    assert same_code(apply_column_permutation(c1, res.witness), c2)
 
 
 def test_equivalence_on_column_transitive_code():
     # every column looks alike in the [8,4] code (its weight-4 words form a
-    # design), so signature refinement cannot split; witnesses are dense
-    # enough that backtracking still recovers one
+    # 3-design), so pair counts cannot split the columns; the 4-subset cover
+    # counts through an individualized column can
     rng = random.Random(149)
     ham = extended_hamming()
     permuted = apply_column_permutation(ham, random_perm(rng, 8))
@@ -227,3 +277,14 @@ def test_equivalence_separates_d11_from_c56_1_by_nt():
     res = is_equivalent(load_seed("D11"), load_seed("C56.1"), node_budget=50_000, threads=2)
     assert res.verdict == "inequivalent"
     assert res.nodes == 0 and res.witness is None
+
+
+@pytest.mark.parametrize("name", CIRCULANT_SEED_NAMES)
+def test_equivalence_answers_permuted_extremal_seeds(name):
+    # the weight-12 words form a 3-design, so pair and triple counts are
+    # flat; the 4-subset cover counts through an individualized column are not
+    seed = load_seed(name)
+    permuted = apply_column_permutation(seed, random_perm(random.Random(name), seed.n))
+    res = is_equivalent(seed, permuted, node_budget=SEARCH_NODE_BUDGET)
+    assert res.verdict == "equivalent" and res.nodes <= SEARCH_NODE_BUDGET
+    assert same_code(apply_column_permutation(seed, res.witness), permuted)

@@ -22,6 +22,7 @@ from hullkit import (
     lcd_improve,
     make_yi,
     min_weight,
+    nt_sequence,
     replay,
     sampled_x,
     standard_form,
@@ -29,6 +30,7 @@ from hullkit import (
     weight_distribution,
 )
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_pair, load_seed
+from hullkit.cli import main
 from hullkit.minweight import (
     _PROBE_ROWS,
     _gleason_distribution,
@@ -342,6 +344,25 @@ def test_gate_walks_each_code_once(monkeypatch):
     assert len(walked) == 1
     replay(rec, {"a40226": seed})
     assert len(walked) == 2
+
+
+def test_nt_sequence_walks_a_walked_code_once(monkeypatch, capsys):
+    walked = []
+
+    def counting(code, **kwargs):
+        walked.append(code)
+        return _scan_binary(code, **kwargs)
+
+    monkeypatch.setattr(hullkit.minweight, "_scan_binary", counting)
+    seed = load_a_block_code("a40226")  # d = 6
+    for w in (None, 6, 7):
+        walked.clear()
+        assert nt_sequence(seed, w).weight == (6 if w is None else w)
+        assert walked == [seed]
+    walked.clear()
+    assert main(["invariant", "a40226", "--format", "json"]) == 0
+    assert len(walked) == 1
+    assert '"weight": 6' in capsys.readouterr().out
 
 
 # --- two information sets -------------------------------------------------------

@@ -25,6 +25,7 @@ from hullkit import (
     nt_sequence,
     read_records,
     replay,
+    same_code,
     sampled_isotropic_pairs,
     sampled_x,
     sd_search,
@@ -289,8 +290,10 @@ def test_doubly_even_self_dual_codes_need_no_gray_walk(monkeypatch):
     assert (res.verdict, res.nodes) == ("inequivalent", 0)
     perm = list(range(1, d11.n + 1))
     random.Random(11).shuffle(perm)
-    res = is_equivalent(d11, apply_column_permutation(d11, perm), node_budget=2000)
-    assert (res.verdict, res.nodes) == ("unknown", 2001)
+    permuted = apply_column_permutation(d11, perm)
+    res = is_equivalent(d11, permuted, node_budget=2000)
+    assert res.verdict == "equivalent" and res.nodes <= 2000
+    assert same_code(apply_column_permutation(d11, res.witness), permuted)
     for name in CIRCULANT_SEED_NAMES:
         assert set(fingerprint_code(load_seed(name))) == {"distribution", "nt"}
     y = make_yi(28, 4)
@@ -301,6 +304,23 @@ def test_doubly_even_self_dual_codes_need_no_gray_walk(monkeypatch):
     assert dict(weight_distribution(d11).counts) == GLEASON_56_EXTREMAL
     seq = nt_sequence(d11, 12)
     assert sum(t * c for t, c in seq.counts.items()) == GLEASON_56_EXTREMAL[12] * comb(12, 4)
+
+
+def test_dedup_merges_a_permuted_d11_at_the_search_budget():
+    from hullkit.search import SEARCH_NODE_BUDGET, _emit
+
+    d11 = load_seed("D11")
+    perm = list(range(1, d11.n + 1))
+    random.Random(13).shuffle(perm)
+    permuted = apply_column_permutation(d11, perm)
+    fp = fingerprint_code(d11)
+    assert fingerprint_code(permuted) == fp
+    records, dedup = [], {}
+    for code in (d11, permuted):
+        rec = SearchRecord(seed_id="D11", x="0" * 28, y="0" * 28, n=56, k=28, d=12,
+                           self_dual=True, doubly_even=True, lcd=False, fingerprint=dict(fp))
+        _emit(records, dedup, rec, code, node_budget=SEARCH_NODE_BUDGET, threads=1)
+    assert len(records) == 1 and records[0].collision is None
 
 
 def test_fingerprint_stability():
