@@ -305,7 +305,9 @@ def _cmd_verify_paper(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser, fmt: bool = False) -> None:
-    p.add_argument("--threads", type=int, default=1, help="worker threads for enumeration")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for full enumeration walks; "
+                        "early-abort screens run on one thread")
     if fmt:
         p.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -204,12 +204,6 @@ class FieldVector:
         p = self.field.p
         return FieldVector(self.field, [(c * a) % p for a in self.symbols])
 
-    def hadamard(self, other: "FieldVector") -> "FieldVector":
-        """Componentwise product."""
-        self._require_compatible(other)
-        p = self.field.p
-        return FieldVector(self.field, [(a * b) % p for a, b in zip(self.symbols, other.symbols)])
-
 
 def inner_product(u: FieldVector, v: FieldVector) -> int:
     """Standard inner product sum u_i v_i mod p (packed popcount over GF(2))."""

@@ -63,18 +63,6 @@ class NtSequence:
         return list(self.sequence)
 
 
-def column_masks(codeword_masks: Sequence[int], n: int) -> list[int]:
-    """Per-column incidence masks: bit i of column j is codeword i's j-th bit."""
-    cols = [0] * n
-    for i, m in enumerate(codeword_masks):
-        bit = 1 << i
-        while m:
-            low = m & -m
-            cols[low.bit_length() - 1] |= bit
-            m ^= low
-    return cols
-
-
 def _colex_terms(n: int) -> np.ndarray:
     """terms[q][j] = C(j, q + 1): the colex rank term of column j at place q
     of a sorted 4-subset."""

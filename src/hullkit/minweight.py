@@ -8,9 +8,9 @@ table of packed codewords, and each of the 2^(k-low) top-bit blocks is one
 row-XOR plus a vectorized popcount over that table.  Blocks follow the
 Gray code on the top bits with alternating sweep direction, which is
 exactly the global reflected-Gray visit order, so ``codewords_of_weight``
-emits codewords in true Gray sequence.  Multi-threading splits the block
-range; partial results merge deterministically in block order, and an
-early abort in one chunk stops the others at their next block.
+emits codewords in true Gray sequence.  Threads split the block range of
+a full walk only, and the partial results merge deterministically in block
+order; a walk that may abort runs on one thread.
 
 An early-abort screen first probes the sums of at most ``_PROBE_ROWS``
 generator rows in one vectorized pass, in the spirit of information-set
@@ -36,7 +36,6 @@ testing only).
 """
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -158,20 +157,13 @@ def _mask_of(cur: np.ndarray, i: int) -> int:
 
 
 def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
-                abort_below, want_dist, collect_weight, min_words, stop=None):
-    """Walk blocks [block_lo, block_hi); see _scan_binary for the contract.
-
-    ``stop`` is shared by the chunks of one threaded scan: a chunk that
-    aborts sets it, and every chunk returns as aborted at its next block
-    once it is set.
-    """
+                abort_below, want_dist, collect_weight, min_words):
+    """Walk blocks [block_lo, block_hi); see _scan_binary for the contract."""
     dist = np.zeros(n + 1, dtype=np.int64) if want_dist else None
     collected: list[int] = []
     best = n + 1
     off = _block_offset(rows, low, block_lo)
     for t in range(block_lo, block_hi):
-        if stop is not None and stop.is_set():
-            return best, None, collected, True
         if t > block_lo:
             b = (t & -t).bit_length() - 1
             off = off ^ rows[low + b]
@@ -191,8 +183,6 @@ def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
             for i in np.nonzero(w == (best if min_words else collect_weight))[0]:
                 collected.append(_mask_of(cur, int(i)))
         if abort_below is not None and best < abort_below:
-            if stop is not None:
-                stop.set()
             return best, None, collected, True
         if want_dist:
             dist += np.bincount(w.astype(np.intp), minlength=n + 1)
@@ -219,7 +209,9 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
     (an upper bound on d).  The walk aborts exactly when d < abort_below,
     at the end of the first block that holds a lighter word.  The masks
     are the words of weight ``collect_weight`` or, with ``_min_words``, of
-    the minimum nonzero weight, in Gray order either way.
+    the minimum nonzero weight, in Gray order either way.  ``threads``
+    splits the blocks of a walk that cannot abort; with ``abort_below`` the
+    walk runs on one thread.
     """
     _check_gf2(code)
     rows = _packed_rows(code.generator.row_bits, code.n)
@@ -228,29 +220,23 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
     # the order within a block matters only to the words collected
     table_rev = table[::-1].copy() if collect_weight is not None or _min_words else table
     blocks = 1 << (code.k - low)
-    if threads <= 1 or blocks < 4:
+    if threads <= 1 or blocks < 4 or abort_below is not None:
         return _scan_range(rows, low, table, table_rev, code.n, 0, blocks,
                            abort_below, want_dist, collect_weight, _min_words)
     nchunks = min(threads * 4, blocks)
     bounds = [round(i * blocks / nchunks) for i in range(nchunks + 1)]
-    stop = threading.Event() if abort_below is not None else None
     with ThreadPoolExecutor(max_workers=threads) as ex:
         jobs = [
             ex.submit(_scan_range, rows, low, table, table_rev, code.n,
-                      bounds[i], bounds[i + 1], abort_below, want_dist,
-                      collect_weight, _min_words, stop)
+                      bounds[i], bounds[i + 1], None, want_dist,
+                      collect_weight, _min_words)
             for i in range(nchunks)
         ]
         parts = [j.result() for j in jobs]
     best = min(p[0] for p in parts)
-    aborted = any(p[3] for p in parts)
-    dist = None
-    if want_dist and not aborted:
-        dist = np.zeros(code.n + 1, dtype=np.int64)
-        for p in parts:
-            dist += p[1]
+    dist = sum(p[1] for p in parts) if want_dist else None
     collected = [m for p in parts if not _min_words or p[0] == best for m in p[2]]
-    return best, dist, collected, aborted
+    return best, dist, collected, False
 
 
 def _next_level(prev: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
@@ -432,6 +418,8 @@ def min_weight(code: LinearCode, abort_above: int | None = None,
     With ``abort_above = t`` the scan may stop at a nonzero codeword of
     weight < t; the returned value is then that weight (an upper bound on
     d certifying d < t).  Any returned value >= t is the exact minimum.
+    ``threads`` splits a full walk only: with ``abort_above`` the screen
+    runs on one thread.
     """
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")

@@ -71,9 +71,9 @@ def _certify(code: LinearCode, abort_below: int | None = None, threads: int = 1
     return d, flags, fp
 
 
-def fingerprint_code(code: LinearCode, threads: int = 1) -> dict[str, str]:
+def fingerprint_code(code: LinearCode) -> dict[str, str]:
     """Dedup key: (weight-distribution hash, minimum-weight N_t hash)."""
-    return _certify(code, threads=threads)[2]
+    return _certify(code)[2]
 
 
 @dataclass
@@ -233,26 +233,28 @@ def sampled_isotropic_pairs(m: int, count: int, rng_seed: int) -> list[Transform
 
 # --- drivers ------------------------------------------------------------------
 
-@dataclass
-class _DedupEntry:
-    index: int
-    code: LinearCode
-
-
 def _emit(records: list[SearchRecord], dedup: dict, rec: SearchRecord,
           code: LinearCode, node_budget: int, threads: int) -> None:
+    """Append ``rec`` unless ``code`` is proved equivalent to an earlier one.
+
+    ``dedup`` maps a fingerprint key to its class representatives, as
+    (record index, code) in emission order.  A new code is compared with
+    each in turn and merged on the first "equivalent"; otherwise it becomes
+    one more representative, its ``collision`` note naming every record it
+    was compared with.
+    """
     key = (rec.fingerprint["distribution"], rec.fingerprint["nt"])
-    prior = dedup.get(key)
-    if prior is None:
-        dedup[key] = _DedupEntry(len(records), code)
-        records.append(rec)
-        return
-    res = is_equivalent(prior.code, code, node_budget=node_budget, threads=threads)
-    if res.verdict == "equivalent":
-        return  # merged into the earlier record
-    rec.collision = (
-        f"fingerprint collision with record {prior.index} (equivalence: {res.verdict})"
-    )
+    reps = dedup.setdefault(key, [])
+    verdicts = []
+    for index, prior in reps:
+        res = is_equivalent(prior, code, node_budget=node_budget, threads=threads)
+        if res.verdict == "equivalent":
+            return  # merged into the earlier record
+        verdicts.append(f"{index} (equivalence: {res.verdict})")
+    if verdicts:
+        rec.collision = (f"fingerprint collision with record{'s' if len(verdicts) > 1 else ''} "
+                         + ", ".join(verdicts))
+    reps.append((len(records), code))
     records.append(rec)
 
 
@@ -274,7 +276,7 @@ def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
     dedup: dict = {}
     for pair in pairs:
         out = transform_code(form, pair, mode=mode)
-        cert = _certify(out, d_target, threads)
+        cert = _certify(out, d_target)
         if cert is None:
             continue
         d, flags, fp = cert
@@ -303,7 +305,8 @@ def sd_search(seed: LinearCode, y: FieldVector,
     and transforms in checked mode; rule="even" admits all even-weight x,
     transforms unchecked, and keeps only outputs passing post-hoc doubly
     even + self-dual verification.  Candidates failing the rule are skipped;
-    any other rule raises ValueError.
+    any other rule raises ValueError.  Every screen runs on one thread:
+    ``threads`` reaches only dedup's ``is_equivalent``.
     """
     if rule not in ("mod4", "even"):
         raise ValueError(f"unknown rule {rule!r}")
@@ -327,7 +330,8 @@ def lcd_improve(seed: LinearCode, pairs: Iterable[TransformPair], d_target: int,
                 seed_id: str = "seed", threads: int = 1,
                 stamp: bool = False) -> list[SearchRecord]:
     """Transform an LCD seed by isotropic pairs; keep LCD outputs with
-    min weight >= d_target.  Non-isotropic pairs are skipped."""
+    min weight >= d_target.  Non-isotropic pairs are skipped.  Every screen
+    runs on one thread: ``threads`` reaches only dedup's ``is_equivalent``."""
     if not seed.field.binary:
         raise PredicateError("lcd_improve operates on binary seeds")
     if not is_lcd(seed):
@@ -362,7 +366,9 @@ def _record_vector(record: SearchRecord, name: str, seed: LinearCode) -> FieldVe
 
 def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
            threads: int = 1) -> LinearCode:
-    """Reconstruct a record's code and verify parameters and fingerprint."""
+    """Reconstruct a record's code and verify parameters and fingerprint.
+
+    ``threads`` splits the certify step's full walk, when it takes one."""
     seed = seed_store.get(record.seed_id)
     if seed is None:
         raise IntegrityError(f"seed id {record.seed_id!r} not resolvable")

@@ -26,10 +26,15 @@ from hullkit import (
     PrimeField,
     TransformPair,
     UnsupportedFieldError,
+    apply_column_permutation,
     bordered_double_circulant,
     dual,
+    is_equivalent,
+    nt_sequence,
     pure_double_circulant,
+    same_code,
     transform_rows,
+    weight_distribution,
 )
 from hullkit.circulant import CirculantSpec
 from hullkit.minweight import WeightDistribution, _distribution, _scan_binary
@@ -143,6 +148,27 @@ def random_de_safe_pair(rng: random.Random, m: int) -> TransformPair:
                 )
 
 
+def tied_pairs(rng, draws, sizes):
+    """(earlier code, later code, is_equivalent result) for each random
+    binary code, of a size (n, k) drawn from ``sizes``, that ties with an
+    earlier draw on weight distribution and N_t and that is_equivalent does
+    not call equivalent to it.  An "equivalent" verdict has its witness
+    checked here and drops the later code, so each class keeps one code."""
+    classes = {}
+    for _ in range(draws):
+        n, k = rng.choice(sizes)
+        code = random_code(rng, GF2, n, k)
+        key = (n, k, tuple(weight_distribution(code).items()), nt_sequence(code).sequence)
+        for other in classes.get(key, []):
+            res = is_equivalent(other, code)
+            if res.verdict == "equivalent":
+                assert same_code(apply_column_permutation(other, res.witness), code)
+                break
+            yield other, code, res
+        else:
+            classes.setdefault(key, []).append(code)
+
+
 # --- oracles ------------------------------------------------------------------
 
 def enumerate_codewords_naive(code: LinearCode) -> list[tuple[int, ...]]:
@@ -220,9 +246,21 @@ def nt_masks_naive(masks: list[int], n: int) -> dict[int, int]:
     return counts
 
 
+def column_masks(codeword_masks: list[int], n: int) -> list[int]:
+    """Per-column incidence masks: bit i of column j is codeword i's j-th bit."""
+    cols = [0] * n
+    for i, m in enumerate(codeword_masks):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    return cols
+
+
 def subset_cover_count(cols: list[int], subset: tuple[int, ...]) -> int:
     """Number of codewords that are 1 on every column of ``subset``, from the
-    per-column incidence masks of :func:`hullkit.invariant.column_masks`."""
+    per-column incidence masks of :func:`column_masks`."""
     acc = cols[subset[0]]
     for j in subset[1:]:
         acc &= cols[j]
@@ -289,7 +327,8 @@ def weight_identity_check(u: FieldVector, v: FieldVector) -> bool:
         raise UnsupportedFieldError("weight identity is a GF(2) statement")
     if len(u) != len(v):
         raise DimensionError("length mismatch")
-    return (u + v).weight == u.weight + v.weight - 2 * u.hadamard(v).weight
+    product = FieldVector(GF2, [a * b for a, b in zip(u.symbols, v.symbols)])
+    return (u + v).weight == u.weight + v.weight - 2 * product.weight
 
 
 def mod4_weight_check(a: FieldMatrix, pair: TransformPair) -> bool:

@@ -41,13 +41,14 @@ from hullkit.artifacts import (
     load_pair,
     load_seed,
 )
-from hullkit.invariant import column_masks, is_equivalent, nt_sequence
+from hullkit.invariant import is_equivalent, nt_sequence
 from hullkit.minweight import codeword_masks_of_weight
 
 from conftest import (
     GF3,
     GF5,
     GLEASON_56_EXTREMAL,
+    column_masks,
     enumerate_codewords_naive,
     equivalent_brute_force,
     extended_hamming,

@@ -15,14 +15,14 @@ from hullkit import (
     is_equivalent,
     nt_sequence,
     same_code,
-    weight_distribution,
 )
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_seed
-from hullkit.invariant import column_masks, nt_from_masks
+from hullkit.invariant import nt_from_masks
 from hullkit.minweight import codeword_masks_of_weight
 from hullkit.search import SEARCH_NODE_BUDGET
 
 from conftest import (
+    column_masks,
     equivalent_brute_force,
     equivalent_by_columns,
     extended_hamming,
@@ -30,6 +30,7 @@ from conftest import (
     nt_masks_naive,
     random_code,
     subset_cover_count,
+    tied_pairs,
 )
 
 
@@ -187,30 +188,9 @@ def test_equivalence_agrees_with_brute_force():
     assert checked == 24
 
 
-def _tied_pairs(rng, draws, sizes):
-    """(earlier code, later code, is_equivalent result) for each random
-    binary code, of a size (n, k) drawn from ``sizes``, that ties with an
-    earlier draw on weight distribution and N_t and that is_equivalent does
-    not call equivalent to it.  An "equivalent" verdict has its witness
-    checked here and drops the later code, so each class keeps one code."""
-    classes = {}
-    for _ in range(draws):
-        n, k = rng.choice(sizes)
-        code = random_code(rng, GF2, n, k)
-        key = (n, k, tuple(weight_distribution(code).items()), nt_sequence(code).sequence)
-        for other in classes.get(key, []):
-            res = is_equivalent(other, code)
-            if res.verdict == "equivalent":
-                assert same_code(apply_column_permutation(other, res.witness), code)
-                break
-            yield other, code, res
-        else:
-            classes.setdefault(key, []).append(code)
-
-
 def test_equivalence_agrees_with_brute_force_where_invariants_tie():
     rng = random.Random(157)
-    ties = list(_tied_pairs(rng, 400, [(n, k) for n in (6, 7, 8) for k in range(2, n - 1)]))
+    ties = list(tied_pairs(rng, 400, [(n, k) for n in (6, 7, 8) for k in range(2, n - 1)]))
     assert ties
     for c1, c2, res in ties:
         assert res.verdict == "inequivalent"
@@ -221,7 +201,7 @@ def test_equivalence_proves_inequivalence_by_exhausting_the_search():
     # at n <= 8 the refinement before the first node splits every tie seen;
     # at n = 9, 10 some ties need the whole search tree
     rng = random.Random(3)
-    for c1, c2, res in _tied_pairs(rng, 2000, [(9, 3), (9, 4), (10, 3), (10, 4)]):
+    for c1, c2, res in tied_pairs(rng, 2000, [(9, 3), (9, 4), (10, 3), (10, 4)]):
         assert res.verdict == "inequivalent"
         assert not equivalent_by_columns(c1, c2)
         if res.nodes:

@@ -1,5 +1,5 @@
 import random
-import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import pytest
@@ -252,10 +252,10 @@ def _code_with_hidden_light_word(k: int, m: int, seed: int) -> LinearCode:
     return LinearCode(FieldMatrix.from_bit_rows([1 << i | ai << k for i, ai in enumerate(a)], k + m))
 
 
-def test_threaded_abort_when_the_probe_misses():
+def test_a_walk_that_may_abort_runs_on_one_thread(monkeypatch):
     # The only light word needs four rows, all in the top bits the blocks
-    # walk, so the probe misses it and a threaded walk must find it in one
-    # chunk and stop the rest.
+    # walk, so the probe misses it and the screen must walk.  Every caller
+    # of that walk gets the one-thread answer without starting a pool.
     code = _code_with_hidden_light_word(22, 40, seed=5)
     rows = code.generator.row_bits
     t = 5
@@ -265,15 +265,33 @@ def test_threaded_abort_when_the_probe_misses():
             for r in idx:
                 acc ^= r
             assert acc.bit_count() >= t
-    single = _scan_binary(code, abort_below=t, threads=1)
-    assert single[3] and single[0] == 4 and single[1] is None
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the chunks as often as possible
-    try:
+
+    def screens(threads):
+        return (_scan_binary(code, abort_below=t, threads=threads),
+                _scan(code, abort_below=t, threads=threads),
+                min_weight(code, abort_above=t, threads=threads))
+
+    single = screens(1)
+    assert single[0][3] and single[0][0] == 4 and single[0][1] is None
+    assert single[1] == (4, None, [], True) and single[2] == 4
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a walk that may abort started a thread pool")
+
+    with monkeypatch.context() as m:
+        m.setattr(hullkit.minweight, "ThreadPoolExecutor", no_pool)
         for threads in (2, 4):
-            assert _scan_binary(code, abort_below=t, threads=threads) == single
-    finally:
-        sys.setswitchinterval(switch)
+            assert screens(threads) == single
+
+    pools = []
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(hullkit.minweight, "ThreadPoolExecutor", counting_pool)
+    assert _scan(code, threads=2) == _scan(code)
+    assert pools == [{"max_workers": 2}]
 
 
 # --- the scan gate on codes it walks ---------------------------------------------

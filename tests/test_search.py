@@ -29,13 +29,23 @@ from hullkit import (
     sampled_isotropic_pairs,
     sampled_x,
     sd_search,
+    standard_form,
+    transform_code,
     weight_distribution,
     write_records,
 )
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_pair, load_seed, seed_store
-from hullkit.search import SearchRecord
+from hullkit.search import SEARCH_NODE_BUDGET, SearchRecord, _emit
 
-from conftest import GLEASON_56_EXTREMAL, extended_hamming
+from conftest import (
+    GLEASON_56_EXTREMAL,
+    equivalent_brute_force,
+    extended_hamming,
+    hull_dim_naive,
+    random_code,
+    tied_pairs,
+    weight_distribution_naive,
+)
 
 
 def test_make_yi():
@@ -361,6 +371,73 @@ def test_dedup_keeps_annotated_collision_when_equivalence_unresolved():
     _emit(records, dedup, rec(), ham, node_budget=10_000, threads=1)
     _emit(records, dedup, rec(), permuted, node_budget=10_000, threads=1)
     assert len(records) == 1
+
+
+def _emit_all(codes, node_budget=SEARCH_NODE_BUDGET):
+    records, dedup = [], {}
+    for code in codes:
+        rec = SearchRecord(seed_id="s", x="1", y="1", n=code.n, k=code.k, d=min_weight(code),
+                           self_dual=False, doubly_even=False, lcd=False,
+                           fingerprint=fingerprint_code(code))
+        _emit(records, dedup, rec, code, node_budget=node_budget, threads=1)
+    return records
+
+
+def test_dedup_merges_with_a_representative_behind_a_collision():
+    # two inequivalent codes tie on the fingerprint; a permuted copy of the
+    # second must merge with it, not become a second collision record
+    c1, c2, res = next(tied_pairs(random.Random(157), 400,
+                                  [(n, k) for n in (6, 7, 8) for k in range(2, n - 1)]))
+    assert res.verdict == "inequivalent"
+    perm = list(range(1, c2.n + 1))
+    random.Random(17).shuffle(perm)
+    c3 = apply_column_permutation(c2, perm)
+    assert fingerprint_code(c1) == fingerprint_code(c2) == fingerprint_code(c3)
+    records = _emit_all([c1, c2, c3])
+    assert [r.collision for r in records] == [
+        None, "fingerprint collision with record 0 (equivalence: inequivalent)"]
+
+
+def test_dedup_collision_note_names_every_record_compared():
+    ham = extended_hamming()
+    copies = [apply_column_permutation(ham, p)
+              for p in [(2, 1, 3, 4, 5, 6, 7, 8), (1, 2, 3, 4, 5, 6, 8, 7)]]
+    records = _emit_all([ham] + copies, node_budget=0)
+    assert [r.collision for r in records] == [
+        None,
+        "fingerprint collision with record 0 (equivalence: unknown)",
+        "fingerprint collision with records 0 (equivalence: unknown), "
+        "1 (equivalence: unknown)",
+    ]
+
+
+def test_lcd_search_keeps_one_record_per_equivalence_class():
+    # transform, screen, certify and dedup together against brute force:
+    # the survivors' classes, each found once among the records
+    seed = random_code(random.Random(58), GF2, 8, 2)
+    assert hull_dim_naive(seed) == 0
+    d_target = 3  # the seed's d: the screen drops the 120 outputs of d = 2
+    form = standard_form(seed)
+    pairs = list(exhaustive_isotropic_pairs(6))
+    reps = []  # (naive distribution, code) of one survivor per class
+
+    def class_of(code):
+        dist = weight_distribution_naive(code)
+        for i, (rep_dist, rep) in enumerate(reps):
+            if rep_dist == dist and equivalent_brute_force(rep, code):
+                return i
+        reps.append((dist, code))
+        return len(reps) - 1
+
+    for pair in pairs:
+        out = transform_code(form, pair, mode="unchecked")
+        dist = weight_distribution_naive(out)
+        if hull_dim_naive(out) == 0 and min(w for w in dist if w) >= d_target:
+            class_of(out)
+    classes = len(reps)
+    assert classes > 1
+    records = lcd_improve(seed, pairs, d_target=d_target, seed_id="s")
+    assert sorted(class_of(replay(r, {"s": seed})) for r in records) == list(range(classes))
 
 
 def test_exhaustive_pairs_small_m():
