@@ -71,9 +71,12 @@ def _colex_terms(n: int) -> np.ndarray:
 
 def _incidence(masks: Sequence[int], n: int) -> np.ndarray:
     """(len(masks), n) 0/1 matrix: row i is codeword i's support."""
-    nbytes = (n + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
-                           dtype=np.uint8).reshape(len(masks), nbytes)
+    if n <= 64:
+        packed = np.array(masks, dtype="<u8").view(np.uint8).reshape(len(masks), 8)
+    else:
+        nbytes = (n + 7) // 8
+        packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+                               dtype=np.uint8).reshape(len(masks), nbytes)
     return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
@@ -83,7 +86,8 @@ def _cover(bits: np.ndarray) -> np.ndarray:
 
     Every 4-subset {a < b < c < e} of a word's support adds one at rank
     C(a,1) + C(b,2) + C(c,3) + C(e,4).  Words are handled in chunks of about
-    2^17 ranks (1 MB).
+    2^16 ranks (512 KB), each added in place: a per-chunk ``np.bincount``
+    would allocate and add a full C(n,4) array per chunk.
     """
     n = bits.shape[1]
     weights = bits.sum(axis=1)
@@ -92,13 +96,13 @@ def _cover(bits: np.ndarray) -> np.ndarray:
     for w in np.unique(weights[weights >= 4]).tolist():
         rows = np.flatnonzero(weights == w)
         places = np.array(list(combinations(range(w), 4)), dtype=np.intp)
-        step = max(1, (1 << 17) // len(places))
+        step = max(1, (1 << 16) // len(places))
         for lo in range(0, len(rows), step):
             chunk = np.nonzero(bits[rows[lo:lo + step]])[1].reshape(-1, w)  # supports
             ranks = terms[0][chunk][:, places[:, 0]]
             for q in range(1, 4):
                 ranks += terms[q][chunk][:, places[:, q]]
-            cover += np.bincount(ranks.ravel(), minlength=len(cover))
+            np.add.at(cover, ranks.ravel(), 1)
     return cover
 
 

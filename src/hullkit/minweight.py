@@ -21,7 +21,9 @@ the Gray table.
 A doubly even self-dual code can skip the walk: ``_scan_two_sets`` lists
 the words of low information weight on two disjoint information sets
 (Brouwer-Zimmermann), which fixes d and the weight-d words, and takes the
-rest of the distribution from Gleason's theorem.  One gate, ``_scan``,
+rest of the distribution from Gleason's theorem.  Each level of the listing
+is one packed array, filtered and counted by vectorized popcounts, and the
+last level stops after its first side.  One gate, ``_scan``,
 gives the search, replay and ``is_equivalent`` d, the distribution and the
 weight-d words: it probes a screen first, takes the two-set path for a
 doubly even self-dual code with n = 2k, and walks any other code once,
@@ -39,7 +41,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Mapping, Sequence
 
@@ -244,7 +246,7 @@ def _next_level(prev: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
     colex order: the sums whose largest row is j are the first C(j, r-1)
     sums of r - 1 rows, each XORed with row j."""
     k = rows.shape[0]
-    out = np.empty((comb(k, r),) + rows.shape[1:], dtype=np.uint64)
+    out = np.empty(comb(k, r), dtype=np.uint64)
     pos = 0
     for j in range(r - 1, k):
         c = comb(j, r - 1)
@@ -295,11 +297,15 @@ def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None):
     The RREF generator ``[I | A]`` is the identity on its pivot columns P.
     Self-duality with n = 2k gives A A^T = A^T A = I, so the rows of
     ``A^T [I | A] = [A^T | I]`` are the identity on the other columns Q.
-    Level r lists every word that is 1 on exactly r columns of P, and every
-    word that is 1 on exactly r columns of Q.  After level r, a word not yet
-    listed has more than r ones on each side, so it weighs at least 2(r+1).
-    The levels stop at the first r where every word of weight up to
-    max(d, 4 floor(n/24)) has been listed; the distribution then follows
+    Level r lists every word that is 1 on exactly r columns of P, then every
+    word that is 1 on exactly r columns of Q, each as one packed array of
+    sums of r rows.  After the P side of level r a word not yet listed has
+    more than r ones on P and at least r on Q, so it weighs more than 2r;
+    after the Q side, more than 2r + 1.  The listing stops at the first side
+    after which every word of weight up to max(d, 4 floor(n/24)) is listed,
+    which for a [56,28,12] code skips the Q side of level 6 (376 740 words).
+    The Q-side words with at most r ones on P, listed on the P side too, are
+    dropped by one popcount over the kept words.  The distribution follows
     from A_0, A_4, ..., A_(4 floor(n/24)) by :func:`_gleason_distribution`,
     checked against every count listed up to that weight.
 
@@ -323,43 +329,43 @@ def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None):
     if n != 2 * k or any(row & ~p_mask != 1 << j for row, j in zip(right, q_cols)):
         raise PredicateError("two information sets need a self-dual code with n = 2k")
     floor = 4 * (n // 24)
-    sides = [_packed_rows(left, n), _packed_rows(right, n)]
-    levels = [np.zeros((1,) + rows.shape[1:], dtype=np.uint64) for rows in sides]
+    sides = [_packed_rows(left, n), _packed_rows(right, n)]  # 1-D: n = 2k <= 60
+    levels = [np.zeros(1, dtype=np.uint64)] * 2  # level 0: the zero word, kept once below
+    light = [[level] for level in levels]  # each side's kept words, level by level
     best = n + 1
-    light: list[tuple[int, int]] = []  # (word, side) of every word kept so far
-    for r in range(1, k + 1):
-        for side, rows in enumerate(sides):
-            level = levels[side] = _next_level(levels[side], rows, r)
-            w = _popcounts(level)
-            best = min(best, int(w.min()))
-            if abort_below is not None and best < abort_below:
-                return best, None, [], True
-            light += [(_mask_of(level, int(i)), side)
-                      for i in np.nonzero(w <= max(best, floor))[0]]
-        if max(best, floor) < 2 * (r + 1):
+    for r, side in product(range(1, k + 1), (0, 1)):
+        level = levels[side] = _next_level(levels[side], sides[side], r)
+        w = np.bitwise_count(level)
+        best = min(best, int(w.min()))
+        if abort_below is not None and best < abort_below:
+            return best, None, [], True
+        light[side].append(level[w <= max(best, floor)])
+        # a word not yet listed has more than r ones on P and r + side or more on Q
+        if max(best, floor) <= 2 * r + side:
             break
-    # a Q-side word with at most r ones on P was listed on the P side too
     bound = max(best, floor)
-    words = [m for m, side in light
-             if m.bit_count() <= bound and (side == 0 or (m & p_mask).bit_count() > r)]
-    counts = {0: 1}
-    for m in words:
-        counts[m.bit_count()] = counts.get(m.bit_count(), 0) + 1
-    dist = _gleason_distribution(n, [counts.get(w, 0) for w in range(0, floor + 1, 4)])
-    if any(dist.get(w, 0) != counts.get(w, 0) for w in range(bound + 1)):
+    p_words, q_words = map(np.concatenate, light)
+    # a Q-side word with at most r ones on P was listed on the P side too
+    q_words = q_words[np.bitwise_count(q_words & np.uint64(p_mask)) > r]
+    words = np.concatenate([p_words, q_words])
+    weights = np.bitwise_count(words)
+    counts = np.bincount(weights[weights <= bound], minlength=n + 1)
+    dist = _gleason_distribution(n, counts[:floor + 1:4].tolist())
+    if any(dist.get(w, 0) != counts[w] for w in range(bound + 1)):
         raise PostconditionError(
             "Gleason distribution disagrees with the listed light words; "
             "the code is not doubly even self-dual")
     out = np.zeros(n + 1, dtype=np.int64)
     for w, c in dist.items():
         out[w] = c
-    return best, out, [m for m in words if m.bit_count() == best], False
+    return best, out, words[weights == best].tolist(), False
 
 
 def _lists_two_sets(code: LinearCode) -> bool:
     """Whether the gate takes the two-set path.  n = 2k is tested first: double
-    evenness costs more and implies self-orthogonality, so with n = 2k self-duality."""
-    return code.n == 2 * code.k and is_doubly_even(code)
+    evenness costs more and implies self-orthogonality, so with n = 2k self-duality.
+    The [0, 0] code has no level to list and is walked."""
+    return code.k > 0 and code.n == 2 * code.k and is_doubly_even(code)
 
 
 def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1):

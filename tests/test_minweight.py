@@ -34,6 +34,7 @@ from hullkit.cli import main
 from hullkit.minweight import (
     _PROBE_ROWS,
     _gleason_distribution,
+    _next_level,
     _packed_rows,
     _probe,
     _scan,
@@ -193,6 +194,8 @@ def test_walk_of_the_zero_code():
         best, dist, collected, aborted = _scan_binary(zero, want_dist=True, collect_weight=0)
         assert (best, dist.tolist(), collected, aborted) == (n + 1, [1] + [0] * n, [0], False)
         assert _scan(zero, abort_below=3)[1].counts == {0: 1}
+    # the [0, 0] code has n = 2k but no level to list: the gate walks it
+    assert weight_distribution(LinearCode(FieldMatrix.from_bit_rows([], 0))).counts == {0: 1}
 
 
 def test_sum_counts_is_2k():
@@ -454,6 +457,29 @@ def test_two_sets_decide_the_sd_screen_probe_misses():
         assert walked[0] == 8 and walked[3]
         assert _scan_two_sets(outs[i], abort_below=12) == (8, None, [], True)
         assert _scan_two_sets(outs[i])[0] == 8
+
+
+def test_two_sets_stop_after_the_last_levels_p_side(monkeypatch):
+    # D11 (d = 12) needs P-side levels 1-6 and Q-side levels 1-5: a word
+    # missing from them has at least 7 ones on P and 6 on Q
+    levels = []
+
+    def counting(prev, rows, r):
+        levels.append(r)
+        return _next_level(prev, rows, r)
+
+    monkeypatch.setattr(hullkit.minweight, "_next_level", counting)
+    d, _, masks, _ = _scan_two_sets(load_seed("D11"))
+    assert (d, len(masks)) == (12, GLEASON_56_EXTREMAL[12])
+    assert levels == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+
+
+def test_two_sets_list_words_without_a_per_word_mask(monkeypatch):
+    def no_mask(*args):
+        raise AssertionError("per-word _mask_of on the two-set path")
+
+    monkeypatch.setattr(hullkit.minweight, "_mask_of", no_mask)
+    assert _scan_two_sets(load_seed("D11"))[0] == 12
 
 
 def test_gleason_solver_matches_the_table_and_walked_distributions():

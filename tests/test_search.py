@@ -440,6 +440,36 @@ def test_lcd_search_keeps_one_record_per_equivalence_class():
     assert sorted(class_of(replay(r, {"s": seed})) for r in records) == list(range(classes))
 
 
+@pytest.mark.parametrize("rule", ["mod4", "even"])
+def test_sd_search_keeps_one_record_per_equivalence_class(rule):
+    # the self-dual counterpart of the LCD test above, over every valid y
+    # (only y = 1111 has weight 0 mod 4) and every valid x; under "even" the
+    # six x of weight 2 give singly even outputs, which the search drops
+    ham = extended_hamming()
+    form = standard_form(ham)
+    ys = [FieldVector.from_bits(v, 4) for v in range(1, 16) if v.bit_count() % 4 == 0]
+    for y in ys:
+        reps = []  # one survivor per class
+
+        def class_of(code):
+            for i, rep in enumerate(reps):
+                if equivalent_brute_force(rep, code):
+                    return i
+            reps.append(code)
+            return len(reps) - 1
+
+        for x in exhaustive_x(4, y, rule=rule):
+            out = transform_code(form, TransformPair(x, y), mode="unchecked")
+            dist = weight_distribution_naive(out)
+            if hull_dim_naive(out) == out.k and all(w % 4 == 0 for w in dist):
+                class_of(out)
+        records = sd_search(ham, y, exhaustive_x(4, y, rule=rule), d_target=1,
+                            rule=rule, seed_id="ham8")
+        assert all(r.collision is None for r in records)
+        assert sorted(class_of(replay(r, {"ham8": ham})) for r in records) \
+            == list(range(len(reps)))
+
+
 def test_exhaustive_pairs_small_m():
     pairs = list(exhaustive_isotropic_pairs(4))
     for p in pairs:
