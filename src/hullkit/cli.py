@@ -292,7 +292,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    report = run_verification(threads=args.threads)
+    report = run_verification()
     _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     ok = all(c["status"] == "pass" for c in report["checks"])
     for c in report["checks"]:
@@ -421,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the built-in verification suite")
     p.add_argument("--out", default="verify-paper-report.json")
-    _add_common(p)
     p.set_defaults(fn=_cmd_verify_paper)
 
     return ap

@@ -12,23 +12,21 @@ emits codewords in true Gray sequence.  Threads split the block range of
 a full walk only, and the partial results merge deterministically in block
 order; a walk that may abort runs on one thread.
 
-An early-abort screen first probes the sums of at most ``_PROBE_ROWS``
-generator rows in one vectorized pass, in the spirit of information-set
-search (Grassl 2006): generator rows are independent, so every such sum is
-a nonzero codeword, and a light one decides the screen without building
-the Gray table.
+Light words are listed level by level by ``_next_level``: level r is
+every sum of r rows of the RREF generator, one packed array built from
+level r - 1 (Brouwer-Zimmermann; Grassl 2006).  The rows are independent,
+so each sum is a nonzero codeword.  The early-abort screen lists levels 1
+to ``_PROBE_ROWS`` and stops at the first with a word lighter than the
+bound, without building the Gray table.
 
 A doubly even self-dual code can skip the walk: ``_scan_two_sets`` lists
-the words of low information weight on two disjoint information sets
-(Brouwer-Zimmermann), which fixes d and the weight-d words, and takes the
-rest of the distribution from Gleason's theorem.  Each level of the listing
-is one packed array, filtered and counted by vectorized popcounts, and the
-last level stops after its first side.  One gate, ``_scan``,
-gives the search, replay and ``is_equivalent`` d, the distribution and the
-weight-d words: it probes a screen first, takes the two-set path for a
-doubly even self-dual code with n = 2k, and walks any other code once,
-keeping the words at the running minimum weight as it counts the
-distribution.  The public ``min_weight`` and ``weight_distribution`` answer
+the same levels on two disjoint information sets, which fixes d and the
+weight-d words, and takes the rest of the distribution from Gleason's
+theorem; each level is filtered and counted by vectorized popcounts.  One
+gate, ``_scan``, gives the search, replay and ``is_equivalent`` d, the
+distribution and the weight-d words: it screens first, takes the two-set
+path for a doubly even self-dual code with n = 2k, and walks any other
+code once.  The public ``min_weight`` and ``weight_distribution`` answer
 through the gate too; only fixed-weight enumeration walks, to keep its
 Gray-order contract.  The tests hold the gate equal to the walk.
 
@@ -40,8 +38,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import comb
 from typing import Mapping, Sequence
 
@@ -103,26 +100,6 @@ def _gray_low_table(rows: np.ndarray, low: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=_GF2_K_LIMIT)  # one entry per k the scan accepts
-def _probe_index(k: int) -> np.ndarray:
-    """Every set of 1.._PROBE_ROWS distinct row indices of a k-row generator,
-    one set per line, padded with k (the index of an appended zero row)."""
-    depth = min(k, _PROBE_ROWS)
-    sets = [c + (k,) * (depth - size)
-            for size in range(1, depth + 1) for c in combinations(range(k), size)]
-    index = np.array(sets, dtype=np.intp).reshape(len(sets), depth)
-    index.flags.writeable = False  # shared by every caller through the cache
-    return index
-
-
-def _probe(rows: np.ndarray) -> int:
-    """Least weight among the sums of at most _PROBE_ROWS generator rows."""
-    k = rows.shape[0]
-    padded = np.concatenate([rows, np.zeros_like(rows[:1])])
-    words = np.bitwise_xor.reduce(padded[_probe_index(k)], axis=1)
-    return int(_popcounts(words).min())
-
-
 def _popcounts(arr: np.ndarray) -> np.ndarray:
     w = np.bitwise_count(arr)
     if arr.ndim == 2:
@@ -130,15 +107,9 @@ def _popcounts(arr: np.ndarray) -> np.ndarray:
     return w
 
 
-def _zero_offset(rows: np.ndarray):
-    if rows.ndim == 1:
-        return np.uint64(0)
-    return np.zeros(rows.shape[1], dtype=np.uint64)
-
-
 def _block_offset(rows: np.ndarray, low: int, block: int):
     """Packed XOR of the top rows selected by gray(block)."""
-    off = _zero_offset(rows)
+    off = np.zeros(rows.shape[1:], dtype=np.uint64)
     g = block ^ (block >> 1)
     b = 0
     while g:
@@ -159,11 +130,12 @@ def _mask_of(cur: np.ndarray, i: int) -> int:
 
 
 def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
-                abort_below, want_dist, collect_weight, min_words):
+                abort_below, collect_weight):
     """Walk blocks [block_lo, block_hi); see _scan_binary for the contract."""
-    dist = np.zeros(n + 1, dtype=np.int64) if want_dist else None
+    counting = collect_weight is None
+    dist = np.zeros(n + 1, dtype=np.int64) if counting else None
     collected: list[int] = []
-    best = n + 1
+    best = n + 1  # no nonzero word seen yet
     off = _block_offset(rows, low, block_lo)
     for t in range(block_lo, block_hi):
         if t > block_lo:
@@ -179,14 +151,14 @@ def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
             block_min = int(w.min())
         if block_min < best:
             best = block_min
-            if min_words:
+            if counting:
                 collected = []
-        if collect_weight is not None or (min_words and block_min == best):
-            for i in np.nonzero(w == (best if min_words else collect_weight))[0]:
+        if not counting or block_min == best:
+            for i in np.nonzero(w == (best if counting else collect_weight))[0]:
                 collected.append(_mask_of(cur, int(i)))
-        if abort_below is not None and best < abort_below:
+        if abort_below is not None and best < min(abort_below, n + 1):
             return best, None, collected, True
-        if want_dist:
+        if counting:
             dist += np.bincount(w.astype(np.intp), minlength=n + 1)
     return best, dist, collected, False
 
@@ -201,52 +173,54 @@ def _check_gf2(code: LinearCode) -> None:
 
 
 def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
-                 want_dist: bool = False, collect_weight: int | None = None,
-                 threads: int = 1, _min_words: bool = False):
-    """Exhaustive Gray walk over all 2^k codewords, with no probe ahead of it.
+                 collect_weight: int | None = None, threads: int = 1):
+    """Exhaustive Gray walk over all 2^k codewords, with no screen ahead of it.
 
     Returns (min_nonzero_weight, dist_or_None, collected_masks, aborted).
-    ``dist`` is only meaningful when the walk completed; on abort the
-    returned min is the weight of a codeword lighter than ``abort_below``
-    (an upper bound on d).  The walk aborts exactly when d < abort_below,
-    at the end of the first block that holds a lighter word.  The masks
-    are the words of weight ``collect_weight`` or, with ``_min_words``, of
-    the minimum nonzero weight, in Gray order either way.  ``threads``
-    splits the blocks of a walk that cannot abort; with ``abort_below`` the
-    walk runs on one thread.
+    ``collect_weight=None`` counts the distribution and keeps the words of
+    the minimum nonzero weight; ``collect_weight=w`` keeps the weight-w words
+    and counts none.  The masks come in Gray order.  ``dist`` is only
+    meaningful when the walk completed; on abort the returned min is the
+    weight of a nonzero codeword lighter than ``abort_below`` (an upper bound
+    on d).  The walk aborts exactly when d < abort_below, at the end of the
+    first block that holds a lighter word, so the zero code never aborts.
+    ``threads`` splits the blocks of a walk that cannot abort.
     """
     _check_gf2(code)
     rows = _packed_rows(code.generator.row_bits, code.n)
     low = min(code.k, LOW_BITS)
     table = _gray_low_table(rows, low)
-    # the order within a block matters only to the words collected
-    table_rev = table[::-1].copy() if collect_weight is not None or _min_words else table
+    table_rev = table[::-1].copy()  # odd blocks sweep backwards, in Gray order
     blocks = 1 << (code.k - low)
     if threads <= 1 or blocks < 4 or abort_below is not None:
         return _scan_range(rows, low, table, table_rev, code.n, 0, blocks,
-                           abort_below, want_dist, collect_weight, _min_words)
+                           abort_below, collect_weight)
     nchunks = min(threads * 4, blocks)
     bounds = [round(i * blocks / nchunks) for i in range(nchunks + 1)]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         jobs = [
             ex.submit(_scan_range, rows, low, table, table_rev, code.n,
-                      bounds[i], bounds[i + 1], None, want_dist,
-                      collect_weight, _min_words)
+                      bounds[i], bounds[i + 1], None, collect_weight)
             for i in range(nchunks)
         ]
         parts = [j.result() for j in jobs]
     best = min(p[0] for p in parts)
-    dist = sum(p[1] for p in parts) if want_dist else None
-    collected = [m for p in parts if not _min_words or p[0] == best for m in p[2]]
-    return best, dist, collected, False
+    if collect_weight is not None:
+        return best, None, [m for p in parts for m in p[2]], False
+    dist = sum(p[1] for p in parts)
+    return best, dist, [m for p in parts if p[0] == best for m in p[2]], False
 
 
 def _next_level(prev: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
     """Sums of r distinct rows in colex order, from the sums of r - 1 rows in
     colex order: the sums whose largest row is j are the first C(j, r-1)
-    sums of r - 1 rows, each XORed with row j."""
+    sums of r - 1 rows, each XORed with row j.  Level 1 is the rows
+    themselves.  Rows of shape (k, W), for n > 64, give levels of shape
+    (C(k, r), W)."""
+    if r == 1:
+        return rows
     k = rows.shape[0]
-    out = np.empty(comb(k, r), dtype=np.uint64)
+    out = np.empty((comb(k, r),) + rows.shape[1:], dtype=np.uint64)
     pos = 0
     for j in range(r - 1, k):
         c = comb(j, r - 1)
@@ -371,17 +345,21 @@ def _lists_two_sets(code: LinearCode) -> bool:
 def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1):
     """(d, distribution, weight-d masks, aborted) of a binary code by the
     gate of the module docstring, with the abort contract of
-    :func:`_scan_binary`; on abort the distribution is None and no masks."""
+    :func:`_scan_binary`; on abort the distribution is None and no masks.
+    The screen aborts at the first of levels 1 to ``_PROBE_ROWS`` that holds
+    a lighter word, returning that level's least weight."""
     _check_gf2(code)
     if abort_below is not None and code.k:
-        probed = _probe(_packed_rows(code.generator.row_bits, code.n))
-        if probed < abort_below:
-            return probed, None, [], True
+        rows = level = _packed_rows(code._reduced.row_bits, code.n)
+        for r in range(1, min(code.k, _PROBE_ROWS) + 1):
+            level = _next_level(level, rows, r)
+            light = int(_popcounts(level).min())
+            if light < abort_below:
+                return light, None, [], True
     if _lists_two_sets(code):
         best, dist, masks, aborted = _scan_two_sets(code, abort_below=abort_below)
     else:
-        best, dist, masks, aborted = _scan_binary(code, abort_below=abort_below, want_dist=True,
-                                                  threads=threads, _min_words=True)
+        best, dist, masks, aborted = _scan_binary(code, abort_below=abort_below, threads=threads)
     if aborted:
         return best, None, [], True
     return best, _distribution(code.n, dist), masks, False

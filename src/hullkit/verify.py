@@ -39,7 +39,7 @@ def _extended_hamming():
     return pure_double_circulant(CirculantSpec(FieldVector(GF2, [0, 1, 1, 1])))
 
 
-def run_verification(threads: int = 1) -> dict:
+def run_verification() -> dict:
     checks: list[dict] = []
 
     # bundled payloads parse to the stated shapes and round-trip byte-exactly
@@ -62,7 +62,7 @@ def run_verification(threads: int = 1) -> dict:
     # six circulant seeds
     for name in artifacts.CIRCULANT_SEED_NAMES:
         code = artifacts.load_seed(name)
-        dist = weight_distribution(code, threads=threads)
+        dist = weight_distribution(code)
         d = dist.min_nonzero()
         good = ((code.n, code.k) == (56, 28) and is_self_dual(code) and is_doubly_even(code)
                 and is_extremal_doubly_even_self_dual(code, d)
@@ -73,10 +73,10 @@ def run_verification(threads: int = 1) -> dict:
     # LCD reproduction: base parameters and transform upgrades
     for code_name, pair_name, d_pre, d_post in LCD_CASES:
         code = artifacts.bundled_code(code_name)
-        d = min_weight(code, threads=threads)
+        d = min_weight(code)
         good = is_lcd(code) and d == d_pre
         out = transform_code(code, artifacts.load_pair(pair_name))
-        d2 = min_weight(out, threads=threads)
+        d2 = min_weight(out)
         good = good and is_lcd(out) and d2 == d_post
         checks.append(_check(
             f"lcd {code_name}+{pair_name}", good,

@@ -196,7 +196,7 @@ def weight_distribution_naive(code: LinearCode) -> dict[int, int]:
 def walked_distribution(code: LinearCode, threads: int = 1) -> WeightDistribution:
     """A binary code's distribution from the exhaustive Gray walk alone, the
     reference the scan gate is held to (the public functions take the gate)."""
-    return _distribution(code.n, _scan_binary(code, want_dist=True, threads=threads)[1])
+    return _distribution(code.n, _scan_binary(code, threads=threads)[1])
 
 
 def hull_dim_naive(code: LinearCode) -> int:

@@ -307,6 +307,14 @@ def test_verify_paper_has_no_quick_option(capsys):
     assert "unrecognized arguments: --quick" in capsys.readouterr().err
 
 
+def test_verify_paper_has_no_threads_option(capsys):
+    # the suite walks only small LCD codes; threads bought it nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hullkit.cli", "info", "a37225", "--format", "json"],

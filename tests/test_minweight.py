@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
@@ -35,8 +36,6 @@ from hullkit.minweight import (
     _PROBE_ROWS,
     _gleason_distribution,
     _next_level,
-    _packed_rows,
-    _probe,
     _scan,
     _scan_binary,
     _scan_two_sets,
@@ -50,6 +49,7 @@ from conftest import (
     GLEASON_56_EXTREMAL,
     bordered_golay,
     direct_sum,
+    enumerate_codewords_naive,
     extended_hamming,
     random_code,
     random_de_safe_pair,
@@ -191,11 +191,18 @@ def test_d11_weight12_codeword_count():
 def test_walk_of_the_zero_code():
     for n in (4, 70):  # one packed word per row, and two
         zero = LinearCode(FieldMatrix.from_bit_rows([], n))
-        best, dist, collected, aborted = _scan_binary(zero, want_dist=True, collect_weight=0)
-        assert (best, dist.tolist(), collected, aborted) == (n + 1, [1] + [0] * n, [0], False)
+        best, dist, collected, aborted = _scan_binary(zero)
+        assert (best, dist.tolist(), collected, aborted) == (n + 1, [1] + [0] * n, [], False)
+        assert _scan_binary(zero, collect_weight=0) == (n + 1, None, [0], False)
         assert _scan(zero, abort_below=3)[1].counts == {0: 1}
+        # n + 1 stands for "no nonzero word", which no bound may abort on
+        assert _scan_binary(zero, abort_below=n + 2)[3] is False
+        best, dist, masks, aborted = _scan(zero, abort_below=n + 2)
+        assert (best, dist.counts, masks, aborted) == (n + 1, {0: 1}, [], False)
     # the [0, 0] code has n = 2k but no level to list: the gate walks it
-    assert weight_distribution(LinearCode(FieldMatrix.from_bit_rows([], 0))).counts == {0: 1}
+    empty = LinearCode(FieldMatrix.from_bit_rows([], 0))
+    assert weight_distribution(empty).counts == {0: 1}
+    assert _scan(empty, abort_below=3)[3] is False
 
 
 def test_sum_counts_is_2k():
@@ -220,9 +227,9 @@ def _assert_screen_exact(code, dist, ts, scan=_scan_binary):
 
 def test_screen_is_exact_on_bundled_codes():
     # Every t on D11 and the small codes.  On the other [56,28,12] seeds t
-    # runs from d up: a screen below d can abort neither in the probe nor in
+    # runs from d up: a screen below d can abort neither on its levels nor in
     # the walk (no nonzero word is lighter than d), so it walks exactly as
-    # the t = d screen does, at 0.5 s a walk.
+    # the t = d screen does, at about 1 s a walk.
     for name in CIRCULANT_SEED_NAMES:
         code = load_seed(name)
         low = 1 if name == "D11" else 12
@@ -246,6 +253,22 @@ def test_screen_is_exact_on_random_codes(seed):
     _assert_screen_exact(code, weight_distribution_naive(code), range(1, n + 2), scan=_scan)
 
 
+def test_gate_is_exact_on_random_codes_longer_than_one_packed_word():
+    # n > 64 packs each row into two uint64 words, so the screen's levels,
+    # the walk's popcounts and offsets and the words it keeps are 2-D
+    for seed in range(24):
+        rng = random.Random(seed)
+        n = rng.randint(65, 90)
+        code = random_code(rng, GF2, n, rng.randint(1, 10))
+        words = [sum(1 << j for j, s in enumerate(w) if s) for w in enumerate_codewords_naive(code)]
+        dist = dict(Counter(w.bit_count() for w in words))
+        _assert_screen_exact(code, dist, range(1, n + 2), scan=_scan)
+        d, got, masks, _ = _scan(code)
+        assert dict(got.counts) == dist
+        assert masks == codeword_masks_of_weight(code, d)
+        assert sorted(masks) == sorted(w for w in words if w.bit_count() == d)
+
+
 def _code_with_hidden_light_word(k: int, m: int, seed: int) -> LinearCode:
     """[I_k | A] with heavy random rows a_i, except a_k = a_(k-1) + a_(k-2) +
     a_(k-3): the sum of the last four generator rows has weight 4."""
@@ -257,8 +280,9 @@ def _code_with_hidden_light_word(k: int, m: int, seed: int) -> LinearCode:
 
 def test_a_walk_that_may_abort_runs_on_one_thread(monkeypatch):
     # The only light word needs four rows, all in the top bits the blocks
-    # walk, so the probe misses it and the screen must walk.  Every caller
-    # of that walk gets the one-thread answer without starting a pool.
+    # walk, so the screen's levels 1-3 miss it and the screen must walk.
+    # Every caller of that walk gets the one-thread answer without starting
+    # a pool.
     code = _code_with_hidden_light_word(22, 40, seed=5)
     rows = code.generator.row_bits
     t = 5
@@ -441,16 +465,21 @@ def test_two_sets_match_the_walk_on_random_doubly_even_self_dual_codes(base, see
     _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan_two_sets)
 
 
-def test_two_sets_decide_the_sd_screen_probe_misses():
+def test_two_sets_decide_the_sd_screen_probe_misses(monkeypatch):
     # The D11/y4 candidates of this pool whose light words all need four
-    # information rows: the 3-row probe passes them, and both scans find
-    # the same weight-8 word bound.
+    # information rows: the screen's levels 1-3 pass them to the two-set
+    # path, and both scans find the same weight-8 word bound.
     form = standard_form(load_seed("D11"))
     y = make_yi(28, 4)
     xs = sampled_x(28, y, 1500, rng_seed=22, rule="mod4")
     outs = [transform_code(form, TransformPair(x, y)) for x in xs]
-    misses = [i for i, out in enumerate(outs)
-              if _probe(_packed_rows(out.generator.row_bits, out.n)) >= 12]
+    handed = []
+    with monkeypatch.context() as m:
+        m.setattr(hullkit.minweight, "_scan_two_sets",
+                  lambda code, **kwargs: handed.append(code) or (8, None, [], True))
+        for out in outs:
+            _scan(out, 12)
+    misses = [i for i, out in enumerate(outs) if any(out is c for c in handed)]
     assert misses == [294, 569, 640, 853, 864, 1057, 1267, 1420]
     for i in misses:
         walked = _scan_binary(outs[i], abort_below=12)
