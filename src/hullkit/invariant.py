@@ -4,23 +4,27 @@ exact permutation-equivalence test by budgeted individualization-refinement.
 N_t counts the 4-subsets of columns covered by exactly t of the weight-w
 codewords; the sequence is invariant under column permutation, so distinct
 sequences certify inequivalence.  N_t is the histogram of a cover array:
-the cover count of every 4-subset, indexed by its colex rank.  Equal
-sequences prove nothing, which is why :func:`is_equivalent` exists: it
-compares the N_t counts of both codes' minimum-weight words, then colours
-the columns of both codes jointly, by pair counts and, along each branch
-of an individualization-refinement search, by the cover counts of the
-4-subsets through each individualized column (the same cover arrays, read
-a slice at a time).  It is exact because every "equivalent" answer carries
-a witness permutation verified by generator membership, and every
-"inequivalent" answer comes from a permutation invariant or from
-exhausting a search pruned only by permutation invariants.  A blown node
-budget yields verdict "unknown", never a wrong answer.  Its distributions
-and minimum-weight words come from the gate ``minweight._scan`` (no Gray
-walk for doubly even self-dual codes); heavier words are walked.
+the cover count of every 4-subset, indexed by its colex rank and summed
+from rank terms tabulated per column pair.  The sequence runs to
+t = max(n, largest count): each 4-subset of the [24,12,8] code lies in 120
+of its weight-12 words.  Equal sequences prove nothing, which is why
+:func:`is_equivalent` exists: it compares the N_t counts of both codes'
+minimum-weight words, then colours the columns of both codes jointly, by
+pair counts and, along each branch of an individualization-refinement
+search, by the cover counts of the 4-subsets through each individualized
+column (the same cover arrays, read a slice at a time).  It is exact
+because every "equivalent" answer carries a witness permutation verified
+by generator membership, and every "inequivalent" answer comes from a
+permutation invariant or from exhausting a search pruned only by
+permutation invariants.  A blown node budget yields verdict "unknown",
+never a wrong answer.  Its distributions and minimum-weight words come
+from the gate ``minweight._scan`` (no Gray walk for doubly even self-dual
+codes); heavier words are walked.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
@@ -50,8 +54,9 @@ class NtSequence:
 
     @property
     def sequence(self) -> tuple[int, ...]:
-        """The comparison vector (N_1, ..., N_n)."""
-        return tuple(self.counts.get(t, 0) for t in range(1, self.n + 1))
+        """The comparison vector (N_1, ..., N_m), m = max(n, largest t):
+        a 4-subset can lie in more than n words."""
+        return tuple(self.counts.get(t, 0) for t in range(1, max([self.n, *self.counts]) + 1))
 
     def covered_subsets(self) -> int:
         return sum(self.counts.values())
@@ -63,10 +68,26 @@ class NtSequence:
         return list(self.sequence)
 
 
+@lru_cache(maxsize=None)
 def _colex_terms(n: int) -> np.ndarray:
     """terms[q][j] = C(j, q + 1): the colex rank term of column j at place q
-    of a sorted 4-subset."""
-    return np.array([[comb(j, q + 1) for j in range(n)] for q in range(4)], dtype=np.intp)
+    of a sorted 4-subset.  Cached and read-only; int32 unless a rank needs
+    more (C(n,4) >= 2^31, n > 572)."""
+    dtype = np.result_type(np.int32, np.min_scalar_type(comb(n, 4)))
+    terms = np.array([[comb(j, q + 1) for j in range(n)] for q in range(4)], dtype=dtype)
+    terms.flags.writeable = False
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _place_pairs(w: int) -> tuple[np.ndarray, ...]:
+    """The places (p, q) of the C(w,2) column pairs of a sorted w-column
+    support, and for each of its C(w,4) 4-subsets the indices among them of
+    its low pair (places 1, 2) and its high pair (places 3, 4)."""
+    pairs = list(combinations(range(w), 2))
+    index = {pq: i for i, pq in enumerate(pairs)}
+    splits = [(index[s[:2]], index[s[2:]]) for s in combinations(range(w), 4)]
+    return (*np.array(pairs, dtype=np.intp).T, *np.array(splits, dtype=np.intp).reshape(-1, 2).T)
 
 
 def _incidence(masks: Sequence[int], n: int) -> np.ndarray:
@@ -82,27 +103,30 @@ def _incidence(masks: Sequence[int], n: int) -> np.ndarray:
 
 def _cover(bits: np.ndarray) -> np.ndarray:
     """Cover counts of every column 4-subset by the words of ``bits``, indexed
-    by colex rank.
+    by colex rank, in the least unsigned dtype that holds len(bits).
 
-    Every 4-subset {a < b < c < e} of a word's support adds one at rank
-    C(a,1) + C(b,2) + C(c,3) + C(e,4).  Words are handled in chunks of about
-    2^16 ranks (512 KB), each added in place: a per-chunk ``np.bincount``
-    would allocate and add a full C(n,4) array per chunk.
+    The 4-subset {a < b < c < e} of a word's support has rank
+    low[a*n + b] + high[c*n + e], where low = C(a,1) + C(b,2) and
+    high = C(c,3) + C(e,4) are tabulated per column pair: each word gathers
+    them once per pair of its support and adds them over the C(w,4) splits
+    of its places.  Words go in chunks of about 2^16 ranks, added in place.
     """
     n = bits.shape[1]
     weights = bits.sum(axis=1)
     terms = _colex_terms(n)
-    cover = np.zeros(comb(n, 4), dtype=np.int64)
+    low, high = ((terms[q][:, None] + terms[q + 1]).ravel() for q in (0, 2))
+    cover = np.zeros(comb(n, 4), dtype=np.min_scalar_type(len(bits)))
+    one = cover.dtype.type(1)  # a Python 1 sends np.add.at down its slow casting path
     for w in np.unique(weights[weights >= 4]).tolist():
-        rows = np.flatnonzero(weights == w)
-        places = np.array(list(combinations(range(w), 4)), dtype=np.intp)
-        step = max(1, (1 << 16) // len(places))
-        for lo in range(0, len(rows), step):
-            chunk = np.nonzero(bits[rows[lo:lo + step]])[1].reshape(-1, w)  # supports
-            ranks = terms[0][chunk][:, places[:, 0]]
-            for q in range(1, 4):
-                ranks += terms[q][chunk][:, places[:, q]]
-            np.add.at(cover, ranks.ravel(), 1)
+        supports = (np.flatnonzero(bits[weights == w].view(bool)) % n).reshape(-1, w)
+        p, q, lo, hi = _place_pairs(w)
+        step = max(1, (1 << 16) // len(lo))
+        for start in range(0, len(supports), step):
+            chunk = supports[start:start + step]
+            pair = chunk[:, p] * n + chunk[:, q]
+            ranks = low[pair][:, lo]
+            ranks += high[pair][:, hi]
+            np.add.at(cover, ranks.ravel(order="K"), one)
     return cover
 
 
@@ -114,9 +138,10 @@ def nt_from_masks(masks: Sequence[int], n: int) -> dict[int, int]:
 
 
 def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtSequence:
-    """The (N_1, ..., N_n) invariant of ``code`` at codeword weight w, by
-    default the minimum weight d.  The gate's weight-d words serve w = d;
-    a code the gate would walk is walked once, for its weight-w words."""
+    """The N_t invariant of ``code`` at codeword weight w, by default the
+    minimum weight d; its ``sequence`` runs to max(n, largest t).  The
+    gate's weight-d words serve w = d; a code the gate would walk is walked
+    once, for its weight-w words."""
     if not code.field.binary:
         raise UnsupportedFieldError("N_t invariant is defined for binary codes")
     if w is None and code.k == 0:
@@ -193,9 +218,9 @@ def _slice(cover: np.ndarray, a: int, n: int) -> np.ndarray:
     for p, q in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):  # sorting network
         x[p], x[q] = np.minimum(x[p], x[q]), np.maximum(x[p], x[q])
     distinct = (x[0] != x[1]) & (x[1] != x[2]) & (x[2] != x[3])
-    terms = _colex_terms(n).astype(np.int32)
+    terms = _colex_terms(n)
     ranks = sum(terms[q][x[q]] for q in range(4)) * distinct
-    return np.where(distinct, cover[ranks], -1).astype(np.int32)
+    return np.where(distinct, cover[ranks].astype(np.int32), -1)  # -1 would wrap in an unsigned cover
 
 
 def _relabel(rows: np.ndarray) -> np.ndarray:
@@ -313,7 +338,7 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     if d1.counts != d2.counts:
         return EquivalenceResult("inequivalent", None, 0)
     bits = [_incidence(words1, n), _incidence(words2, n)]
-    covers = [_cover(b).astype(np.int32) for b in bits]  # kept for the whole search
+    covers = [_cover(b) for b in bits]  # kept for the whole search
     hist = np.bincount(covers[0])
     if not np.array_equal(hist, np.bincount(covers[1])):
         return EquivalenceResult("inequivalent", None, 0)

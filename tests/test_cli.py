@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
+from hullkit import format_code
 from hullkit.cli import main
 
-from conftest import extended_hamming
+from conftest import bordered_golay, extended_hamming
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +107,16 @@ def test_invariant_json(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["weight"] == 4
     assert doc["sequence"][0] == 14
+
+
+def test_invariant_json_prints_counts_above_n(capsys, tmp_path):
+    path = tmp_path / "golay.code"
+    path.write_text(format_code(bordered_golay()))
+    code, out, _ = run_cli(capsys, "invariant", str(path), "--weight", "12", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["weight"]) == (24, 12)
+    assert doc["sequence"] == [0] * 119 + [10626]
 
 
 def test_equiv_json(capsys, tmp_path):

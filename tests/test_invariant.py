@@ -1,6 +1,8 @@
 import random
+from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +19,12 @@ from hullkit import (
     same_code,
 )
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_seed
-from hullkit.invariant import nt_from_masks
+from hullkit.invariant import _cover, _incidence, _slice, nt_from_masks
 from hullkit.minweight import codeword_masks_of_weight
 from hullkit.search import SEARCH_NODE_BUDGET
 
 from conftest import (
+    bordered_golay,
     column_masks,
     equivalent_brute_force,
     equivalent_by_columns,
@@ -106,6 +109,62 @@ def test_nt_from_masks_matches_the_subset_loop(data):
         st.sets(st.integers(0, n - 1), max_size=min(n, 12)), max_size=30))
     masks = [sum(1 << j for j in support) for support in supports]
     assert nt_from_masks(masks, n) == nt_masks_naive(masks, n)
+
+
+def colex_rank(subset) -> int:
+    return sum(comb(j, q + 1) for q, j in enumerate(sorted(subset)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cover_matches_a_colex_indexed_loop(data):
+    # rank by rank, so a kernel that permuted ranks would fail; weights
+    # below 4, duplicate masks and the empty list included
+    n = data.draw(st.integers(4, 80))
+    supports = data.draw(st.lists(
+        st.sets(st.integers(0, n - 1), max_size=min(n, 12)), max_size=30))
+    masks = [sum(1 << j for j in support) for support in supports]
+    if masks:
+        masks += data.draw(st.lists(st.sampled_from(masks), max_size=10))
+    expected = np.zeros(comb(n, 4), dtype=np.int64)
+    for m in masks:
+        for subset in combinations([j for j in range(n) if m >> j & 1], 4):
+            expected[colex_rank(subset)] += 1
+    cover = _cover(_incidence(masks, n))
+    assert cover.shape == expected.shape
+    assert np.array_equal(cover, expected)
+
+
+@pytest.mark.parametrize("copies", [255, 256, 65535, 65536])
+def test_cover_counts_do_not_wrap_at_the_accumulator_width(copies):
+    assert nt_from_masks([0b011110] * copies, 6) == {copies: 1}
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+def test_slice_marks_repeated_columns_in_any_cover_dtype(dtype):
+    n = 9
+    rng = random.Random(131)
+    masks = [rng.getrandbits(n) for _ in range(40)]
+    cover = _cover(_incidence(masks, n)).astype(dtype)
+    pairs = list(combinations(range(n), 2))
+    for a in range(n):
+        s = _slice(cover, a, n)
+        assert s.dtype == np.int32 and s.shape == (n, len(pairs))
+        for j in range(n):
+            for col, (i, h) in enumerate(pairs):
+                subset = {a, j, i, h}
+                want = int(cover[colex_rank(subset)]) if len(subset) == 4 else -1
+                assert s[j, col] == want
+
+
+def test_nt_sequence_runs_past_n_when_counts_do():
+    # each 4-subset of the [24,12,8] code lies in 120 of its 2576 weight-12 words
+    seq = nt_sequence(bordered_golay(), 12)
+    assert seq.counts == {120: 10626}
+    assert seq.sequence == (0,) * 119 + (10626,)
+    assert seq.to_jsonable() == list(seq.sequence)
+    # counts at t <= n keep the length-n vector
+    assert len(nt_sequence(extended_hamming(), 4).sequence) == 8
 
 
 def test_d11_and_c56_sequences_differ():
