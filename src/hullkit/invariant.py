@@ -12,14 +12,16 @@ of its weight-12 words.  Equal sequences prove nothing, which is why
 minimum-weight words, then colours the columns of both codes jointly, by
 pair counts and, along each branch of an individualization-refinement
 search, by the cover counts of the 4-subsets through each individualized
-column (the same cover arrays, read a slice at a time).  It is exact
-because every "equivalent" answer carries a witness permutation verified
-by generator membership, and every "inequivalent" answer comes from a
-permutation invariant or from exhausting a search pruned only by
-permutation invariants.  A blown node budget yields verdict "unknown",
-never a wrong answer.  Its distributions and minimum-weight words come
-from the gate ``minweight._scan`` (no Gray walk for doubly even self-dual
-codes); heavier words are walked.
+column (the same cover arrays, read a slice at a time: the counts of
+{a} + T for every 3-subset T, gathered once, then read through a cached
+table of the 3-subset ranks of {j, i, h}).  It is exact because every
+"equivalent" answer carries a witness permutation verified by generator
+membership, and every "inequivalent" answer comes from a permutation
+invariant or from exhausting a search pruned only by permutation
+invariants.  A blown node budget yields verdict "unknown", never a wrong
+answer.  Its distributions and minimum-weight words come from the gate
+``minweight._scan`` (no Gray walk for doubly even self-dual codes);
+heavier words are walked.
 """
 from __future__ import annotations
 
@@ -72,8 +74,8 @@ class NtSequence:
 def _colex_terms(n: int) -> np.ndarray:
     """terms[q][j] = C(j, q + 1): the colex rank term of column j at place q
     of a sorted 4-subset.  Cached and read-only; int32 unless a rank needs
-    more (C(n,4) >= 2^31, n > 572)."""
-    dtype = np.result_type(np.int32, np.min_scalar_type(comb(n, 4)))
+    more (C(n,4) >= 2^31, n >= 478)."""
+    dtype = np.int32 if comb(n, 4) < 1 << 31 else np.int64
     terms = np.array([[comb(j, q + 1) for j in range(n)] for q in range(4)], dtype=dtype)
     terms.flags.writeable = False
     return terms
@@ -210,25 +212,61 @@ def _signature_weights(dist, cap: int = _SIGNATURE_CODEWORD_CAP) -> list[int]:
     return ws
 
 
+@lru_cache(maxsize=None)
+def _slice_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables of :func:`_slice`, under 1 MB at n = 56: per slice
+    entry (j, {i < h}), the colex rank of {j, i, h}, or the sentinel C(n,3)
+    when j is i or h; and per 3-subset {x < y < z} in colex order, the slice
+    column of {x, y} and C(z, 4)."""
+    terms = _colex_terms(n)
+    i, h = np.triu_indices(n, 1)
+    j = np.arange(n)[:, None]
+    s = np.sort(np.broadcast_arrays(j, i, h), axis=0)
+    table = np.where((j == i) | (j == h), comb(n, 3), terms[0][s[0]] + terms[1][s[1]] + terms[2][s[2]])
+    y, x = np.tril_indices(n, -1)  # pairs in colex order; those below z come first
+    column = (x * (2 * n - x - 1) // 2 + y - x - 1).astype(terms.dtype)  # index in (i, h)
+    per_z = [comb(z, 2) for z in range(n)]
+    tables = (table, column[np.arange(comb(n, 3)) - np.repeat(terms[2], per_z)], np.repeat(terms[3], per_z))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def _slice(cover: np.ndarray, a: int, n: int) -> np.ndarray:
     """(n, C(n,2)) int32 array: entry [j, {i < h}] is the cover count of
-    {a, j, i, h}, or -1 when the four columns are not distinct."""
-    i, h = np.triu_indices(n, 1)
-    x = [np.int32(a), np.arange(n, dtype=np.int32)[:, None], i.astype(np.int32), h.astype(np.int32)]
-    for p, q in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):  # sorting network
-        x[p], x[q] = np.minimum(x[p], x[q]), np.maximum(x[p], x[q])
-    distinct = (x[0] != x[1]) & (x[1] != x[2]) & (x[2] != x[3])
-    terms = _colex_terms(n)
-    ranks = sum(terms[q][x[q]] for q in range(4)) * distinct
-    return np.where(distinct, cover[ranks].astype(np.int32), -1)  # -1 would wrap in an unsigned cover
+    {a, j, i, h}, or -1 when the four columns are not distinct.
+
+    The counts of {a} + T for the 3-subsets T, in colex order, are read
+    through the table once.  For T below a they are one run of the cover;
+    any other T = {x, y, z} not through a has z > a, and {a} + T ranks as
+    {a, x, y}, row a of the table, plus C(z, 4)."""
+    table, column, c4 = _slice_tables(n)
+    vals = np.empty(len(column) + 1, dtype=np.int32)  # -1 would wrap in an unsigned cover
+    vals[:comb(a, 3)] = cover[comb(a, 4):comb(a + 1, 4)]
+    past = comb(a + 1, 3)
+    if len(cover):  # else n < 4, and every entry is marked below
+        # clipped: a T through a reads a sentinel or a wrong rank, marked below
+        vals[past:-1] = cover.take(table[a].take(column[past:]) + c4[past:], mode="clip")
+    vals[table[a]] = -1  # every T through a, and the sentinel
+    return vals.take(table)
 
 
 def _relabel(rows: np.ndarray) -> np.ndarray:
     """(2, m) ids of the rows of a (2, m, ...) array, one id per distinct
     row across both codes, in the order of the rows' bytes."""
     keys = [r.tobytes() for r in rows.reshape(rows.shape[0] * rows.shape[1], -1)]
-    index = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return np.array([index[k] for k in keys]).reshape(rows.shape[:2])
+    ids, label, last = [0] * len(keys), -1, None
+    for r in sorted(range(len(keys)), key=keys.__getitem__):  # compares bytes, hashes none
+        if keys[r] != last:
+            label, last = label + 1, keys[r]
+        ids[r] = label
+    return np.array(ids).reshape(rows.shape[:2])
+
+
+def _key_dtype(c: int, reach: int) -> type:
+    """int32 when it holds every slice key (lo*c + hi)*reach + s, else int64:
+    int32 rows order by their bytes as their int64 copies do."""
+    return np.int32 if c * c * reach < 1 << 31 else np.int64
 
 
 class _BudgetSpent(Exception):
@@ -270,8 +308,9 @@ class _Search:
             c = int(cols.max()) + 1
             parts = [cols, _relabel(np.sort(cols[:, None, :] * width + self.pairs, axis=2))]
             lo, hi = np.minimum(cols[:, i], cols[:, h]), np.maximum(cols[:, i], cols[:, h])
+            base = ((lo * c + hi) * self.reach).astype(_key_dtype(c, self.reach))[:, None, :]
             for s in slices:
-                parts.append(_relabel(np.sort(((lo * c + hi) * self.reach)[:, None, :] + s, axis=2)))
+                parts.append(_relabel(np.sort(base + s, axis=2)))
             new = _relabel(np.stack(parts, axis=-1))
             if not np.array_equal(*(np.bincount(side, minlength=n) for side in new)):
                 return None

@@ -107,6 +107,18 @@ def _popcounts(arr: np.ndarray) -> np.ndarray:
     return w
 
 
+def _weight_counts(w: np.ndarray, n: int) -> np.ndarray:
+    """``np.bincount(w, minlength=n + 1)`` of one block's weights; uint8
+    weights (n <= 64) are counted in pairs, as uint16 values in 2^16 bins."""
+    if w.dtype != np.uint8:
+        return np.bincount(w.astype(np.intp), minlength=n + 1)
+    even = len(w) & ~1  # a one-word block (k = 0) has no pair
+    pairs = np.bincount(w[:even].view(np.uint16), minlength=1 << 16).reshape(256, 256)[:n + 1, :n + 1]
+    counts = pairs.sum(axis=0) + pairs.sum(axis=1)
+    counts[w[even:]] += 1
+    return counts
+
+
 def _block_offset(rows: np.ndarray, low: int, block: int):
     """Packed XOR of the top rows selected by gray(block)."""
     off = np.zeros(rows.shape[1:], dtype=np.uint64)
@@ -159,7 +171,7 @@ def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
         if abort_below is not None and best < min(abort_below, n + 1):
             return best, None, collected, True
         if counting:
-            dist += np.bincount(w.astype(np.intp), minlength=n + 1)
+            dist += _weight_counts(w, n)
     return best, dist, collected, False
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 from math import comb
@@ -19,7 +20,8 @@ from hullkit import (
     same_code,
 )
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_seed
-from hullkit.invariant import _cover, _incidence, _slice, nt_from_masks
+from hullkit import invariant
+from hullkit.invariant import _cover, _incidence, _key_dtype, _slice, nt_from_masks
 from hullkit.minweight import codeword_masks_of_weight
 from hullkit.search import SEARCH_NODE_BUDGET
 
@@ -155,6 +157,27 @@ def test_slice_marks_repeated_columns_in_any_cover_dtype(dtype):
                 subset = {a, j, i, h}
                 want = int(cover[colex_rank(subset)]) if len(subset) == 4 else -1
                 assert s[j, col] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_slice_counts_every_entry_directly(data):
+    # every entry of every column's slice against the number of masks that
+    # contain {a, j, i, h}, counted on the masks' bits, not read from a cover
+    n = data.draw(st.integers(3, 40))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))
+    dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.uint32, np.int64]))
+    cover = _cover(_incidence(masks, n)).astype(dtype)
+    bits = np.array([[m >> c & 1 for c in range(n)] for m in masks], dtype=np.int64).reshape(-1, n)
+    i, h = np.triu_indices(n, 1)
+    j = np.arange(n)[:, None]
+    for a in range(n):
+        through = bits[bits[:, a] == 1]
+        want = through.T @ (through[:, i] * through[:, h])  # [j, {i, h}]: masks holding a, j, i and h
+        repeated = (j == a) | (j == i) | (j == h) | (i == a) | (h == a)
+        s = _slice(cover, a, n)
+        assert s.dtype == np.int32 and s.shape == (n, len(i))
+        assert np.array_equal(s, np.where(repeated, -1, want))
 
 
 def test_nt_sequence_runs_past_n_when_counts_do():
@@ -318,6 +341,18 @@ def test_equivalence_separates_d11_from_c56_1_by_nt():
     assert res.nodes == 0 and res.witness is None
 
 
+# (nodes, SHA-256 of the witness's bytes) for each seed's permuted copy:
+# a faster search must visit the same nodes and find the same witness
+PERMUTED_SEED_PATHS = {
+    "D11": (6, "54c0e758017583ebf9047186269a2397845643ab2d013c1cbb73636b3e57c1e9"),
+    "C56.1": (27, "367952016c0cefd5378a557fb8a4e96f43b26c88170448a4839dd65b73642b38"),
+    "C56.2": (26, "a47cce102a2295fc47216f4060e9e5db9ab8c6cd69884039c099f967cd716947"),
+    "C56.3": (4, "e16ad0a4cacc136db750b02821188912c8229b1940ab20f282c8b681e88850f7"),
+    "C56.4": (25, "f4c37e61e0c2a4e0b560435b01605f365be00a0e49afb42922141ef17b764419"),
+    "C56.5": (5, "b2bba5b36b6314fdaca8bc2b3f2e93c6312a90fe3e30722225f3ee34dbdeaf36"),
+}
+
+
 @pytest.mark.parametrize("name", CIRCULANT_SEED_NAMES)
 def test_equivalence_answers_permuted_extremal_seeds(name):
     # the weight-12 words form a 3-design, so pair and triple counts are
@@ -327,3 +362,52 @@ def test_equivalence_answers_permuted_extremal_seeds(name):
     res = is_equivalent(seed, permuted, node_budget=SEARCH_NODE_BUDGET)
     assert res.verdict == "equivalent" and res.nodes <= SEARCH_NODE_BUDGET
     assert same_code(apply_column_permutation(seed, res.witness), permuted)
+    assert (res.nodes, hashlib.sha256(bytes(res.witness)).hexdigest()) == PERMUTED_SEED_PATHS[name]
+
+
+@pytest.mark.parametrize("c, reach, dtype", [
+    (1 << 10, 1 << 11, np.int64),  # c^2 * reach = 2^31
+    (1 << 10, (1 << 11) - 1, np.int32),
+    (46341, 1, np.int64),  # 46341^2 > 2^31 > 46340^2
+    (46340, 1, np.int32),
+    (57, 30, np.int32),
+])
+def test_slice_keys_are_int32_exactly_when_every_key_fits(c, reach, dtype):
+    # the keys run from -1 (colours 0, 0 and s = -1) to (c^2 - 1) * reach + reach - 2
+    assert _key_dtype(c, reach) is dtype
+    largest = (c * c - 1) * reach + reach - 2
+    assert np.iinfo(dtype).min <= -1 and largest <= np.iinfo(dtype).max
+
+
+def test_refine_colours_the_same_on_int32_and_int64_keys(monkeypatch):
+    rng = random.Random(139)
+    small = random_code(rng, GF2, 10, 5)
+    ham = extended_hamming()
+    pairs = [(small, apply_column_permutation(small, random_perm(rng, 10))),
+             (ham, apply_column_permutation(ham, random_perm(rng, 8)))]
+
+    def run(key_dtype):
+        calls, dtypes = [], []
+        refine = invariant._Search.refine
+
+        def recorded(self, cols, slices):
+            out = refine(self, cols, slices)
+            calls.append((cols.tolist(), len(slices), None if out is None else out.tolist()))
+            return out
+
+        def chosen(c, reach):
+            dtypes.append(key_dtype(c, reach))
+            return dtypes[-1]
+
+        monkeypatch.setattr(invariant._Search, "refine", recorded)
+        monkeypatch.setattr(invariant, "_key_dtype", chosen)
+        results = [is_equivalent(c1, c2) for c1, c2 in pairs]
+        monkeypatch.undo()
+        return calls, set(dtypes), [(r.verdict, r.nodes, r.witness) for r in results]
+
+    calls32, dtypes32, results32 = run(_key_dtype)
+    calls64, dtypes64, results64 = run(lambda c, reach: np.int64)
+    assert dtypes32 == {np.int32} and dtypes64 == {np.int64}
+    assert any(depth for _, depth, _ in calls32)  # slices were keyed
+    assert calls32 == calls64 and results32 == results64
+    assert all(verdict == "equivalent" for verdict, _, _ in results32)
