@@ -239,7 +239,7 @@ def _cmd_search_sd(args) -> int:
                   "rng": RNG_NAME, "rng_seed": args.rng_seed}
     records = sd_search(
         seed, y, xs, args.d_target, rule=args.rule,
-        seed_id=args.seed, threads=args.threads, stamp=True)
+        seed_id=args.seed, stamp=True)
     header = {"search": "sd", "seed": args.seed, "y": y.to_string(),
               "d_target": args.d_target, "rule": args.rule, **source}
     write_records(args.out, records, header=header)
@@ -260,9 +260,7 @@ def _cmd_search_lcd(args) -> int:
         pairs = sampled_isotropic_pairs(m, args.sample, args.rng_seed)
         source = {"pair_source": "sample", "count": args.sample,
                   "rng": RNG_NAME, "rng_seed": args.rng_seed}
-    records = lcd_improve(
-        seed, pairs, args.d_target, seed_id=args.seed,
-        threads=args.threads, stamp=True)
+    records = lcd_improve(seed, pairs, args.d_target, seed_id=args.seed, stamp=True)
     header = {"search": "lcd", "seed": args.seed, "d_target": args.d_target, **source}
     write_records(args.out, records, header=header)
     print(f"{len(records)} record(s) written to {args.out}")
@@ -286,7 +284,7 @@ def _cmd_replay(args) -> int:
         raise HullkitError(f"--index {args.index} is out of range: "
                            f"{args.records} holds {len(records)} record(s)")
     for i, rec in picked:
-        code = replay(rec, store, threads=args.threads)
+        code = replay(rec, store)
         print(f"record {i}: [{code.n},{code.k},{rec.d}] replay OK")
     return 0
 
@@ -304,12 +302,11 @@ def _cmd_verify_paper(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, fmt: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for full enumeration walks; "
                         "early-abort screens run on one thread")
-    if fmt:
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("info", help="parameters, predicates, hull dimension")
     p.add_argument("code", help="code file, '-' for stdin, or bundled name")
     p.add_argument("--minweight", action="store_true", help="also compute d")
-    _add_common(p, fmt=True)
+    _add_common(p)
     p.set_defaults(fn=_cmd_info)
 
     p = sub.add_parser("build-circulant", help="double circulant code from a first row")
@@ -345,19 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop early once a codeword lighter than this is found")
     p.add_argument("--distribution", action="store_true",
                    help="also report the full weight distribution")
-    _add_common(p, fmt=True)
+    _add_common(p)
     p.set_defaults(fn=_cmd_minweight)
 
     p = sub.add_parser("distribution", help="exact weight distribution")
     p.add_argument("code")
-    _add_common(p, fmt=True)
+    _add_common(p)
     p.set_defaults(fn=_cmd_distribution)
 
     p = sub.add_parser("invariant", help="N_t column-4-subset sequence")
     p.add_argument("code")
     p.add_argument("--weight", type=int, default=None,
                    help="codeword weight (default: minimum weight)")
-    _add_common(p, fmt=True)
+    _add_common(p)
     p.set_defaults(fn=_cmd_invariant)
 
     p = sub.add_parser("equiv", help="exact permutation-equivalence test")
@@ -366,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-budget", type=int, default=10_000_000,
                    help="search nodes before the verdict is 'unknown'; a node is "
                         "one column tried as the image of an individualized column")
-    _add_common(p, fmt=True)
+    _add_common(p)
     p.set_defaults(fn=_cmd_equiv)
 
     p = sub.add_parser("shorten", help="shorten on a 1-based coordinate set")
@@ -396,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=("mod4", "even"), default="mod4")
     p.add_argument("--d-target", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(fn=_cmd_search_sd)
 
     p = sub.add_parser("search-lcd", help="LCD improvement driver")
@@ -408,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rng-seed", type=int, default=None)
     p.add_argument("--d-target", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(fn=_cmd_search_lcd)
 
     p = sub.add_parser("replay", help="rebuild records and verify integrity")
@@ -416,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=None)
     p.add_argument("--seed-file", action="append", default=[],
                    metavar="NAME=PATH", help="extra seed codes for resolution")
-    _add_common(p)
     p.set_defaults(fn=_cmd_replay)
 
     p = sub.add_parser("verify-paper", help="run the built-in verification suite")

@@ -20,15 +20,15 @@ membership, and every "inequivalent" answer comes from a permutation
 invariant or from exhausting a search pruned only by permutation
 invariants.  A blown node budget yields verdict "unknown", never a wrong
 answer.  Its distributions and minimum-weight words come from the gate
-``minweight._scan`` (no Gray walk for doubly even self-dual codes);
-heavier words are walked.
+``minweight._scan`` (no Gray walk for doubly even self-dual codes), the
+words as one packed uint64 array; heavier words are walked.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 from .code import LinearCode, same_code
 from .errors import DimensionError, UnsupportedFieldError
 from .field import FieldVector
-from .minweight import _lists_two_sets, _scan, codeword_masks_of_weight
+from .minweight import _lists_two_sets, _packed_rows, _scan, codeword_masks_of_weight
 # tracer-only: perfbench/tracing.py wraps this name, and invariant does not call it
 from .minweight import weight_distribution  # noqa: F401
 
@@ -92,14 +92,10 @@ def _place_pairs(w: int) -> tuple[np.ndarray, ...]:
     return (*np.array(pairs, dtype=np.intp).T, *np.array(splits, dtype=np.intp).reshape(-1, 2).T)
 
 
-def _incidence(masks: Sequence[int], n: int) -> np.ndarray:
-    """(len(masks), n) 0/1 matrix: row i is codeword i's support."""
-    if n <= 64:
-        packed = np.array(masks, dtype="<u8").view(np.uint8).reshape(len(masks), 8)
-    else:
-        nbytes = (n + 7) // 8
-        packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
-                               dtype=np.uint8).reshape(len(masks), nbytes)
+def _incidence(words: np.ndarray, n: int) -> np.ndarray:
+    """(len(words), n) 0/1 matrix: row i is the support of word i of a
+    packed array in ``minweight._packed_rows`` layout."""
+    packed = words.astype("<u8").view(np.uint8).reshape(len(words), 8 * prod(words.shape[1:]))
     return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
@@ -132,10 +128,11 @@ def _cover(bits: np.ndarray) -> np.ndarray:
     return cover
 
 
-def nt_from_masks(masks: Sequence[int], n: int) -> dict[int, int]:
-    """Raw N_t counts from packed codeword masks of any weights: N_t is the
-    number of column 4-subsets whose cover count is t."""
-    hist = np.bincount(_cover(_incidence(masks, n)))
+def nt_from_masks(words: np.ndarray, n: int) -> dict[int, int]:
+    """Raw N_t counts from codewords of any weights, one packed array in
+    ``minweight._packed_rows`` layout: N_t is the number of column 4-subsets
+    whose cover count is t."""
+    hist = np.bincount(_cover(_incidence(words, n)))
     return {t: int(c) for t, c in enumerate(hist) if t and c}
 
 
@@ -150,11 +147,11 @@ def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtS
         raise ValueError("the zero code has no nonzero codewords")
     d = None
     if w is None or _lists_two_sets(code):
-        d, _, masks, _ = _scan(code, threads=threads)
+        d, _, words, _ = _scan(code, threads=threads)
     w = d if w is None else w
     if w != d:
-        masks = codeword_masks_of_weight(code, w, threads=threads)
-    return NtSequence(code.n, code.k, w, nt_from_masks(masks, code.n))
+        words = _packed_rows(codeword_masks_of_weight(code, w, threads=threads), code.n)
+    return NtSequence(code.n, code.k, w, nt_from_masks(words, code.n))
 
 
 def inequivalent_by_invariant(c1: LinearCode, c2: LinearCode, w: int,
@@ -384,7 +381,7 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
 
     pair_counts = []  # per code: (n, n, weights) counts of words covering both columns
     for code, b in zip((c1, c2), bits):
-        sets = [b] + [_incidence(codeword_masks_of_weight(code, w, threads=threads), n)
+        sets = [b] + [_incidence(_packed_rows(codeword_masks_of_weight(code, w, threads=threads), n), n)
                       for w in _signature_weights(d1)[1:]]
         pair_counts.append(np.stack([f.T @ f for f in (m.astype(float) for m in sets)], axis=-1))
     pairs = _relabel(np.reshape(pair_counts, (2, n * n, -1))).reshape(2, n, n)

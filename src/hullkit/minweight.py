@@ -28,7 +28,10 @@ distribution and the weight-d words: it screens first, takes the two-set
 path for a doubly even self-dual code with n = 2k, and walks any other
 code once.  The public ``min_weight`` and ``weight_distribution`` answer
 through the gate too; only fixed-weight enumeration walks, to keep its
-Gray-order contract.  The tests hold the gate equal to the walk.
+Gray-order contract.  The tests hold the gate equal to the walk.  The walk,
+the two-set path and the gate return their words as one packed uint64
+array in ``_packed_rows`` layout; ``codeword_masks_of_weight`` alone turns
+them into ints.
 
 q >= 3 codes are enumerated directly over all q^k information vectors in
 lexicographic chunks; only each chunk's weights are kept (small-k property
@@ -132,21 +135,12 @@ def _block_offset(rows: np.ndarray, low: int, block: int):
     return off
 
 
-def _mask_of(cur: np.ndarray, i: int) -> int:
-    if cur.ndim == 1:
-        return int(cur[i])
-    bits = 0
-    for w in range(cur.shape[1]):
-        bits |= int(cur[i, w]) << (64 * w)
-    return bits
-
-
 def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
                 abort_below, collect_weight):
     """Walk blocks [block_lo, block_hi); see _scan_binary for the contract."""
     counting = collect_weight is None
     dist = np.zeros(n + 1, dtype=np.int64) if counting else None
-    collected: list[int] = []
+    kept = [rows[:0]]  # each block's words, in Gray order
     best = n + 1  # no nonzero word seen yet
     off = _block_offset(rows, low, block_lo)
     for t in range(block_lo, block_hi):
@@ -164,15 +158,14 @@ def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
         if block_min < best:
             best = block_min
             if counting:
-                collected = []
+                kept = [rows[:0]]
         if not counting or block_min == best:
-            for i in np.nonzero(w == (best if counting else collect_weight))[0]:
-                collected.append(_mask_of(cur, int(i)))
+            kept.append(cur[w == (best if counting else collect_weight)])
         if abort_below is not None and best < min(abort_below, n + 1):
-            return best, None, collected, True
+            return best, None, np.concatenate(kept), True
         if counting:
             dist += _weight_counts(w, n)
-    return best, dist, collected, False
+    return best, dist, np.concatenate(kept), False
 
 
 def _check_gf2(code: LinearCode) -> None:
@@ -188,14 +181,15 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
                  collect_weight: int | None = None, threads: int = 1):
     """Exhaustive Gray walk over all 2^k codewords, with no screen ahead of it.
 
-    Returns (min_nonzero_weight, dist_or_None, collected_masks, aborted).
+    Returns (min_nonzero_weight, dist_or_None, words, aborted).
     ``collect_weight=None`` counts the distribution and keeps the words of
     the minimum nonzero weight; ``collect_weight=w`` keeps the weight-w words
-    and counts none.  The masks come in Gray order.  ``dist`` is only
-    meaningful when the walk completed; on abort the returned min is the
-    weight of a nonzero codeword lighter than ``abort_below`` (an upper bound
-    on d).  The walk aborts exactly when d < abort_below, at the end of the
-    first block that holds a lighter word, so the zero code never aborts.
+    and counts none.  The words are one packed array in ``_packed_rows``
+    layout, in Gray order.  ``dist`` is only meaningful when the walk
+    completed; on abort the returned min is the weight of a nonzero codeword
+    lighter than ``abort_below`` (an upper bound on d).  The walk aborts
+    exactly when d < abort_below, at the end of the first block that holds a
+    lighter word, so the zero code never aborts.
     ``threads`` splits the blocks of a walk that cannot abort.
     """
     _check_gf2(code)
@@ -218,9 +212,9 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
         parts = [j.result() for j in jobs]
     best = min(p[0] for p in parts)
     if collect_weight is not None:
-        return best, None, [m for p in parts for m in p[2]], False
+        return best, None, np.concatenate([p[2] for p in parts]), False
     dist = sum(p[1] for p in parts)
-    return best, dist, [m for p in parts if p[0] == best for m in p[2]], False
+    return best, dist, np.concatenate([p[2] for p in parts if p[0] == best]), False
 
 
 def _next_level(prev: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
@@ -295,10 +289,11 @@ def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None):
     from A_0, A_4, ..., A_(4 floor(n/24)) by :func:`_gleason_distribution`,
     checked against every count listed up to that weight.
 
-    Returns (min_nonzero_weight, dist_or_None, minimum_weight_masks, aborted)
+    Returns (min_nonzero_weight, dist_or_None, minimum_weight_words, aborted)
     with the abort contract of :func:`_scan_binary`: it aborts exactly when
     d < abort_below, returning the weight of a word lighter than that.  The
-    masks are the weight-d words in no particular order.
+    words are the weight-d words as one packed array in ``_packed_rows``
+    layout, in no particular order.
     """
     _check_gf2(code)
     n, k = code.n, code.k
@@ -344,7 +339,7 @@ def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None):
     out = np.zeros(n + 1, dtype=np.int64)
     for w, c in dist.items():
         out[w] = c
-    return best, out, words[weights == best].tolist(), False
+    return best, out, words[weights == best], False
 
 
 def _lists_two_sets(code: LinearCode) -> bool:
@@ -355,9 +350,10 @@ def _lists_two_sets(code: LinearCode) -> bool:
 
 
 def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1):
-    """(d, distribution, weight-d masks, aborted) of a binary code by the
+    """(d, distribution, weight-d words, aborted) of a binary code by the
     gate of the module docstring, with the abort contract of
-    :func:`_scan_binary`; on abort the distribution is None and no masks.
+    :func:`_scan_binary`.  The words are one packed array in
+    ``_packed_rows`` layout; on abort the distribution is None and no words.
     The screen aborts at the first of levels 1 to ``_PROBE_ROWS`` that holds
     a lighter word, returning that level's least weight."""
     _check_gf2(code)
@@ -369,12 +365,12 @@ def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1):
             if light < abort_below:
                 return light, None, [], True
     if _lists_two_sets(code):
-        best, dist, masks, aborted = _scan_two_sets(code, abort_below=abort_below)
+        best, dist, words, aborted = _scan_two_sets(code, abort_below=abort_below)
     else:
-        best, dist, masks, aborted = _scan_binary(code, abort_below=abort_below, threads=threads)
+        best, dist, words, aborted = _scan_binary(code, abort_below=abort_below, threads=threads)
     if aborted:
         return best, None, [], True
-    return best, _distribution(code.n, dist), masks, False
+    return best, _distribution(code.n, dist), words, False
 
 
 def _distribution(n: int, dist: np.ndarray) -> WeightDistribution:
@@ -443,5 +439,7 @@ def codeword_masks_of_weight(code: LinearCode, w: int, threads: int = 1) -> list
     """Packed-int variant of :func:`codewords_of_weight` (GF(2) only)."""
     if not code.field.binary:
         raise CapacityError("fixed-weight enumeration is implemented for GF(2) only")
-    _, _, collected, _ = _scan_binary(code, collect_weight=w, threads=threads)
-    return collected
+    _, _, words, _ = _scan_binary(code, collect_weight=w, threads=threads)
+    if words.ndim == 1:
+        return words.tolist()
+    return [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in words]

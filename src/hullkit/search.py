@@ -63,11 +63,11 @@ def _certify(code: LinearCode, abort_below: int | None = None, threads: int = 1
     weight-d words, the words through their N_t counts, which do not depend
     on their order.
     """
-    d, dist, masks, aborted = _scan(code, abort_below, threads)
+    d, dist, words, aborted = _scan(code, abort_below, threads)
     if aborted:
         return None
     flags = is_self_dual(code), is_doubly_even(code), is_lcd(code)
-    fp = {"distribution": _digest(dist.counts), "nt": _digest(nt_from_masks(masks, code.n))}
+    fp = {"distribution": _digest(dist.counts), "nt": _digest(nt_from_masks(words, code.n))}
     return d, flags, fp
 
 

@@ -318,10 +318,20 @@ def test_verify_paper_has_no_quick_option(capsys):
     assert "unrecognized arguments: --quick" in capsys.readouterr().err
 
 
-def test_verify_paper_has_no_threads_option(capsys):
-    # the suite walks only small LCD codes; threads bought it nothing
+@pytest.mark.parametrize("argv", [
+    ["verify-paper"],
+    ["search-sd", "--seed", "D11", "--y", "y4", "--sample", "1", "--rng-seed", "1",
+     "--d-target", "12", "--out", "records.jsonl"],
+    ["search-lcd", "--seed", "a37225", "--pair", "c37226", "--d-target", "6",
+     "--out", "records.jsonl"],
+    ["replay", "--records", "records.jsonl"],
+], ids=lambda argv: argv[0])
+def test_search_replay_and_verify_have_no_threads_option(capsys, monkeypatch, tmp_path, argv):
+    # their screens run on one thread, and their walks are of small LCD
+    # codes, where threads bought nothing
+    monkeypatch.chdir(tmp_path)  # a command that took the option would write here
     with pytest.raises(SystemExit) as exc:
-        main(["verify-paper", "--threads", "2"])
+        main(argv + ["--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 

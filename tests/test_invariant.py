@@ -22,7 +22,7 @@ from hullkit import (
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_seed
 from hullkit import invariant
 from hullkit.invariant import _cover, _incidence, _key_dtype, _slice, nt_from_masks
-from hullkit.minweight import codeword_masks_of_weight
+from hullkit.minweight import _packed_rows, codeword_masks_of_weight
 from hullkit.search import SEARCH_NODE_BUDGET
 
 from conftest import (
@@ -99,7 +99,7 @@ def test_subset_cover_helpers():
     cols = column_masks(masks, 5)
     assert subset_cover_count(cols, (0, 1, 2, 3)) == 1
     assert subset_cover_count(cols, (0, 1, 2, 4)) == 0
-    assert nt_from_masks(masks, 5) == nt_counts_naive(code, 4) == {1: 2}
+    assert nt_from_masks(_packed_rows(masks, 5), 5) == nt_counts_naive(code, 4) == {1: 2}
 
 
 @settings(max_examples=80, deadline=None)
@@ -110,7 +110,7 @@ def test_nt_from_masks_matches_the_subset_loop(data):
     supports = data.draw(st.lists(
         st.sets(st.integers(0, n - 1), max_size=min(n, 12)), max_size=30))
     masks = [sum(1 << j for j in support) for support in supports]
-    assert nt_from_masks(masks, n) == nt_masks_naive(masks, n)
+    assert nt_from_masks(_packed_rows(masks, n), n) == nt_masks_naive(masks, n)
 
 
 def colex_rank(subset) -> int:
@@ -132,14 +132,14 @@ def test_cover_matches_a_colex_indexed_loop(data):
     for m in masks:
         for subset in combinations([j for j in range(n) if m >> j & 1], 4):
             expected[colex_rank(subset)] += 1
-    cover = _cover(_incidence(masks, n))
+    cover = _cover(_incidence(_packed_rows(masks, n), n))
     assert cover.shape == expected.shape
     assert np.array_equal(cover, expected)
 
 
 @pytest.mark.parametrize("copies", [255, 256, 65535, 65536])
 def test_cover_counts_do_not_wrap_at_the_accumulator_width(copies):
-    assert nt_from_masks([0b011110] * copies, 6) == {copies: 1}
+    assert nt_from_masks(_packed_rows([0b011110] * copies, 6), 6) == {copies: 1}
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
@@ -147,7 +147,7 @@ def test_slice_marks_repeated_columns_in_any_cover_dtype(dtype):
     n = 9
     rng = random.Random(131)
     masks = [rng.getrandbits(n) for _ in range(40)]
-    cover = _cover(_incidence(masks, n)).astype(dtype)
+    cover = _cover(_incidence(_packed_rows(masks, n), n)).astype(dtype)
     pairs = list(combinations(range(n), 2))
     for a in range(n):
         s = _slice(cover, a, n)
@@ -167,7 +167,7 @@ def test_slice_counts_every_entry_directly(data):
     n = data.draw(st.integers(3, 40))
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))
     dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.uint32, np.int64]))
-    cover = _cover(_incidence(masks, n)).astype(dtype)
+    cover = _cover(_incidence(_packed_rows(masks, n), n)).astype(dtype)
     bits = np.array([[m >> c & 1 for c in range(n)] for m in masks], dtype=np.int64).reshape(-1, n)
     i, h = np.triu_indices(n, 1)
     j = np.arange(n)[:, None]

@@ -1,8 +1,10 @@
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,7 @@ from hullkit.minweight import (
     _PROBE_ROWS,
     _gleason_distribution,
     _next_level,
+    _packed_rows,
     _scan,
     _scan_binary,
     _scan_two_sets,
@@ -192,13 +195,14 @@ def test_walk_of_the_zero_code():
     for n in (4, 70):  # one packed word per row, and two
         zero = LinearCode(FieldMatrix.from_bit_rows([], n))
         best, dist, collected, aborted = _scan_binary(zero)
-        assert (best, dist.tolist(), collected, aborted) == (n + 1, [1] + [0] * n, [], False)
-        assert _scan_binary(zero, collect_weight=0) == (n + 1, None, [0], False)
+        assert (best, dist.tolist(), collected.tolist(), aborted) == (n + 1, [1] + [0] * n, [], False)
+        best, dist, collected, aborted = _scan_binary(zero, collect_weight=0)
+        assert (best, dist, collected.tolist(), aborted) == (n + 1, None, _packed_rows([0], n).tolist(), False)
         assert _scan(zero, abort_below=3)[1].counts == {0: 1}
         # n + 1 stands for "no nonzero word", which no bound may abort on
         assert _scan_binary(zero, abort_below=n + 2)[3] is False
         best, dist, masks, aborted = _scan(zero, abort_below=n + 2)
-        assert (best, dist.counts, masks, aborted) == (n + 1, {0: 1}, [], False)
+        assert (best, dist.counts, masks.tolist(), aborted) == (n + 1, {0: 1}, [], False)
     # the [0, 0] code has n = 2k but no level to list: the gate walks it
     empty = LinearCode(FieldMatrix.from_bit_rows([], 0))
     assert weight_distribution(empty).counts == {0: 1}
@@ -229,11 +233,13 @@ def test_screen_is_exact_on_bundled_codes():
     # Every t on D11 and the small codes.  On the other [56,28,12] seeds t
     # runs from d up: a screen below d can abort neither on its levels nor in
     # the walk (no nonzero word is lighter than d), so it walks exactly as
-    # the t = d screen does, at about 1 s a walk.
+    # the t = d screen does.  The reference on these seeds is a bare
+    # exhaustive walk: no word has weight n + 1, and nothing is counted.
     for name in CIRCULANT_SEED_NAMES:
         code = load_seed(name)
         low = 1 if name == "D11" else 12
-        _assert_screen_exact(code, GLEASON_56_EXTREMAL, range(low, code.n + 2))
+        bare_walk = partial(_scan_binary, collect_weight=code.n + 1)
+        _assert_screen_exact(code, GLEASON_56_EXTREMAL, range(low, code.n + 2), scan=bare_walk)
         # the gate takes the two-set path here, which is cheap at every t
         _assert_screen_exact(code, GLEASON_56_EXTREMAL, range(1, code.n + 2), scan=_scan)
     small = [load_a_block_code(nm) for nm in ("a37225", "a381310", "a40226")]
@@ -265,8 +271,9 @@ def test_gate_is_exact_on_random_codes_longer_than_one_packed_word():
         _assert_screen_exact(code, dist, range(1, n + 2), scan=_scan)
         d, got, masks, _ = _scan(code)
         assert dict(got.counts) == dist
-        assert masks == codeword_masks_of_weight(code, d)
-        assert sorted(masks) == sorted(w for w in words if w.bit_count() == d)
+        walked = codeword_masks_of_weight(code, d)
+        assert masks.tolist() == _packed_rows(walked, n).tolist()
+        assert sorted(walked) == sorted(w for w in words if w.bit_count() == d)
 
 
 def _code_with_hidden_light_word(k: int, m: int, seed: int) -> LinearCode:
@@ -276,6 +283,12 @@ def _code_with_hidden_light_word(k: int, m: int, seed: int) -> LinearCode:
     a = [rng.getrandbits(m) for _ in range(k - 1)]
     a.append(a[-1] ^ a[-2] ^ a[-3])
     return LinearCode(FieldMatrix.from_bit_rows([1 << i | ai << k for i, ai in enumerate(a)], k + m))
+
+
+def _listed(result):
+    """A scan's result with its words as a list, so that results compare with ==."""
+    best, dist, words, aborted = result
+    return best, dist, np.asarray(words).tolist(), aborted
 
 
 def test_a_walk_that_may_abort_runs_on_one_thread(monkeypatch):
@@ -294,8 +307,8 @@ def test_a_walk_that_may_abort_runs_on_one_thread(monkeypatch):
             assert acc.bit_count() >= t
 
     def screens(threads):
-        return (_scan_binary(code, abort_below=t, threads=threads),
-                _scan(code, abort_below=t, threads=threads),
+        return (_listed(_scan_binary(code, abort_below=t, threads=threads)),
+                _listed(_scan(code, abort_below=t, threads=threads)),
                 min_weight(code, abort_above=t, threads=threads))
 
     single = screens(1)
@@ -317,7 +330,7 @@ def test_a_walk_that_may_abort_runs_on_one_thread(monkeypatch):
         return ThreadPoolExecutor(*args, **kwargs)
 
     monkeypatch.setattr(hullkit.minweight, "ThreadPoolExecutor", counting_pool)
-    assert _scan(code, threads=2) == _scan(code)
+    assert _listed(_scan(code, threads=2)) == _listed(_scan(code))
     assert pools == [{"max_workers": 2}]
 
 
@@ -342,7 +355,7 @@ def _assert_gate_matches_the_walk(code, threads, dist=None):
         dist = dict(walked_distribution(code, threads=threads).counts)
     assert dict(got.counts) == dist
     assert d == min(w for w in dist if w > 0)
-    assert words == codeword_masks_of_weight(code, d, threads=threads)
+    assert words.tolist() == _packed_rows(codeword_masks_of_weight(code, d, threads=threads), code.n).tolist()
 
 
 def test_gate_matches_the_walk_on_the_lcd_seeds_and_their_upgrades():
@@ -367,7 +380,7 @@ def test_gate_matches_the_naive_oracle_on_random_codes(seed):
     assert dict(got.counts) == dist
     walked = codeword_masks_of_weight(code, d)
     if code.n == 2 * code.k and is_doubly_even(code):  # the two-set path: no order
-        assert sorted(words) == sorted(walked)
+        assert sorted(words.tolist()) == sorted(walked)
     else:
         _assert_gate_matches_the_walk(code, 1, dist)
 
@@ -418,15 +431,16 @@ def _assert_two_sets_match_walk(code, dist=None, threads=1):
     distribution that another test already pins."""
     if dist is None:
         dist = dict(walked_distribution(code, threads=threads).counts)
-    d, got, masks, aborted = _scan_two_sets(code)
+    d, got, words, aborted = _scan_two_sets(code)
     assert not aborted
     assert d == min(w for w in dist if w > 0)
     assert {w: int(c) for w, c in enumerate(got) if c} == dist
     walked = codeword_masks_of_weight(code, d, threads=threads)
+    masks = words.tolist()
     assert len(masks) == len(set(masks)) == len(walked)
     assert set(masks) == set(walked)
     assert fingerprint_code(code) == {"distribution": _digest(dist),
-                                      "nt": _digest(nt_from_masks(walked, code.n))}
+                                      "nt": _digest(nt_from_masks(_packed_rows(walked, code.n), code.n))}
 
 
 def test_two_sets_match_the_walk_on_bundled_codes():
@@ -503,12 +517,20 @@ def test_two_sets_stop_after_the_last_levels_p_side(monkeypatch):
     assert levels == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
 
 
-def test_two_sets_list_words_without_a_per_word_mask(monkeypatch):
-    def no_mask(*args):
-        raise AssertionError("per-word _mask_of on the two-set path")
-
-    monkeypatch.setattr(hullkit.minweight, "_mask_of", no_mask)
-    assert _scan_two_sets(load_seed("D11"))[0] == 12
+def test_gate_returns_its_words_as_one_packed_array():
+    # the two-set path: D11's weight-12 words, one uint64 word each
+    words = _scan(load_seed("D11"))[2]
+    assert isinstance(words, np.ndarray) and words.dtype == np.uint64
+    assert words.shape == (GLEASON_56_EXTREMAL[12],)
+    # the walk, at one packed word per row (n = 40) and at two (n = 70):
+    # _packed_rows layout, and the public enumeration's ints in Gray order
+    for code in (load_a_block_code("a40226"), random_code(random.Random(7), GF2, 70, 12)):
+        d, _, words, _ = _scan(code)
+        walked = codeword_masks_of_weight(code, d)
+        assert isinstance(words, np.ndarray) and words.dtype == np.uint64
+        assert words.shape == (len(walked),) + (() if code.n <= 64 else (2,))
+        rows = words.reshape(len(words), -1).tolist()
+        assert [sum(x << 64 * i for i, x in enumerate(row)) for row in rows] == walked
 
 
 def test_gleason_solver_matches_the_table_and_walked_distributions():
