@@ -30,7 +30,7 @@ from .code import (
 from .circulant import CirculantSpec, bordered_double_circulant, pure_double_circulant
 from .errors import HullkitError
 from .field import GF2, FieldVector
-from .invariant import is_equivalent, nt_sequence
+from .invariant import DEFAULT_NODE_BUDGET, is_equivalent, nt_sequence
 from .minweight import min_weight, weight_distribution
 from .search import (
     exhaustive_isotropic_pairs,
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="exact permutation-equivalence test")
     p.add_argument("code1")
     p.add_argument("code2")
-    p.add_argument("--node-budget", type=int, default=10_000_000,
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="search nodes before the verdict is 'unknown'; a node is "
                         "one column tried as the image of an individualized column")
     _add_common(p)

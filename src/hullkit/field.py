@@ -108,13 +108,11 @@ class FieldVector:
         raise AttributeError("FieldVector is immutable")
 
     @classmethod
-    def from_bits(cls, bits: int, length: int, field: PrimeField = GF2) -> "FieldVector":
-        if not field.binary:
-            raise ValueError("from_bits is a GF(2) constructor")
+    def from_bits(cls, bits: int, length: int) -> "FieldVector":
         if bits < 0 or bits >> length:
             raise ValueError(f"bits 0x{bits:x} do not fit in length {length}")
         v = object.__new__(cls)
-        object.__setattr__(v, "field", field)
+        object.__setattr__(v, "field", GF2)
         object.__setattr__(v, "_symbols", None)
         object.__setattr__(v, "bits", int(bits))
         object.__setattr__(v, "_length", length)
@@ -255,16 +253,14 @@ class FieldMatrix:
         raise AttributeError("FieldMatrix is immutable")
 
     @classmethod
-    def from_bit_rows(cls, bit_rows: Sequence[int], cols: int, field: PrimeField = GF2) -> "FieldMatrix":
+    def from_bit_rows(cls, bit_rows: Sequence[int], cols: int) -> "FieldMatrix":
         """GF(2) matrix from packed rows (bit j of a row = column j)."""
-        if not field.binary:
-            raise ValueError("from_bit_rows is a GF(2) constructor")
         packed = tuple(int(b) for b in bit_rows)
         for b in packed:
             if b < 0 or b >> cols:
                 raise ValueError(f"row bits 0x{b:x} do not fit in {cols} columns")
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "field", GF2)
         object.__setattr__(m, "rows", len(packed))
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "_entries", None)

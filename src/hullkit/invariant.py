@@ -19,9 +19,9 @@ table of the 3-subset ranks of {j, i, h}).  It is exact because every
 membership, and every "inequivalent" answer comes from a permutation
 invariant or from exhausting a search pruned only by permutation
 invariants.  A blown node budget yields verdict "unknown", never a wrong
-answer.  Its distributions and minimum-weight words come from the gate
-``minweight._scan`` (no Gray walk for doubly even self-dual codes), the
-words as one packed uint64 array; heavier words are walked.
+answer.  Its distribution and minimum-weight words come from a code's
+certificate, built by ``_Certificate.of`` on the gate ``minweight._scan``,
+which a search's dedup reuses; heavier words are walked.
 """
 from __future__ import annotations
 
@@ -29,14 +29,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .code import LinearCode, same_code
 from .errors import DimensionError, UnsupportedFieldError
 from .field import FieldVector
-from .minweight import _lists_two_sets, _packed_rows, _scan, codeword_masks_of_weight
+from .minweight import WeightDistribution, _lists_two_sets, _packed_rows, _scan, codeword_masks_of_weight
 # tracer-only: perfbench/tracing.py wraps this name, and invariant does not call it
 from .minweight import weight_distribution  # noqa: F401
 
@@ -128,29 +128,49 @@ def _cover(bits: np.ndarray) -> np.ndarray:
     return cover
 
 
+def _nt_counts(cover: np.ndarray) -> dict[int, int]:
+    """Raw N_t counts: N_t is the number of column 4-subsets whose cover count is t."""
+    return {t: int(c) for t, c in enumerate(np.bincount(cover)) if t and c}
+
+
 def nt_from_masks(words: np.ndarray, n: int) -> dict[int, int]:
-    """Raw N_t counts from codewords of any weights, one packed array in
-    ``minweight._packed_rows`` layout: N_t is the number of column 4-subsets
-    whose cover count is t."""
-    hist = np.bincount(_cover(_incidence(words, n)))
-    return {t: int(c) for t, c in enumerate(hist) if t and c}
+    """Raw N_t counts from codewords of any weights, packed as ``minweight._packed_rows``."""
+    return _nt_counts(_cover(_incidence(words, n)))
+
+
+class _Certificate(NamedTuple):
+    """A binary code's d, distribution, weight-d words and, once built, their cover."""
+
+    code: LinearCode
+    d: int
+    distribution: WeightDistribution
+    words: np.ndarray
+    cover: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, code: LinearCode, abort_below: int | None = None, threads: int = 1) -> _Certificate | None:
+        """The only call of ``minweight._scan`` outside it; None if the screen aborts."""
+        d, dist, words, aborted = _scan(code, abort_below, threads)
+        return None if aborted else cls(code, d, dist, words)
+
+    def covered(self) -> _Certificate:
+        cover = _cover(_incidence(self.words, self.code.n)) if self.cover is None else self.cover
+        return self._replace(cover=cover)
 
 
 def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtSequence:
     """The N_t invariant of ``code`` at codeword weight w, by default the
     minimum weight d; its ``sequence`` runs to max(n, largest t).  The
-    gate's weight-d words serve w = d; a code the gate would walk is walked
-    once, for its weight-w words."""
+    certificate's weight-d words serve w = d; a code the gate would walk is
+    walked once, for its weight-w words."""
     if not code.field.binary:
         raise UnsupportedFieldError("N_t invariant is defined for binary codes")
     if w is None and code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
-    d = None
-    if w is None or _lists_two_sets(code):
-        d, _, words, _ = _scan(code, threads=threads)
-    w = d if w is None else w
-    if w != d:
-        words = _packed_rows(codeword_masks_of_weight(code, w, threads=threads), code.n)
+    cert = _Certificate.of(code, threads=threads) if w is None or _lists_two_sets(code) else None
+    w = cert.d if w is None else w
+    words = cert.words if cert is not None and w == cert.d else _packed_rows(
+        codeword_masks_of_weight(code, w, threads=threads), code.n)
     return NtSequence(code.n, code.k, w, nt_from_masks(words, code.n))
 
 
@@ -194,13 +214,13 @@ def _witness_ok(c1: LinearCode, c2: LinearCode, images0: Sequence[int]) -> bool:
                for rb in c1.generator.row_bits)
 
 
-def _signature_weights(dist, cap: int = _SIGNATURE_CODEWORD_CAP) -> list[int]:
+def _signature_weights(dist) -> list[int]:
     ws: list[int] = []
     total = 0
     for w, c in dist.items():
         if w == 0:
             continue
-        if ws and (total + c > cap or len(ws) == 3):
+        if ws and (total + c > _SIGNATURE_CODEWORD_CAP or len(ws) == 3):
             break
         ws.append(w)
         total += c
@@ -360,21 +380,26 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     More than ``node_budget`` nodes yields "unknown", never a wrong answer.
     Codes whose counts are flat at every order (the [24,12,8] code, whose
     weight-8 words form a 5-design) give the search nothing to prune; those
-    runs exhaust the budget.
+    runs exhaust the budget.  Dedup makes the same :func:`_decide`.
     """
     if not c1.field.binary or not c2.field.binary:
         raise UnsupportedFieldError("equivalence test implemented for binary codes")
     if (c1.n, c1.k) != (c2.n, c2.k):
         raise DimensionError("codes must share (n, k)")
-    n = c1.n
+    if same_code(c1, c2):  # _decide's first check, made before either code is scanned
+        return EquivalenceResult("equivalent", tuple(range(1, c1.n + 1)), 0)
+    return _decide(*(_Certificate.of(c, threads=threads) for c in (c1, c2)), node_budget, threads)
+
+
+def _decide(p1: _Certificate, p2: _Certificate, node_budget: int, threads: int) -> EquivalenceResult:
+    """:func:`is_equivalent` on two certificates; a missing cover is built for this call only."""
+    (c1, c2), n = (p1.code, p2.code), p1.code.n
     if same_code(c1, c2):  # also every pair of zero codes
         return EquivalenceResult("equivalent", tuple(range(1, n + 1)), 0)
-
-    (_, d1, words1, _), (_, d2, words2, _) = (_scan(c, threads=threads) for c in (c1, c2))
-    if d1.counts != d2.counts:
+    if p1.distribution.counts != p2.distribution.counts:
         return EquivalenceResult("inequivalent", None, 0)
-    bits = [_incidence(words1, n), _incidence(words2, n)]
-    covers = [_cover(b) for b in bits]  # kept for the whole search
+    bits = [_incidence(p.words, n) for p in (p1, p2)]
+    covers = [_cover(b) if p.cover is None else p.cover for p, b in zip((p1, p2), bits)]
     hist = np.bincount(covers[0])
     if not np.array_equal(hist, np.bincount(covers[1])):
         return EquivalenceResult("inequivalent", None, 0)
@@ -382,7 +407,7 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     pair_counts = []  # per code: (n, n, weights) counts of words covering both columns
     for code, b in zip((c1, c2), bits):
         sets = [b] + [_incidence(_packed_rows(codeword_masks_of_weight(code, w, threads=threads), n), n)
-                      for w in _signature_weights(d1)[1:]]
+                      for w in _signature_weights(p1.distribution)[1:]]
         pair_counts.append(np.stack([f.T @ f for f in (m.astype(float) for m in sets)], axis=-1))
     pairs = _relabel(np.reshape(pair_counts, (2, n * n, -1))).reshape(2, n, n)
     search = _Search((c1, c2), covers, hist, pairs, node_budget)

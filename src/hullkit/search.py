@@ -8,10 +8,8 @@ predicate at emission time, and records are reproducible: replaying
 (seed, x, y) must give back identical parameters and fingerprint.
 
 One certify step, ``_certify``, gives the loop, ``replay`` and
-``fingerprint_code`` a code's d, its (self_dual, doubly_even, lcd) flags
-and its fingerprint.  It takes d, the distribution and the weight-d words
-from one gate, ``minweight._scan``, which chooses between the
-two-information-set path and the Gray walk.
+``fingerprint_code`` a code's certificate (``invariant._Certificate``), flags
+and fingerprint; dedup decides over certificates, as ``is_equivalent`` does.
 """
 from __future__ import annotations
 
@@ -32,9 +30,9 @@ from .code import (
 )
 from .errors import CapacityError, IntegrityError, PostconditionError, PredicateError
 from .field import GF2, FieldVector, inner_product
-from .invariant import is_equivalent, nt_from_masks
-from .minweight import _scan
+from .invariant import _Certificate, _decide, _nt_counts
 # tracer-only: perfbench/tracing.py wraps these names, and search calls none of them
+from .invariant import is_equivalent, nt_from_masks  # noqa: F401
 from .minweight import _scan_binary, codeword_masks_of_weight, min_weight  # noqa: F401
 from .transform import TransformPair, transform_code
 
@@ -55,20 +53,18 @@ def _digest(counts: Mapping[int, int]) -> str:
 
 
 def _certify(code: LinearCode, abort_below: int | None = None, threads: int = 1
-             ) -> tuple[int, tuple[bool, bool, bool], dict[str, str]] | None:
-    """None when the screen at ``abort_below`` aborts, else
-    (d, (self_dual, doubly_even, lcd), fingerprint).
-
-    The fingerprint hashes the complete weight distribution and the
-    weight-d words, the words through their N_t counts, which do not depend
-    on their order.
-    """
-    d, dist, words, aborted = _scan(code, abort_below, threads)
-    if aborted:
+             ) -> tuple[_Certificate, tuple[bool, bool, bool], dict[str, str]] | None:
+    """None when the screen at ``abort_below`` aborts, else (certificate
+    with its cover, (self_dual, doubly_even, lcd), fingerprint): hashes of
+    the distribution and of the weight-d words' N_t counts, which do not
+    depend on the words' order."""
+    cert = _Certificate.of(code, abort_below, threads)
+    if cert is None:
         return None
+    cert = cert.covered()
     flags = is_self_dual(code), is_doubly_even(code), is_lcd(code)
-    fp = {"distribution": _digest(dist.counts), "nt": _digest(nt_from_masks(words, code.n))}
-    return d, flags, fp
+    fp = {"distribution": _digest(cert.distribution.counts), "nt": _digest(_nt_counts(cert.cover))}
+    return cert, flags, fp
 
 
 def fingerprint_code(code: LinearCode) -> dict[str, str]:
@@ -234,27 +230,26 @@ def sampled_isotropic_pairs(m: int, count: int, rng_seed: int) -> list[Transform
 # --- drivers ------------------------------------------------------------------
 
 def _emit(records: list[SearchRecord], dedup: dict, rec: SearchRecord,
-          code: LinearCode, node_budget: int, threads: int) -> None:
-    """Append ``rec`` unless ``code`` is proved equivalent to an earlier one.
+          cert: _Certificate, node_budget: int, threads: int) -> None:
+    """Append ``rec`` unless the code of ``cert`` is proved equivalent to an earlier one.
 
-    ``dedup`` maps a fingerprint key to its class representatives, as
-    (record index, code) in emission order.  A new code is compared with
-    each in turn and merged on the first "equivalent"; otherwise it becomes
-    one more representative, its ``collision`` note naming every record it
-    was compared with.
+    ``dedup`` maps a fingerprint key to its class representatives, as (record
+    index, certificate without its cover: 0.73 MB at n = 56) in emission
+    order.  A new code is merged into the first found equivalent, or else
+    kept as one more, its ``collision`` note naming every record compared.
     """
     key = (rec.fingerprint["distribution"], rec.fingerprint["nt"])
     reps = dedup.setdefault(key, [])
     verdicts = []
     for index, prior in reps:
-        res = is_equivalent(prior, code, node_budget=node_budget, threads=threads)
+        res = _decide(prior, cert, node_budget, threads)
         if res.verdict == "equivalent":
             return  # merged into the earlier record
         verdicts.append(f"{index} (equivalence: {res.verdict})")
     if verdicts:
         rec.collision = (f"fingerprint collision with record{'s' if len(verdicts) > 1 else ''} "
                          + ", ".join(verdicts))
-    reps.append((len(records), code))
+    reps.append((len(records), cert._replace(cover=None)))
     records.append(rec)
 
 
@@ -276,21 +271,21 @@ def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
     dedup: dict = {}
     for pair in pairs:
         out = transform_code(form, pair, mode=mode)
-        cert = _certify(out, d_target)
-        if cert is None:
+        certified = _certify(out, d_target)
+        if certified is None:
             continue
-        d, flags, fp = cert
+        cert, flags, fp = certified
         if not target(*flags):
             if mode == "checked":
                 raise PostconditionError(violation)
             continue
         rec = SearchRecord(
             seed_id=seed_id, x=pair.x.to_string(), y=pair.y.to_string(),
-            n=out.n, k=out.k, d=d,
+            n=out.n, k=out.k, d=cert.d,
             self_dual=flags[0], doubly_even=flags[1], lcd=flags[2],
             fingerprint=fp, created=_timestamp() if stamp else None,
         )
-        _emit(records, dedup, rec, out, SEARCH_NODE_BUDGET, threads)
+        _emit(records, dedup, rec, cert, SEARCH_NODE_BUDGET, threads)
     return records
 
 
@@ -306,7 +301,7 @@ def sd_search(seed: LinearCode, y: FieldVector,
     transforms unchecked, and keeps only outputs passing post-hoc doubly
     even + self-dual verification.  Candidates failing the rule are skipped;
     any other rule raises ValueError.  Every screen runs on one thread:
-    ``threads`` reaches only dedup's ``is_equivalent``.
+    ``threads`` reaches only dedup's equivalence decision.
     """
     if rule not in ("mod4", "even"):
         raise ValueError(f"unknown rule {rule!r}")
@@ -331,7 +326,7 @@ def lcd_improve(seed: LinearCode, pairs: Iterable[TransformPair], d_target: int,
                 stamp: bool = False) -> list[SearchRecord]:
     """Transform an LCD seed by isotropic pairs; keep LCD outputs with
     min weight >= d_target.  Non-isotropic pairs are skipped.  Every screen
-    runs on one thread: ``threads`` reaches only dedup's ``is_equivalent``."""
+    runs on one thread: ``threads`` reaches only dedup's equivalence decision."""
     if not seed.field.binary:
         raise PredicateError("lcd_improve operates on binary seeds")
     if not is_lcd(seed):
@@ -387,9 +382,9 @@ def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
         raise IntegrityError(
             f"replayed parameters [{out.n},{out.k}] != recorded [{record.n},{record.k}]"
         )
-    d, certs, fp = _certify(out, threads=threads)
-    if d != record.d:
-        raise IntegrityError(f"replayed d={d} != recorded d={record.d}")
+    cert, certs, fp = _certify(out, threads=threads)
+    if cert.d != record.d:
+        raise IntegrityError(f"replayed d={cert.d} != recorded d={record.d}")
     if certs != (record.self_dual, record.doubly_even, record.lcd):
         raise IntegrityError(f"replayed predicates {certs} do not match record")
     if fp != record.fingerprint:

@@ -31,6 +31,7 @@ from .errors import (
     PostconditionError,
 )
 from .field import (
+    GF2,
     FieldMatrix,
     FieldVector,
     gram,
@@ -100,10 +101,7 @@ class TransformPair:
 
     # text format: two lines, "x=..." and "y=...", whitespace-free symbols
     @classmethod
-    def parse(cls, text: str, field=None, source: str = "<string>") -> "TransformPair":
-        from .field import GF2
-
-        field = field or GF2
+    def parse(cls, text: str, source: str = "<string>") -> "TransformPair":
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if len(lines) != 2:
             raise CodeParseError(f"{source}: expected two lines 'x=...' and 'y=...'")
@@ -117,7 +115,7 @@ class TransformPair:
                 raise CodeParseError(f"{source}:{i}: expected 'x' or 'y', got {name!r}")
             body = "".join(body.split())
             try:
-                vals[name] = FieldVector(field, [int(ch) for ch in body])
+                vals[name] = FieldVector(GF2, [int(ch) for ch in body])
             except ValueError as e:
                 raise CodeParseError(f"{source}:{i}: {e}") from None
         if set(vals) != {"x", "y"}:

@@ -1,13 +1,16 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from hullkit import format_code
+from hullkit import (GF2, FieldVector, exhaustive_isotropic_pairs, format_code, lcd_improve,
+                     sampled_x, sd_search)
 from hullkit.cli import main
+from hullkit.search import read_records
 
-from conftest import bordered_golay, extended_hamming
+from conftest import bordered_golay, extended_hamming, hull_dim_naive, random_code
 
 
 def run_cli(capsys, *argv):
@@ -275,6 +278,46 @@ def test_search_sd_cli(capsys, tmp_path):
                            "--out", str(records))
     assert code == 0
     assert "1 record(s)" in out
+
+
+def test_search_sd_samples_with_an_explicit_y(capsys, tmp_path):
+    seed_path = tmp_path / "ham.code"
+    seed_path.write_text(format_code(extended_hamming()))
+    records = tmp_path / "sd.jsonl"
+    code, out, _ = run_cli(capsys, "search-sd", "--seed", str(seed_path), "--y", "1111",
+                           "--sample", "1", "--rng-seed", "3", "--d-target", "4",
+                           "--out", str(records))
+    assert (code, out) == (0, f"1 record(s) written to {records}\n")
+    header, got = read_records(str(records))
+    assert header == {"search": "sd", "seed": str(seed_path), "y": "1111", "d_target": 4,
+                      "rule": "mod4", "x_source": "sample", "count": 1,
+                      "rng": "python-random-mt19937", "rng_seed": 3}
+    y = FieldVector(GF2, [1, 1, 1, 1])
+    want = sd_search(extended_hamming(), y, sampled_x(4, y, 1, 3), 4, seed_id=str(seed_path))
+    assert [r.payload() for r in got] == [r.payload() for r in want]
+    code, out, err = run_cli(capsys, "search-sd", "--seed", str(seed_path), "--y", "111",
+                             "--sample", "1", "--rng-seed", "3", "--d-target", "4",
+                             "--out", str(records))
+    assert (code, out, err) == (1, "", "hullkit: error: y has length 3, seed needs 4\n")
+
+
+def test_search_lcd_exhaustive(capsys, tmp_path):
+    records = tmp_path / "lcd.jsonl"
+    code, out, err = run_cli(capsys, "search-lcd", "--seed", "a381310", "--exhaustive",
+                             "--d-target", "11", "--out", str(records))
+    assert (code, out) == (1, "")
+    assert err == "hullkit: error: exhaustive pair enumeration supports m <= 14, got 25\n"
+    seed = random_code(random.Random(58), GF2, 8, 2)  # an [8,2] LCD code, m = 6
+    assert hull_dim_naive(seed) == 0
+    seed_path = tmp_path / "lcd8.code"
+    seed_path.write_text(format_code(seed))
+    code, out, _ = run_cli(capsys, "search-lcd", "--seed", str(seed_path), "--exhaustive",
+                           "--d-target", "3", "--out", str(records))
+    header, got = read_records(str(records))
+    want = lcd_improve(seed, exhaustive_isotropic_pairs(6), 3, seed_id=str(seed_path))
+    assert (code, out) == (0, f"{len(want)} record(s) written to {records}\n")
+    assert header["pair_source"] == "exhaustive" and len(want) > 1
+    assert [r.payload() for r in got] == [r.payload() for r in want]
 
 
 def test_sample_requires_rng_seed(capsys, tmp_path):

@@ -12,6 +12,7 @@ from hullkit import (
     CapacityError,
     FieldVector,
     IntegrityError,
+    PostconditionError,
     PredicateError,
     TransformPair,
     exhaustive_isotropic_pairs,
@@ -35,7 +36,7 @@ from hullkit import (
     write_records,
 )
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_pair, load_seed, seed_store
-from hullkit.search import SEARCH_NODE_BUDGET, SearchRecord, _emit
+from hullkit.search import SEARCH_NODE_BUDGET, SearchRecord, _certify, _emit
 
 from conftest import (
     GLEASON_56_EXTREMAL,
@@ -181,6 +182,14 @@ def test_lcd_improve_guards_and_preconditions():
         lcd_improve(extended_hamming(), [], d_target=1)  # self-dual, not LCD
 
 
+def test_checked_search_raises_on_a_survivor_that_misses_its_target(monkeypatch):
+    # the seed passes the entry check; its certified upgrade reads as non-LCD
+    seed = load_a_block_code("a381310")
+    monkeypatch.setattr(hullkit.search, "is_lcd", lambda code: code is seed)
+    with pytest.raises(PostconditionError, match="lcd_improve emitted a non-LCD code"):
+        lcd_improve(seed, [load_pair("c381311")], d_target=11)
+
+
 def test_lcd_improve_dedupes_repeated_candidates():
     seed = load_a_block_code("a381310")
     pair = load_pair("c381311")
@@ -269,6 +278,11 @@ def test_replay_detects_tampering():
     rec = sd_search(ham, y, exhaustive_x(4, y), d_target=4, seed_id="ham8")[0]
     store = {"ham8": ham}
     replay(rec, store)
+    with pytest.raises(IntegrityError, match="replayed predicates .* do not match record"):
+        replay(dataclasses.replace(rec, lcd=not rec.lcd), store)
+    tampered = dataclasses.replace(rec, fingerprint={**rec.fingerprint, "nt": "0" * 64})
+    with pytest.raises(IntegrityError, match="replayed fingerprint does not match record"):
+        replay(tampered, store)
     rec.x = "0011"  # valid pair, different transform
     with pytest.raises(IntegrityError):
         replay(rec, store)
@@ -329,8 +343,38 @@ def test_dedup_merges_a_permuted_d11_at_the_search_budget():
     for code in (d11, permuted):
         rec = SearchRecord(seed_id="D11", x="0" * 28, y="0" * 28, n=56, k=28, d=12,
                            self_dual=True, doubly_even=True, lcd=False, fingerprint=dict(fp))
-        _emit(records, dedup, rec, code, node_budget=SEARCH_NODE_BUDGET, threads=1)
+        _emit(records, dedup, rec, _certify(code)[0], node_budget=SEARCH_NODE_BUDGET, threads=1)
     assert len(records) == 1 and records[0].collision is None
+
+
+def test_dedup_decides_over_certificates_without_a_scan(monkeypatch):
+    # the merge reuses what certifying both codes computed: no gate call, and
+    # the representative keeps its words but not its 0.73 MB cover
+    scans = []
+
+    def counting(*args, **kwargs):
+        scans.append(args[0])
+        return gate(*args, **kwargs)
+
+    gate = hullkit.invariant._scan
+    monkeypatch.setattr(hullkit.invariant, "_scan", counting)
+    d11 = load_seed("D11")
+    perm = list(range(1, d11.n + 1))
+    random.Random(13).shuffle(perm)
+    permuted = apply_column_permutation(d11, perm)
+    (first, _, fp), (second, _, fp2) = _certify(d11), _certify(permuted)
+    assert scans == [d11, permuted] and fp == fp2
+    assert first.cover is not None and second.cover is not None
+    records, dedup = [], {}
+    for cert in (first, second):
+        rec = SearchRecord(seed_id="D11", x="0" * 28, y="0" * 28, n=56, k=28, d=12,
+                           self_dual=True, doubly_even=True, lcd=False, fingerprint=dict(fp))
+        _emit(records, dedup, rec, cert, node_budget=SEARCH_NODE_BUDGET, threads=1)
+    assert scans == [d11, permuted]  # the merge itself scanned nothing
+    assert len(records) == 1
+    ((index, rep),) = dedup[(fp["distribution"], fp["nt"])]
+    assert index == 0 and rep.code is d11 and rep.cover is None
+    assert rep.words is first.words and rep.distribution == first.distribution
 
 
 def test_fingerprint_stability():
@@ -360,16 +404,16 @@ def test_dedup_keeps_annotated_collision_when_equivalence_unresolved():
         )
 
     records, dedup = [], {}
-    _emit(records, dedup, rec(), ham, node_budget=0, threads=1)
-    _emit(records, dedup, rec(), permuted, node_budget=0, threads=1)
+    _emit(records, dedup, rec(), _certify(ham)[0], node_budget=0, threads=1)
+    _emit(records, dedup, rec(), _certify(permuted)[0], node_budget=0, threads=1)
     assert len(records) == 2
     assert records[0].collision is None
     assert "unknown" in records[1].collision
 
     # with budget, the same pair of codes merges
     records, dedup = [], {}
-    _emit(records, dedup, rec(), ham, node_budget=10_000, threads=1)
-    _emit(records, dedup, rec(), permuted, node_budget=10_000, threads=1)
+    _emit(records, dedup, rec(), _certify(ham)[0], node_budget=10_000, threads=1)
+    _emit(records, dedup, rec(), _certify(permuted)[0], node_budget=10_000, threads=1)
     assert len(records) == 1
 
 
@@ -379,7 +423,7 @@ def _emit_all(codes, node_budget=SEARCH_NODE_BUDGET):
         rec = SearchRecord(seed_id="s", x="1", y="1", n=code.n, k=code.k, d=min_weight(code),
                            self_dual=False, doubly_even=False, lcd=False,
                            fingerprint=fingerprint_code(code))
-        _emit(records, dedup, rec, code, node_budget=node_budget, threads=1)
+        _emit(records, dedup, rec, _certify(code)[0], node_budget=node_budget, threads=1)
     return records
 
 

@@ -43,3 +43,14 @@ def test_every_import_is_used_or_traced(monkeypatch):
         module = f"hullkit.{path.stem}"
         unused = {name for name in imported - used if (module, name) not in wrapped}
         assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def test_search_takes_only_traced_names_from_minweight(monkeypatch):
+    # the gate is reached through invariant's certificate; search keeps from
+    # minweight only the names the tracer wraps on it
+    wrapped = {attr for owner, attr, *_ in _targets(monkeypatch) if owner is hullkit.search}
+    tree = ast.parse((SOURCE / "search.py").read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "minweight"
+                for a in node.names}
+    assert imported and imported <= wrapped, f"search imports {sorted(imported - wrapped)} from minweight"

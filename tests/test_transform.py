@@ -194,6 +194,21 @@ def test_checked_mode_catches_a_bug_after_seed_facts_are_cached(monkeypatch):
         sd_search(ham, y4, [y4], d_target=4)
 
 
+
+def test_checked_mode_catches_lost_double_evenness_behind_a_passing_gram(monkeypatch):
+    # A' = I passes the Gram check on the extended Hamming seed, since
+    # I I^T = A A^T = I, but every row of [I | I] has weight 2
+    ham = extended_hamming()
+    form = standard_form(ham)
+    y4 = FieldVector(GF2, [1, 1, 1, 1])
+    pair = TransformPair(y4, y4)
+    assert pair.isotropic and pair.de_safe and form.a_gram == FieldMatrix.identity(GF2, 4)
+    monkeypatch.setattr(hullkit.transform, "transform_rows", lambda a, p: FieldMatrix.identity(GF2, 4))
+    with pytest.raises(PostconditionError, match="double evenness lost under a de_safe pair"):
+        transform_code(form, pair, mode="checked")
+    with pytest.raises(PostconditionError, match="double evenness lost"):
+        sd_search(ham, y4, [y4], d_target=4)
+
 def test_transform_code_records_permutation_provenance():
     c = LinearCode(FieldMatrix(GF2, [[0, 0, 1, 1], [0, 1, 0, 1]], cols=4))
     pair = TransformPair(bits("11"), bits("11"))
