@@ -425,6 +425,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "sample", None) is not None and args.rng_seed is None:
         ap.error("--sample requires --rng-seed")  # exits 2
+    if getattr(args, "threads", 1) < 1:
+        ap.error(f"--threads must be at least 1, got {args.threads}")
     try:
         return args.fn(args)
     except HullkitError as e:

@@ -40,12 +40,12 @@ class LinearCode:
     __slots__ = ("field", "n", "k", "generator", "provenance", "_reduced", "_pivots")
 
     def __init__(self, generator: FieldMatrix, provenance: Mapping | None = None):
+        if generator.rows > generator.cols:  # else the rank check below would fire first
+            raise DimensionError("dimension k exceeds length n")
         reduced, pivots = rref(generator)
         if len(pivots) != generator.rows:
             dep = _first_dependent_row(generator)
             raise ValueError(f"generator is rank-deficient: row {dep} depends on earlier rows")
-        if generator.rows > generator.cols:
-            raise DimensionError("dimension k exceeds length n")
         object.__setattr__(self, "field", generator.field)
         object.__setattr__(self, "n", generator.cols)
         object.__setattr__(self, "k", generator.rows)

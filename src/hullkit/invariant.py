@@ -21,7 +21,8 @@ invariant or from exhausting a search pruned only by permutation
 invariants.  A blown node budget yields verdict "unknown", never a wrong
 answer.  Its distribution and minimum-weight words come from a code's
 certificate, built by ``_Certificate.of`` on the gate ``minweight._scan``,
-which a search's dedup reuses; heavier words are walked.
+which a search's dedup reuses; the heavier words it compares come from one
+walk per code, ``minweight._words``.
 """
 from __future__ import annotations
 
@@ -36,9 +37,9 @@ import numpy as np
 from .code import LinearCode, same_code
 from .errors import DimensionError, UnsupportedFieldError
 from .field import FieldVector
-from .minweight import WeightDistribution, _lists_two_sets, _packed_rows, _scan, codeword_masks_of_weight
-# tracer-only: perfbench/tracing.py wraps this name, and invariant does not call it
-from .minweight import weight_distribution  # noqa: F401
+from .minweight import WeightDistribution, _lists_two_sets, _scan, _words
+# tracer-only: perfbench/tracing.py wraps these names, and invariant does not call them
+from .minweight import codeword_masks_of_weight, weight_distribution  # noqa: F401
 
 DEFAULT_NODE_BUDGET = 10_000_000
 _SIGNATURE_CODEWORD_CAP = 60_000
@@ -169,8 +170,7 @@ def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtS
         raise ValueError("the zero code has no nonzero codewords")
     cert = _Certificate.of(code, threads=threads) if w is None or _lists_two_sets(code) else None
     w = cert.d if w is None else w
-    words = cert.words if cert is not None and w == cert.d else _packed_rows(
-        codeword_masks_of_weight(code, w, threads=threads), code.n)
+    words = cert.words if cert is not None and w == cert.d else _words(code, (w,), threads)[0]
     return NtSequence(code.n, code.k, w, nt_from_masks(words, code.n))
 
 
@@ -404,10 +404,10 @@ def _decide(p1: _Certificate, p2: _Certificate, node_budget: int, threads: int) 
     if not np.array_equal(hist, np.bincount(covers[1])):
         return EquivalenceResult("inequivalent", None, 0)
 
+    heavier = _signature_weights(p1.distribution)[1:]
     pair_counts = []  # per code: (n, n, weights) counts of words covering both columns
     for code, b in zip((c1, c2), bits):
-        sets = [b] + [_incidence(_packed_rows(codeword_masks_of_weight(code, w, threads=threads), n), n)
-                      for w in _signature_weights(p1.distribution)[1:]]
+        sets = [b] + [_incidence(words, n) for words in _words(code, heavier, threads)]
         pair_counts.append(np.stack([f.T @ f for f in (m.astype(float) for m in sets)], axis=-1))
     pairs = _relabel(np.reshape(pair_counts, (2, n * n, -1))).reshape(2, n, n)
     search = _Search((c1, c2), covers, hist, pairs, node_budget)

@@ -27,10 +27,11 @@ gate, ``_scan``, gives the search, replay and ``is_equivalent`` d, the
 distribution and the weight-d words: it screens first, takes the two-set
 path for a doubly even self-dual code with n = 2k, and walks any other
 code once.  The public ``min_weight`` and ``weight_distribution`` answer
-through the gate too; only fixed-weight enumeration walks, to keep its
-Gray-order contract.  The tests hold the gate equal to the walk.  The walk,
-the two-set path and the gate return their words as one packed uint64
-array in ``_packed_rows`` layout; ``codeword_masks_of_weight`` alone turns
+through the gate too.  Words of other weights come from ``_words``: one
+walk per request, however many weights it asks for, each weight's words in
+Gray order.  The tests hold the gate equal to the walk.  The walk, the
+two-set path, the gate and ``_words`` return their words as packed uint64
+arrays in ``_packed_rows`` layout; ``codeword_masks_of_weight`` alone turns
 them into ints.
 
 q >= 3 codes are enumerated directly over all q^k information vectors in
@@ -39,8 +40,10 @@ testing only).
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from math import comb
 from typing import Mapping, Sequence
@@ -160,7 +163,8 @@ def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
             if counting:
                 kept = [rows[:0]]
         if not counting or block_min == best:
-            kept.append(cur[w == (best if counting else collect_weight)])
+            wanted = (best,) if counting else collect_weight
+            kept.append(cur[reduce(np.logical_or, [w == c for c in wanted])])
         if abort_below is not None and best < min(abort_below, n + 1):
             return best, None, np.concatenate(kept), True
         if counting:
@@ -177,22 +181,29 @@ def _check_gf2(code: LinearCode) -> None:
         )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, the cap on a walk's worker threads."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
-                 collect_weight: int | None = None, threads: int = 1):
+                 collect_weight: tuple[int, ...] | None = None, threads: int = 1):
     """Exhaustive Gray walk over all 2^k codewords, with no screen ahead of it.
 
     Returns (min_nonzero_weight, dist_or_None, words, aborted).
     ``collect_weight=None`` counts the distribution and keeps the words of
-    the minimum nonzero weight; ``collect_weight=w`` keeps the weight-w words
-    and counts none.  The words are one packed array in ``_packed_rows``
-    layout, in Gray order.  ``dist`` is only meaningful when the walk
-    completed; on abort the returned min is the weight of a nonzero codeword
-    lighter than ``abort_below`` (an upper bound on d).  The walk aborts
+    the minimum nonzero weight; a nonempty tuple ``collect_weight`` keeps the
+    words of its weights and counts none.  The words are one packed array in
+    ``_packed_rows`` layout, in Gray order.  ``dist`` is only meaningful when
+    the walk completed; on abort the returned min is the weight of a nonzero
+    codeword lighter than ``abort_below`` (an upper bound on d).  The walk aborts
     exactly when d < abort_below, at the end of the first block that holds a
     lighter word, so the zero code never aborts.
-    ``threads`` splits the blocks of a walk that cannot abort.
+    ``threads``, capped at :func:`_usable_cpus`, splits the blocks of a walk
+    that cannot abort.
     """
     _check_gf2(code)
+    threads = min(threads, _usable_cpus())
     rows = _packed_rows(code.generator.row_bits, code.n)
     low = min(code.k, LOW_BITS)
     table = _gray_low_table(rows, low)
@@ -215,6 +226,17 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
         return best, None, np.concatenate([p[2] for p in parts]), False
     dist = sum(p[1] for p in parts)
     return best, dist, np.concatenate([p[2] for p in parts if p[0] == best]), False
+
+
+def _words(code: LinearCode, weights: Sequence[int], threads: int = 1) -> list[np.ndarray]:
+    """The codewords of each of ``weights``, all from one Gray walk, each
+    weight's as one packed array in ``_packed_rows`` layout and Gray order;
+    no walk when ``weights`` is empty."""
+    if not weights:
+        return []
+    words = _scan_binary(code, collect_weight=tuple(weights), threads=threads)[2]
+    w = _popcounts(words)
+    return [words[w == c] for c in weights]
 
 
 def _next_level(prev: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
@@ -437,9 +459,7 @@ def codewords_of_weight(code: LinearCode, w: int, threads: int = 1) -> list[Fiel
 
 def codeword_masks_of_weight(code: LinearCode, w: int, threads: int = 1) -> list[int]:
     """Packed-int variant of :func:`codewords_of_weight` (GF(2) only)."""
-    if not code.field.binary:
-        raise CapacityError("fixed-weight enumeration is implemented for GF(2) only")
-    _, _, words, _ = _scan_binary(code, collect_weight=w, threads=threads)
+    (words,) = _words(code, (w,), threads=threads)
     if words.ndim == 1:
         return words.tolist()
     return [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in words]

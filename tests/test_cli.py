@@ -33,6 +33,9 @@ def test_info_with_minweight(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["d"] == 10 and doc["lcd"]
+    code, out, _ = run_cli(capsys, "info", "D11", "--minweight")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["d: 12", "extremal: True"]
 
 
 def test_build_circulant_and_file_round_trip(tmp_path, capsys):
@@ -100,6 +103,15 @@ def test_distribution_json(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["counts"] == [[0, 1], [4, 14], [8, 1]]
+
+
+def test_distribution_and_invariant_text(capsys, tmp_path):
+    path = tmp_path / "ham.code"
+    run_cli(capsys, "build-circulant", "0111", "--pure", "-o", str(path))
+    assert run_cli(capsys, "distribution", str(path)) == (0, "0: 1\n4: 14\n8: 1\n", "")
+    # the 14 weight-4 words form a 3-(8,4,1) design: no 4-subset lies in two
+    assert run_cli(capsys, "invariant", str(path)) == (
+        0, "weight: 4\nsequence: [14, 0, 0, 0, 0, 0, 0, 0]\n", "")
 
 
 def test_invariant_json(capsys, tmp_path):
@@ -377,6 +389,15 @@ def test_search_replay_and_verify_have_no_threads_option(capsys, monkeypatch, tm
         main(argv + ["--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["info", "minweight", "distribution", "invariant"])
+def test_threads_below_one_is_a_usage_error(capsys, command, threads):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "a37225", "--threads", threads])
+    assert exc.value.code == 2
+    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
 
 
 def test_console_entry_point():

@@ -48,6 +48,12 @@ def test_generator_must_be_full_rank():
         _code([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
 
 
+def test_more_rows_than_columns_is_a_dimension_error():
+    # checked before the rank: such a generator is always rank-deficient
+    with pytest.raises(DimensionError, match="exceeds length"):
+        _code([[1, 0], [0, 1], [1, 1]])
+
+
 def test_membership():
     c = _code([[1, 0, 1], [0, 1, 1]])
     assert c.contains(FieldVector(GF2, [1, 1, 0]))

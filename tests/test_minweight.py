@@ -1,3 +1,4 @@
+import os
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +35,8 @@ from hullkit import (
 )
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_pair, load_seed
 from hullkit.cli import main
+from hullkit.code import apply_column_permutation
+from hullkit.errors import PredicateError
 from hullkit.minweight import (
     _PROBE_ROWS,
     _gleason_distribution,
@@ -41,7 +44,9 @@ from hullkit.minweight import (
     _packed_rows,
     _scan,
     _scan_binary,
+    _scan_generic,
     _scan_two_sets,
+    _words,
 )
 from hullkit.invariant import nt_from_masks
 from hullkit.search import _digest
@@ -146,6 +151,17 @@ def test_abort_above_screens_low_weight():
     assert min_weight(code, abort_above=5) == 5  # completes, exact
 
 
+def test_gf3_abort_above_stops_at_a_lighter_word():
+    # 3^10 words are four chunks: the first chunk holding a word lighter than
+    # the bound ends the scan, with the least weight seen so far
+    code = random_code(random.Random(113), GF3, 14, 10)
+    d = min_weight(code)
+    assert _scan_generic(code, abort_below=d + 1) == (d, None, True)
+    best, dist, aborted = _scan_generic(code, abort_below=d)
+    assert (best, aborted, int(dist.sum())) == (d, False, 3**10)
+    assert d <= min_weight(code, abort_above=code.n + 1) <= code.n
+
+
 def test_capacity_errors_name_limits():
     big = LinearCode(FieldMatrix.identity(GF2, 31))
     with pytest.raises(CapacityError, match="k <= 30"):
@@ -153,6 +169,8 @@ def test_capacity_errors_name_limits():
     gf3_big = LinearCode(FieldMatrix.identity(GF3, 13))
     with pytest.raises(CapacityError, match="k <= 12"):
         min_weight(gf3_big)
+    with pytest.raises(CapacityError, match="non-binary"):  # fixed-weight enumeration is GF(2) only
+        codeword_masks_of_weight(random_code(random.Random(5), GF3, 6, 3), 2)
 
 
 def test_codewords_of_weight_examples():
@@ -196,7 +214,7 @@ def test_walk_of_the_zero_code():
         zero = LinearCode(FieldMatrix.from_bit_rows([], n))
         best, dist, collected, aborted = _scan_binary(zero)
         assert (best, dist.tolist(), collected.tolist(), aborted) == (n + 1, [1] + [0] * n, [], False)
-        best, dist, collected, aborted = _scan_binary(zero, collect_weight=0)
+        best, dist, collected, aborted = _scan_binary(zero, collect_weight=(0,))
         assert (best, dist, collected.tolist(), aborted) == (n + 1, None, _packed_rows([0], n).tolist(), False)
         assert _scan(zero, abort_below=3)[1].counts == {0: 1}
         # n + 1 stands for "no nonzero word", which no bound may abort on
@@ -238,7 +256,7 @@ def test_screen_is_exact_on_bundled_codes():
     for name in CIRCULANT_SEED_NAMES:
         code = load_seed(name)
         low = 1 if name == "D11" else 12
-        bare_walk = partial(_scan_binary, collect_weight=code.n + 1)
+        bare_walk = partial(_scan_binary, collect_weight=(code.n + 1,))
         _assert_screen_exact(code, GLEASON_56_EXTREMAL, range(low, code.n + 2), scan=bare_walk)
         # the gate takes the two-set path here, which is cheap at every t
         _assert_screen_exact(code, GLEASON_56_EXTREMAL, range(1, code.n + 2), scan=_scan)
@@ -423,6 +441,75 @@ def test_nt_sequence_walks_a_walked_code_once(monkeypatch, capsys):
     assert '"weight": 6' in capsys.readouterr().out
 
 
+def test_words_lists_every_weight_from_one_walk(monkeypatch):
+    walked = []
+
+    def counting(code, **kwargs):
+        walked.append(code)
+        return _scan_binary(code, **kwargs)
+
+    monkeypatch.setattr(hullkit.minweight, "_scan_binary", counting)
+    # one packed word per row (n = 40) and two (n = 70), each weight in Gray order
+    for code in (load_a_block_code("a40226"), random_code(random.Random(11), GF2, 70, 10)):
+        dist = walked_distribution(code).counts
+        weights = [w for w in sorted(dist) if w][:3] + [code.n + 1]
+        walked.clear()
+        got = _words(code, weights)
+        assert walked == [code]
+        for w, words in zip(weights, got):
+            assert words.dtype == np.uint64 and len(words) == dist.get(w, 0)
+            assert words.tolist() == _packed_rows(codeword_masks_of_weight(code, w), code.n).tolist()
+    walked.clear()
+    assert _words(extended_hamming(), []) == [] and walked == []
+
+
+def test_an_lcd_decision_walks_each_code_once_for_its_heavier_words(monkeypatch):
+    # a40226 has three signature weights: each code is walked once by its
+    # certificate and once for the two heavier weights together
+    walked = []
+
+    def counting(code, **kwargs):
+        walked.append(code)
+        return _scan_binary(code, **kwargs)
+
+    monkeypatch.setattr(hullkit.minweight, "_scan_binary", counting)
+    seed = load_a_block_code("a40226")
+    perm = list(range(1, seed.n + 1))
+    random.Random(7).shuffle(perm)
+    permuted = apply_column_permutation(seed, perm)
+    assert is_equivalent(seed, permuted).verdict == "equivalent"
+    assert len(walked) == 4
+
+
+def test_walk_threads_are_capped_at_the_usable_cpus(monkeypatch):
+    # jobs run inline in a recording stand-in, so no thread starts
+    workers, jobs = [], []
+
+    class Inline:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            jobs.append(fn(*args))
+            return type("Done", (), {"result": lambda _, out=jobs[-1]: out})()
+
+    assert 1 <= hullkit.minweight._usable_cpus() <= (os.cpu_count() or 1)
+    code = random_code(random.Random(17), GF2, 24, 20)  # 4 blocks of 2^18
+    serial = _scan_binary(code)
+    monkeypatch.setattr(hullkit.minweight, "ThreadPoolExecutor", Inline)
+    monkeypatch.setattr(hullkit.minweight, "_usable_cpus", lambda: 3)
+    best, dist, words, aborted = _scan_binary(code, threads=100_000)
+    assert (workers, len(jobs)) == ([3], 4)  # min(3 * 4, 4 blocks) jobs
+    assert (best, dist.tolist(), words.tolist(), aborted) == \
+        (serial[0], serial[1].tolist(), serial[2].tolist(), serial[3])
+
+
 # --- two information sets -------------------------------------------------------
 
 def _assert_two_sets_match_walk(code, dist=None, threads=1):
@@ -451,6 +538,13 @@ def test_two_sets_match_the_walk_on_bundled_codes():
     # d = 4 below 4 floor(48/24) = 8: the A_8 the Gleason solve needs are
     # heavier than the minimum weight
     _assert_two_sets_match_walk(direct_sum(*[extended_hamming()] * 6), threads=2)
+
+
+def test_two_sets_need_a_self_dual_code():
+    # [I | 0] has n = 2k, but A A^T = 0, not I
+    code = LinearCode(FieldMatrix.from_bit_rows([1, 2, 4, 8], 8))
+    with pytest.raises(PredicateError, match="self-dual"):
+        _scan_two_sets(code)
 
 
 def test_two_sets_screen_is_exact_on_bundled_codes():

@@ -45,6 +45,18 @@ def test_every_import_is_used_or_traced(monkeypatch):
         assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
+def test_invariant_takes_from_minweight_only_the_gate_the_producer_and_traced_names(monkeypatch):
+    # invariant reads packed words from the gate and from minweight._words; it
+    # packs nothing itself and calls no public int enumeration
+    allowed = {"WeightDistribution", "_lists_two_sets", "_scan", "_words"}
+    allowed |= {attr for owner, attr, *_ in _targets(monkeypatch) if owner is hullkit.invariant}
+    tree = ast.parse((SOURCE / "invariant.py").read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "minweight"
+                for a in node.names}
+    assert imported and imported <= allowed, f"invariant imports {sorted(imported - allowed)} from minweight"
+
+
 def test_search_takes_only_traced_names_from_minweight(monkeypatch):
     # the gate is reached through invariant's certificate; search keeps from
     # minweight only the names the tracer wraps on it
