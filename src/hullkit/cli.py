@@ -425,8 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "sample", None) is not None and args.rng_seed is None:
         ap.error("--sample requires --rng-seed")  # exits 2
-    if getattr(args, "threads", 1) < 1:
-        ap.error(f"--threads must be at least 1, got {args.threads}")
+    for name, low in (("threads", 1), ("sample", 1), ("rng_seed", 0)):
+        if (value := getattr(args, name, None)) is not None and value < low:
+            ap.error(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
     try:
         return args.fn(args)
     except HullkitError as e:

@@ -1,6 +1,7 @@
 """Search drivers: enumerate or sample transform pairs against seed codes to
 discover doubly even self-dual codes and improved LCD codes, with
-fingerprint deduplication and replayable JSON-lines persistence.
+fingerprint deduplication and replayable JSON-lines persistence.  A candidate
+x is decided on its packed int, and a vector is built only for a kept x.
 
 Both drivers are front-ends to one loop (transform, screen, certify,
 dedup).  Every emitted record's code is certified against its guaranteed
@@ -29,7 +30,7 @@ from .code import (
     standard_form,
 )
 from .errors import CapacityError, IntegrityError, PostconditionError, PredicateError
-from .field import GF2, FieldVector, inner_product
+from .field import GF2, FieldVector
 from .invariant import _Certificate, _decide, _nt_counts
 # tracer-only: perfbench/tracing.py wraps these names, and search calls none of them
 from .invariant import is_equivalent, nt_from_masks  # noqa: F401
@@ -153,30 +154,35 @@ def read_records(path: str) -> tuple[dict | None, list[SearchRecord]]:
 
 # --- candidate streams -------------------------------------------------------
 
+_RULE_MOD = {"mod4": 4, "even": 2}  # a valid x is nonzero, (x, y) = 0, wt(x) = 0 mod this
+
+
+def _x_test(y: FieldVector, m: int, rule: str) -> Callable[[int], bool]:
+    """The int test of a valid x, after checking ``rule`` and that ``y`` is binary of length ``m``."""
+    if rule not in _RULE_MOD:
+        raise ValueError(f"unknown rule {rule!r}")
+    FieldVector.from_bits(0, m)._require_compatible(y)
+    yb, mod = y.bits, _RULE_MOD[rule]
+    return lambda v: v != 0 and not (v & yb).bit_count() & 1 and v.bit_count() % mod == 0
+
+
 def _x_ok(x: FieldVector, y: FieldVector, rule: str) -> bool:
-    if x.is_zero():
-        return False
-    if inner_product(x, y):
-        return False
-    if rule == "mod4":
-        return x.weight % 4 == 0
-    if rule == "even":
-        return x.weight % 2 == 0
-    raise ValueError(f"unknown rule {rule!r}")
+    x._require_compatible(y)  # a caller's x: DimensionError on a field or length mismatch
+    return _x_test(y, len(y), rule)(x.bits)
 
 
 def exhaustive_x(m: int, y: FieldVector, rule: str = "mod4") -> Iterator[FieldVector]:
-    """All valid x in lexicographic order of the packed representation."""
-    for v in range(1, 1 << m):
-        x = FieldVector.from_bits(v, m)
-        if _x_ok(x, y, rule):
-            yield x
+    """All valid x in lexicographic order of their packed ints; a vector is built only for a kept x."""
+    ok = _x_test(y, m, rule)
+    return (FieldVector.from_bits(v, m) for v in range(1, 1 << m) if ok(v))
 
 
 def _sample(count: int, rng_seed: int, draw: Callable, what: str, m: int) -> list:
     """``count`` items from ``draw(rng)`` with distinct keys, drawn with the
-    named, seeded PRNG.  ``draw`` returns (key, item), item None for a
-    rejected draw."""
+    named PRNG at ``rng_seed`` >= 0 (a negative seed replays its absolute value).
+    ``draw`` returns (key, item), item None for a rejected draw."""
+    if count < 0 or rng_seed < 0:
+        raise ValueError(f"need count >= 0 and rng_seed >= 0, got {count} and {rng_seed}")
     rng = random.Random(rng_seed)
     seen: set = set()
     out: list = []
@@ -195,11 +201,12 @@ def _sample(count: int, rng_seed: int, draw: Callable, what: str, m: int) -> lis
 
 def sampled_x(m: int, y: FieldVector, count: int, rng_seed: int,
               rule: str = "mod4") -> list[FieldVector]:
-    """``count`` distinct valid x drawn with the named, seeded PRNG."""
+    """``count`` distinct valid x drawn with the named, seeded PRNG, decided
+    on ints: ``y`` and ``rule`` are checked once, a vector built per kept draw."""
+    ok = _x_test(y, m, rule)
     def draw(rng):
         v = rng.getrandbits(m)
-        x = FieldVector.from_bits(v, m)
-        return v, x if _x_ok(x, y, rule) else None
+        return v, FieldVector.from_bits(v, m) if ok(v) else None
 
     return _sample(count, rng_seed, draw, "valid x", m)
 
@@ -253,10 +260,6 @@ def _emit(records: list[SearchRecord], dedup: dict, rec: SearchRecord,
     records.append(rec)
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
             target: Callable[[bool, bool, bool], bool], violation: str,
             d_target: int, seed_id: str, threads: int,
@@ -283,7 +286,8 @@ def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
             seed_id=seed_id, x=pair.x.to_string(), y=pair.y.to_string(),
             n=out.n, k=out.k, d=cert.d,
             self_dual=flags[0], doubly_even=flags[1], lcd=flags[2],
-            fingerprint=fp, created=_timestamp() if stamp else None,
+            fingerprint=fp,
+            created=datetime.now(timezone.utc).isoformat(timespec="seconds") if stamp else None,
         )
         _emit(records, dedup, rec, cert, SEARCH_NODE_BUDGET, threads)
     return records
@@ -303,8 +307,7 @@ def sd_search(seed: LinearCode, y: FieldVector,
     any other rule raises ValueError.  Every screen runs on one thread:
     ``threads`` reaches only dedup's equivalence decision.
     """
-    if rule not in ("mod4", "even"):
-        raise ValueError(f"unknown rule {rule!r}")
+    _x_test(y, len(y), rule)  # ValueError on an unknown rule, DimensionError on a non-binary y
     if not seed.field.binary:
         raise PredicateError("sd_search operates on binary seeds")
     if not is_self_dual(seed) or not is_doubly_even(seed):
@@ -370,18 +373,13 @@ def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
     form = standard_form(seed)
     m = form.a_block.cols
     if len(record.x) != m or len(record.y) != m:
-        raise IntegrityError(
-            f"record vectors have length {len(record.x)}/{len(record.y)}, "
-            f"seed needs {m}"
-        )
+        raise IntegrityError(f"record vectors have length {len(record.x)}/{len(record.y)}, seed needs {m}")
     x, y = (_record_vector(record, name, seed) for name in ("x", "y"))
     pair = TransformPair(x, y)
     mode = "checked" if (pair.isotropic or pair.de_safe) else "unchecked"
     out = transform_code(form, pair, mode=mode)
     if (out.n, out.k) != (record.n, record.k):
-        raise IntegrityError(
-            f"replayed parameters [{out.n},{out.k}] != recorded [{record.n},{record.k}]"
-        )
+        raise IntegrityError(f"replayed parameters [{out.n},{out.k}] != recorded [{record.n},{record.k}]")
     cert, certs, fp = _certify(out, threads=threads)
     if cert.d != record.d:
         raise IntegrityError(f"replayed d={cert.d} != recorded d={record.d}")

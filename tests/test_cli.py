@@ -407,3 +407,22 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lcd"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["search-sd", "--seed", "D11", "--y", "y4", "--d-target", "12"],
+    ["search-lcd", "--seed", "a381310", "--d-target", "8"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("option, value, low", [
+    ("--sample", "-3", 1), ("--sample", "0", 1), ("--rng-seed", "-7", 0),
+])
+def test_sample_and_rng_seed_below_their_floor_are_usage_errors(capsys, tmp_path, argv,
+                                                                 option, value, low):
+    # random.Random(-7) seeds as 7, and a count below 1 wrote a header and no records
+    out = tmp_path / "o.jsonl"
+    args = {"--sample": "5", "--rng-seed": "1", option: value}
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [a for kv in args.items() for a in kv] + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{option} must be at least {low}, got {value}" in capsys.readouterr().err
+    assert not out.exists()

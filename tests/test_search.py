@@ -10,6 +10,7 @@ import hullkit
 from hullkit import (
     GF2,
     CapacityError,
+    DimensionError,
     FieldVector,
     IntegrityError,
     PostconditionError,
@@ -19,6 +20,7 @@ from hullkit import (
     exhaustive_x,
     apply_column_permutation,
     fingerprint_code,
+    inner_product,
     is_equivalent,
     lcd_improve,
     make_yi,
@@ -39,6 +41,7 @@ from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_pair
 from hullkit.search import SEARCH_NODE_BUDGET, SearchRecord, _certify, _emit
 
 from conftest import (
+    GF3,
     GLEASON_56_EXTREMAL,
     equivalent_brute_force,
     extended_hamming,
@@ -116,6 +119,64 @@ def test_samplers_name_their_capacity_limit():
     assert str(e.value) == "could not sample 2 isotropic pairs in 100000 attempts (m=2)"
 
 
+def test_sampled_x_builds_vectors_only_for_kept_draws(monkeypatch):
+    # 11,762 draws keep 1,500 x here: one vector per kept x, plus at most
+    # one for checking y
+    calls = []
+    from_bits = FieldVector.from_bits
+    monkeypatch.setattr(FieldVector, "from_bits",
+                        lambda bits, length: calls.append(bits) or from_bits(bits, length))
+    assert len(sampled_x(28, make_yi(28, 4), 1500, rng_seed=1)) == 1500
+    assert len(calls) <= 1501
+
+
+def test_sampled_x_checks_y_and_rule_before_any_draw():
+    with pytest.raises(DimensionError) as e:
+        sampled_x(28, make_yi(20, 4), 5, rng_seed=1)
+    assert str(e.value) == "length mismatch: 28 vs 20"
+    with pytest.raises(DimensionError, match="field mismatch"):
+        sampled_x(4, FieldVector(GF3, [1, 1, 1, 1]), 5, rng_seed=1)
+    with pytest.raises(ValueError, match="unknown rule 'odd'"):
+        sampled_x(28, make_yi(28, 4), 0, rng_seed=1, rule="odd")
+    with pytest.raises(ValueError, match="unknown rule 'odd'"):
+        exhaustive_x(4, make_yi(4, 4), rule="odd")
+
+
+def test_samplers_refuse_negative_seeds_and_counts():
+    # random.Random(-7) seeds as 7: a header naming -7 would replay seed 7's draws
+    y = make_yi(28, 4)
+    for sample in (lambda count, seed: sampled_x(28, y, count, seed),
+                   lambda count, seed: sampled_isotropic_pairs(15, count, seed)):
+        with pytest.raises(ValueError, match="rng_seed >= 0"):
+            sample(5, -7)
+        with pytest.raises(ValueError, match="count >= 0"):
+            sample(-3, 7)
+        assert sample(0, 7) == []
+        assert len(sample(5, 0)) == 5
+
+
+def _x_reference(m, y, rule):
+    """The valid x of length m, each decided on a built vector."""
+    mod = {"mod4": 4, "even": 2}[rule]
+    out = []
+    for v in range(1, 1 << m):
+        x = FieldVector.from_bits(v, m)
+        if inner_product(x, y) == 0 and x.weight % mod == 0:
+            out.append(x)
+    return out
+
+
+def test_exhaustive_x_matches_a_vector_reference():
+    rng = random.Random(19)
+    for m in range(1, 9):
+        v = rng.getrandbits(m)
+        v ^= v.bit_count() & 1  # flip bit 0 of an odd-weight draw
+        ys = [make_yi(m, i) for i in range(1, m + 1)] + [FieldVector.from_bits(v, m)]
+        for y in ys:
+            for rule in ("mod4", "even"):
+                assert list(exhaustive_x(m, y, rule)) == _x_reference(m, y, rule), (m, y, rule)
+
+
 def test_sd_search_extended_hamming_exhaustive():
     ham = extended_hamming()
     y = make_yi(4, 4)
@@ -169,6 +230,14 @@ def test_lcd_improve_reproduces_upgrades():
         assert len(records) == 1
         assert records[0].d == d
         assert records[0].lcd
+
+
+def test_sd_search_rejects_a_caller_x_of_the_wrong_length():
+    ham, y = extended_hamming(), make_yi(4, 4)
+    for x in (FieldVector.from_bits(0b11110, 5), FieldVector.from_bits(0, 5)):
+        with pytest.raises(DimensionError) as e:
+            sd_search(ham, y, [x], d_target=4)
+        assert str(e.value) == "length mismatch: 5 vs 4"
 
 
 def test_lcd_improve_guards_and_preconditions():
