@@ -423,8 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "sample", None) is not None and args.rng_seed is None:
-        ap.error("--sample requires --rng-seed")  # exits 2
+    if hasattr(args, "rng_seed") and (args.sample is None) != (args.rng_seed is None):
+        # exits 2; --exhaustive and --pair draw nothing, so a seed there would go unrecorded
+        ap.error("--sample requires --rng-seed" if args.rng_seed is None
+                 else "--rng-seed applies only to --sample")
     for name, low in (("threads", 1), ("sample", 1), ("rng_seed", 0)):
         if (value := getattr(args, name, None)) is not None and value < low:
             ap.error(f"--{name.replace('_', '-')} must be at least {low}, got {value}")

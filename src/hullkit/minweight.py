@@ -5,12 +5,15 @@ The binary kernel walks all 2^k codewords in binary-reflected Gray-code
 order over the information vectors.  The walk is blocked for speed: the
 low ``LOW_BITS`` information bits are expanded once into a Gray-ordered
 table of packed codewords, and each of the 2^(k-low) top-bit blocks is one
-row-XOR plus a vectorized popcount over that table.  Blocks follow the
-Gray code on the top bits with alternating sweep direction, which is
-exactly the global reflected-Gray visit order, so ``codewords_of_weight``
-emits codewords in true Gray sequence.  Threads split the block range of
-a full walk only, and the partial results merge deterministically in block
-order; a walk that may abort runs on one thread.
+in-place XOR of a top row into that table plus a vectorized popcount into
+one preallocated buffer, so a walk allocates no memory per block beyond
+the words it keeps.  Blocks follow the Gray code on the top bits with
+alternating sweep direction, which is exactly the global reflected-Gray
+visit order: an odd block's kept words are read from the table backwards,
+so ``codewords_of_weight`` emits codewords in true Gray sequence.  Threads
+split the block range of a full walk only, one contiguous chunk and one
+table copy per worker, and the partial results merge deterministically in
+block order; a walk that may abort runs on one thread.
 
 Light words are listed level by level by ``_next_level``: level r is
 every sum of r rows of the RREF generator, one packed array built from
@@ -43,7 +46,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from math import comb
 from typing import Mapping, Sequence
@@ -113,63 +115,60 @@ def _popcounts(arr: np.ndarray) -> np.ndarray:
     return w
 
 
-def _weight_counts(w: np.ndarray, n: int) -> np.ndarray:
-    """``np.bincount(w, minlength=n + 1)`` of one block's weights; uint8
-    weights (n <= 64) are counted in pairs, as uint16 values in 2^16 bins."""
-    if w.dtype != np.uint8:
-        return np.bincount(w.astype(np.intp), minlength=n + 1)
-    even = len(w) & ~1  # a one-word block (k = 0) has no pair
-    pairs = np.bincount(w[:even].view(np.uint16), minlength=1 << 16).reshape(256, 256)[:n + 1, :n + 1]
-    counts = pairs.sum(axis=0) + pairs.sum(axis=1)
-    counts[w[even:]] += 1
-    return counts
+def _scan_range(rows, low, table, n, block_lo, block_hi, abort_below, collect_weight):
+    """Walk blocks [block_lo, block_hi) with the contract of _scan_binary.
 
-
-def _block_offset(rows: np.ndarray, low: int, block: int):
-    """Packed XOR of the top rows selected by gray(block)."""
-    off = np.zeros(rows.shape[1:], dtype=np.uint64)
-    g = block ^ (block >> 1)
-    b = 0
-    while g:
-        if g & 1:
-            off = off ^ rows[low + b]
-        g >>= 1
-        b += 1
-    return off
-
-
-def _scan_range(rows, low, table, table_rev, n, block_lo, block_hi,
-                abort_below, collect_weight):
-    """Walk blocks [block_lo, block_hi); see _scan_binary for the contract."""
+    ``table`` enters as the Gray table of the low rows and is XORed in place:
+    first with the top rows that gray(block_lo) selects, then with one top
+    row per step to the next block, so it always holds the current block's
+    words in forward table order.  Gray order runs an odd block backwards, so
+    its kept words are read back reversed.  The weights go into one uint8
+    buffer (uint16 for n > 255), and a counting walk tallies them two at a
+    time, as uint16 values in (n+1)·256 bins, folded once at the end.
+    """
     counting = collect_weight is None
-    dist = np.zeros(n + 1, dtype=np.int64) if counting else None
+    g = block_lo ^ (block_lo >> 1)
+    for b in range(g.bit_length()):
+        if g >> b & 1:
+            table ^= rows[low + b]
+    size = len(table)
+    w = np.empty(size, np.uint8 if n < 256 else np.uint16)
+    ones = np.empty(table.shape, np.uint8) if table.ndim == 2 else None
+    mask = np.empty(size, bool)
+    spare = np.empty(size, bool) if not counting and len(collect_weight) > 1 else None
+    paired = counting and w.dtype == np.uint8 and size % 2 == 0  # k = 0 has one word
+    tally = np.zeros((n + 1) * 256 if paired else n + 1, np.int64) if counting else None
     kept = [rows[:0]]  # each block's words, in Gray order
     best = n + 1  # no nonzero word seen yet
-    off = _block_offset(rows, low, block_lo)
     for t in range(block_lo, block_hi):
         if t > block_lo:
-            b = (t & -t).bit_length() - 1
-            off = off ^ rows[low + b]
-        forward = (t % 2) == 0
-        cur = (table if forward else table_rev) ^ off
-        w = _popcounts(cur)
-        if t == 0:
-            nz = w[1:]  # Gray index 0 is the zero codeword
-            block_min = int(nz.min()) if nz.size else n + 1
+            table ^= rows[low + (t & -t).bit_length() - 1]
+        if ones is None:
+            np.bitwise_count(table, out=w)
         else:
-            block_min = int(w.min())
+            np.bitwise_count(table, out=ones)
+            ones.sum(axis=1, dtype=w.dtype, out=w)
+        nz = w[1:] if t == 0 else w  # Gray index 0 is the zero codeword
+        block_min = int(nz.min()) if nz.size else n + 1
         if block_min < best:
             best = block_min
             if counting:
                 kept = [rows[:0]]
         if not counting or block_min == best:
             wanted = (best,) if counting else collect_weight
-            kept.append(cur[reduce(np.logical_or, [w == c for c in wanted])])
+            np.equal(w, wanted[0], out=mask)
+            for c in wanted[1:]:
+                mask |= np.equal(w, c, out=spare)
+            words = table[mask]
+            kept.append(words[::-1] if t & 1 else words)
         if abort_below is not None and best < min(abort_below, n + 1):
             return best, None, np.concatenate(kept), True
         if counting:
-            dist += _weight_counts(w, n)
-    return best, dist, np.concatenate(kept), False
+            tally += np.bincount(w.view(np.uint16) if paired else w, minlength=len(tally))
+    if counting and paired:
+        pairs = tally.reshape(n + 1, 256)[:, :n + 1]
+        tally = pairs.sum(axis=0) + pairs.sum(axis=1)
+    return best, tally, np.concatenate(kept), False
 
 
 def _check_gf2(code: LinearCode) -> None:
@@ -200,23 +199,24 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
     exactly when d < abort_below, at the end of the first block that holds a
     lighter word, so the zero code never aborts.
     ``threads``, capped at :func:`_usable_cpus`, splits the blocks of a walk
-    that cannot abort.
+    that cannot abort into one contiguous chunk per worker; each chunk XORs
+    its own copy of the Gray table in place (see :func:`_scan_range`).
     """
     _check_gf2(code)
     threads = min(threads, _usable_cpus())
     rows = _packed_rows(code.generator.row_bits, code.n)
     low = min(code.k, LOW_BITS)
     table = _gray_low_table(rows, low)
-    table_rev = table[::-1].copy()  # odd blocks sweep backwards, in Gray order
     blocks = 1 << (code.k - low)
     if threads <= 1 or blocks < 4 or abort_below is not None:
-        return _scan_range(rows, low, table, table_rev, code.n, 0, blocks,
-                           abort_below, collect_weight)
-    nchunks = min(threads * 4, blocks)
+        return _scan_range(rows, low, table, code.n, 0, blocks, abort_below, collect_weight)
+    nchunks = min(threads, blocks)
     bounds = [round(i * blocks / nchunks) for i in range(nchunks + 1)]
+    # every chunk XORs its own table, so all copies are made before any chunk starts
+    tables = [table] + [table.copy() for _ in range(nchunks - 1)]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         jobs = [
-            ex.submit(_scan_range, rows, low, table, table_rev, code.n,
+            ex.submit(_scan_range, rows, low, tables[i], code.n,
                       bounds[i], bounds[i + 1], None, collect_weight)
             for i in range(nchunks)
         ]

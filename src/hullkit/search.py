@@ -19,6 +19,7 @@ import json
 import random
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
+from math import comb
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .code import (
@@ -177,12 +178,36 @@ def exhaustive_x(m: int, y: FieldVector, rule: str = "mod4") -> Iterator[FieldVe
     return (FieldVector.from_bits(v, m) for v in range(1, 1 << m) if ok(v))
 
 
-def _sample(count: int, rng_seed: int, draw: Callable, what: str, m: int) -> list:
+def _valid_x_count(m: int, y: FieldVector, rule: str) -> int:
+    """How many valid x of length m exist: a choice of an even number a of
+    the wt(y) coordinates in supp y and b of the others, with a + b = 0 mod
+    the rule's modulus, less x = 0."""
+    s, mod = y.weight, _RULE_MOD[rule]
+    return sum(comb(s, a) * comb(m - s, b) for a in range(0, s + 1, 2)
+               for b in range(m - s + 1) if (a + b) % mod == 0) - 1
+
+
+def _isotropic_pair_count(m: int) -> int:
+    """How many ordered pairs of nonzero even-weight x, y of length m have
+    (x, y) = 0.  On the even-weight subspace E (2^(m-1) words) the form's
+    radical is E ∩ {0, 1...1}; an x in it is orthogonal to all of E, any
+    other x to half of E."""
+    if m < 2:
+        return 0
+    e = 1 << (m - 1)
+    rad = 2 - m % 2
+    return rad * e + (e - rad) * (e // 2) - 2 * e + 1
+
+
+def _sample(count: int, rng_seed: int, draw: Callable, what: str, m: int, available: int) -> list:
     """``count`` items from ``draw(rng)`` with distinct keys, drawn with the
     named PRNG at ``rng_seed`` >= 0 (a negative seed replays its absolute value).
-    ``draw`` returns (key, item), item None for a rejected draw."""
+    ``draw`` returns (key, item), item None for a rejected draw; ``available``
+    distinct keys exist, so a larger ``count`` raises before the first draw."""
     if count < 0 or rng_seed < 0:
         raise ValueError(f"need count >= 0 and rng_seed >= 0, got {count} and {rng_seed}")
+    if count > available:
+        raise CapacityError(f"cannot sample {count} {what}: only {available} exist (m={m})")
     rng = random.Random(rng_seed)
     seen: set = set()
     out: list = []
@@ -208,7 +233,7 @@ def sampled_x(m: int, y: FieldVector, count: int, rng_seed: int,
         v = rng.getrandbits(m)
         return v, FieldVector.from_bits(v, m) if ok(v) else None
 
-    return _sample(count, rng_seed, draw, "valid x", m)
+    return _sample(count, rng_seed, draw, "valid x", m, _valid_x_count(m, y, rule))
 
 
 def exhaustive_isotropic_pairs(m: int) -> Iterator[TransformPair]:
@@ -231,7 +256,7 @@ def sampled_isotropic_pairs(m: int, count: int, rng_seed: int) -> list[Transform
             return None, None
         return (xv, yv), TransformPair(FieldVector.from_bits(xv, m), FieldVector.from_bits(yv, m))
 
-    return _sample(count, rng_seed, draw, "isotropic pairs", m)
+    return _sample(count, rng_seed, draw, "isotropic pairs", m, _isotropic_pair_count(m))
 
 
 # --- drivers ------------------------------------------------------------------

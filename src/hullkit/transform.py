@@ -225,7 +225,8 @@ def sign_variants(pair: TransformPair) -> list[TransformPair]:
     """The sign/swap orbit of an isotropic pair, for q >= 3 search dedup.
 
     Returns [(x,y), (-x,-y), (y,x), (x,-y), (-x,y)].  The first two always
-    produce equal codes, and the last three produce equal codes.
+    produce equal codes, and the last three produce equal codes.  Over GF(2),
+    where -v = v and M(x,y) = M(y,x), all five produce one code.
     """
     if not pair.isotropic:
         raise HypothesisError("sign identities hold for isotropic pairs")

@@ -339,6 +339,20 @@ def test_sample_requires_rng_seed(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["search-lcd", "--seed", "a37225", "--pair", "c37226", "--d-target", "6"],
+    ["search-lcd", "--seed", "a381310", "--exhaustive", "--d-target", "8"],
+    ["search-sd", "--seed", "D11", "--y", "y4", "--exhaustive", "--d-target", "12"],
+])
+def test_rng_seed_is_refused_where_nothing_is_drawn(capsys, tmp_path, argv):
+    out = tmp_path / "x.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--rng-seed", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--rng-seed applies only to --sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

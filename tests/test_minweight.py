@@ -183,7 +183,7 @@ def test_codewords_of_weight_examples():
         assert ham.contains(v)
 
 
-def test_codewords_emitted_in_gray_order():
+def test_codewords_emitted_in_gray_order(monkeypatch):
     # oracle: stepwise Gray walk accumulating one generator row per step
     code = random_code(random.Random(103), GF2, 14, 9)
     rows = code.generator.row_bits
@@ -198,6 +198,11 @@ def test_codewords_emitted_in_gray_order():
     expected = [m for m in seq if m.bit_count() == target]
     got = codeword_masks_of_weight(code, target)
     assert got == expected
+    # 128 blocks of 4 words: odd blocks read backwards, and three threads merge
+    monkeypatch.setattr(hullkit.minweight, "LOW_BITS", 2)
+    monkeypatch.setattr(hullkit.minweight, "_usable_cpus", lambda: 3)
+    for threads in (1, 3):
+        assert codeword_masks_of_weight(code, target, threads=threads) == expected
 
 
 def test_d11_weight12_codeword_count():
@@ -279,10 +284,11 @@ def test_screen_is_exact_on_random_codes(seed):
 
 def test_gate_is_exact_on_random_codes_longer_than_one_packed_word():
     # n > 64 packs each row into two uint64 words, so the screen's levels,
-    # the walk's popcounts and offsets and the words it keeps are 2-D
-    for seed in range(24):
+    # the walk's popcounts and offsets and the words it keeps are 2-D; at
+    # n > 255 (seeds 24 and 25) the walk's weights no longer fit in a byte
+    for seed in range(26):
         rng = random.Random(seed)
-        n = rng.randint(65, 90)
+        n = rng.randint(65, 90) if seed < 24 else rng.randint(256, 300)
         code = random_code(rng, GF2, n, rng.randint(1, 10))
         words = [sum(1 << j for j, s in enumerate(w) if s) for w in enumerate_codewords_naive(code)]
         dist = dict(Counter(w.bit_count() for w in words))
@@ -505,7 +511,7 @@ def test_walk_threads_are_capped_at_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(hullkit.minweight, "ThreadPoolExecutor", Inline)
     monkeypatch.setattr(hullkit.minweight, "_usable_cpus", lambda: 3)
     best, dist, words, aborted = _scan_binary(code, threads=100_000)
-    assert (workers, len(jobs)) == ([3], 4)  # min(3 * 4, 4 blocks) jobs
+    assert (workers, len(jobs)) == ([3], 3)  # min(3, 4 blocks) jobs
     assert (best, dist.tolist(), words.tolist(), aborted) == \
         (serial[0], serial[1].tolist(), serial[2].tolist(), serial[3])
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import types
 from math import comb
 
 import pytest
@@ -38,7 +39,14 @@ from hullkit import (
     write_records,
 )
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_pair, load_seed, seed_store
-from hullkit.search import SEARCH_NODE_BUDGET, SearchRecord, _certify, _emit
+from hullkit.search import (
+    SEARCH_NODE_BUDGET,
+    SearchRecord,
+    _certify,
+    _emit,
+    _isotropic_pair_count,
+    _valid_x_count,
+)
 
 from conftest import (
     GF3,
@@ -113,10 +121,39 @@ def test_samplers_name_their_capacity_limit():
     # 1111 is the only valid x for y = 1111, and 11 the only even pair half at m = 2
     with pytest.raises(CapacityError) as e:
         sampled_x(4, make_yi(4, 4), 2, rng_seed=0)
-    assert str(e.value) == "could not sample 2 valid x in 100000 attempts (m=4)"
+    assert str(e.value) == "cannot sample 2 valid x: only 1 exist (m=4)"
     with pytest.raises(CapacityError) as e:
         sampled_isotropic_pairs(2, 2, rng_seed=0)
-    assert str(e.value) == "could not sample 2 isotropic pairs in 100000 attempts (m=2)"
+    assert str(e.value) == "cannot sample 2 isotropic pairs: only 1 exist (m=2)"
+
+
+def test_sampler_counts_match_brute_force():
+    for m in range(11):
+        evens = [v for v in range(1, 1 << m) if v.bit_count() % 2 == 0]
+        assert _isotropic_pair_count(m) == sum(
+            1 for x in evens for y in evens if (x & y).bit_count() % 2 == 0)
+        for i in range(m + 1):
+            y = FieldVector.from_bits((1 << i) - 1, m)
+            for rule, mod in (("mod4", 4), ("even", 2)):
+                assert _valid_x_count(m, y, rule) == sum(
+                    1 for v in range(1, 1 << m)
+                    if (v & y.bits).bit_count() % 2 == 0 and v.bit_count() % mod == 0)
+
+
+def test_samplers_refuse_more_than_exist_before_any_draw(monkeypatch):
+    y = make_yi(12, 4)  # 479 valid x
+    assert sorted(x.bits for x in sampled_x(12, y, 479, rng_seed=1)) == \
+        [x.bits for x in exhaustive_x(12, y)]
+
+    class NoDraws(random.Random):
+        def getrandbits(self, k):
+            raise AssertionError("drew although too few items exist")
+
+    monkeypatch.setattr(hullkit.search, "random", types.SimpleNamespace(Random=NoDraws))
+    with pytest.raises(CapacityError, match="only 479 exist"):
+        sampled_x(12, y, 480, rng_seed=1)
+    with pytest.raises(CapacityError, match=f"only {_isotropic_pair_count(6)} exist"):
+        sampled_isotropic_pairs(6, _isotropic_pair_count(6) + 1, rng_seed=1)
 
 
 def test_sampled_x_builds_vectors_only_for_kept_draws(monkeypatch):

@@ -12,6 +12,7 @@ from hullkit import (
     LinearCode,
     PostconditionError,
     TransformPair,
+    exhaustive_isotropic_pairs,
     hull_dim,
     inner_product,
     is_doubly_even,
@@ -242,6 +243,20 @@ def test_sign_variants_gf2_collapse():
     variants = sign_variants(pair)
     assert variants[0] == variants[1] == variants[3] == variants[4] == pair
     assert variants[2] == pair.swapped()
+
+
+def test_gf2_m_matrix_depends_only_on_the_span():
+    # over GF(2), M(x,y) = I + x^T y + y^T x is the same for every basis of span{x, y}
+    pairs = 0
+    for m in range(2, 7):
+        for pair in exhaustive_isotropic_pairs(m):
+            x, y = pair.x, pair.y
+            if x == y:
+                continue
+            other = TransformPair(x, FieldVector.from_bits(x.bits ^ y.bits, m))
+            assert m_matrix(pair) == m_matrix(pair.swapped()) == m_matrix(other)
+            pairs += 1
+    assert pairs == 18 + 90 + 450  # x != y among the 1, 3, 25, 105 and 481 pairs at m = 2..6
 
 
 def test_sign_variants_requires_isotropy():
