@@ -3,24 +3,32 @@ enumeration by exhaustive traversal with early abort.
 
 The binary kernel walks all 2^k codewords in binary-reflected Gray-code
 order over the information vectors.  The walk is blocked for speed: the
-low ``LOW_BITS`` information bits are expanded once into a Gray-ordered
-table of packed codewords, and each of the 2^(k-low) top-bit blocks is one
-in-place XOR of a top row into that table plus a vectorized popcount into
-one preallocated buffer, so a walk allocates no memory per block beyond
-the words it keeps.  Blocks follow the Gray code on the top bits with
-alternating sweep direction, which is exactly the global reflected-Gray
-visit order: an odd block's kept words are read from the table backwards,
-so ``codewords_of_weight`` emits codewords in true Gray sequence.  Threads
+low information bits are expanded once into a Gray-ordered table of packed
+codewords, and each of the 2^(k-low) top-bit blocks is one in-place XOR of
+a top row into that table plus a vectorized popcount into one preallocated
+buffer, so a walk allocates no memory per block beyond the words it keeps.
+Blocks follow the Gray code on the top bits with alternating sweep
+direction, which is exactly the global reflected-Gray visit order: an odd
+block's kept words are read from the table backwards, so
+``codewords_of_weight`` emits codewords in true Gray sequence, and no
+result but an aborted walk's weight depends on the block size.  Threads
 split the block range of a full walk only, one contiguous chunk and one
 table copy per worker, and the partial results merge deterministically in
-block order; a walk that may abort runs on one thread.
+block order; a walk that may abort runs on one thread.  A walk on one
+thread uses 2^``LOW_BITS`` = 2^16 words per table, so its 512 KB table,
+popcount buffer and counting copy stay in a 2 MB L2 cache; a threaded walk
+uses 2^``THREADED_LOW_BITS`` = 2^18, because each block's Python work holds
+the GIL, and four times as many blocks made a 2-thread [56,28] walk about
+8 % slower.
 
 Light words are listed level by level by ``_next_level``: level r is
 every sum of r rows of the RREF generator, one packed array built from
 level r - 1 (Brouwer-Zimmermann; Grassl 2006).  The rows are independent,
-so each sum is a nonzero codeword.  The early-abort screen lists levels 1
-to ``_PROBE_ROWS`` and stops at the first with a word lighter than the
-bound, without building the Gray table.
+so each sum is a nonzero codeword.  ``_levels`` builds them one at a time
+on demand, up to 2^k / 8 words in all.  The early-abort screen lists
+levels 1 to ``_PROBE_ROWS`` and stops at the first with a word lighter than
+the bound, without building the Gray table.  The public ``min_weight``
+lists levels until the least weight seen is d.
 
 A doubly even self-dual code can skip the walk: ``_scan_two_sets`` lists
 the same levels on two disjoint information sets, which fixes d and the
@@ -29,10 +37,10 @@ theorem; each level is filtered and counted by vectorized popcounts.  One
 gate, ``_scan``, gives the search, replay and ``is_equivalent`` d, the
 distribution and the weight-d words: it screens first, takes the two-set
 path for a doubly even self-dual code with n = 2k, and walks any other
-code once.  The public ``min_weight`` and ``weight_distribution`` answer
-through the gate too.  Words of other weights come from ``_words``: one
-walk per request, however many weights it asks for, each weight's words in
-Gray order.  The tests hold the gate equal to the walk.  The walk, the
+code once.  The public ``weight_distribution`` answers through the gate
+too, and so does ``min_weight`` when its listing ends before d.  Words of
+other weights come from ``_words``: one walk per request, however many
+weights it asks for, each weight's words in Gray order.  The tests hold the gate equal to the walk.  The walk, the
 two-set path, the gate and ``_words`` return their words as packed uint64
 arrays in ``_packed_rows`` layout; ``codeword_masks_of_weight`` alone turns
 them into ints.
@@ -46,9 +54,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from math import comb
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -56,7 +64,8 @@ from .code import LinearCode, is_doubly_even
 from .errors import CapacityError, PostconditionError, PredicateError
 from .field import FieldVector
 
-LOW_BITS = 18
+LOW_BITS = 16
+THREADED_LOW_BITS = 18
 _PROBE_ROWS = 3
 _GF2_K_LIMIT = 30
 _GENERIC_K_LIMIT = 12
@@ -201,14 +210,19 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
     ``threads``, capped at :func:`_usable_cpus`, splits the blocks of a walk
     that cannot abort into one contiguous chunk per worker; each chunk XORs
     its own copy of the Gray table in place (see :func:`_scan_range`).
+    A walk on one thread has tables of 2^``LOW_BITS`` words, which fit in
+    L2; a threaded one, at least 4 blocks of 2^``THREADED_LOW_BITS``, as
+    more and smaller blocks contend for the GIL.
     """
     _check_gf2(code)
     threads = min(threads, _usable_cpus())
     rows = _packed_rows(code.generator.row_bits, code.n)
-    low = min(code.k, LOW_BITS)
+    # a threaded walk needs at least 4 blocks of the larger table
+    serial = threads <= 1 or code.k < THREADED_LOW_BITS + 2 or abort_below is not None
+    low = min(code.k, LOW_BITS if serial else THREADED_LOW_BITS)
     table = _gray_low_table(rows, low)
     blocks = 1 << (code.k - low)
-    if threads <= 1 or blocks < 4 or abort_below is not None:
+    if serial:
         return _scan_range(rows, low, table, code.n, 0, blocks, abort_below, collect_weight)
     nchunks = min(threads, blocks)
     bounds = [round(i * blocks / nchunks) for i in range(nchunks + 1)]
@@ -255,6 +269,38 @@ def _next_level(prev: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
         np.bitwise_xor(prev[:c], rows[j], out=out[pos:pos + c])
         pos += c
     return out
+
+
+def _levels(code: LinearCode) -> Iterator[int]:
+    """The least weight of each of levels 1, 2, ... of ``_next_level`` on the
+    RREF rows, each level built only when it is asked for.  The listing ends
+    before a level that would take it past 2^k / 8 words, so that a listing
+    the caller gives up on costs a fraction of the walk that follows it, or
+    that alone would outgrow a threaded walk's Gray table."""
+    rows = level = _packed_rows(code._reduced.row_bits, code.n)
+    listed = 0
+    for r in range(1, code.k + 1):
+        size = comb(code.k, r)
+        listed += size
+        if listed > (1 << code.k) // 8 or size > 1 << THREADED_LOW_BITS:
+            return
+        level = _next_level(level, rows, r)
+        yield int(_popcounts(level).min())
+
+
+def _listed_min_weight(code: LinearCode, abort_below: int | None) -> int | None:
+    """``min_weight`` of a binary code from :func:`_levels` with no walk, or
+    None when the listing ends first.  A word of information weight r weighs
+    at least r, so once level r is listed every word not yet seen weighs
+    more than r: a least weight m <= r + 1 is d.  A level with a word
+    lighter than ``abort_below`` ends the listing."""
+    _check_gf2(code)
+    best = code.n + 1
+    for r, light in enumerate(_levels(code), 1):
+        best = min(best, light)
+        if best <= r + 1 or abort_below is not None and best < abort_below:
+            return best
+    return None
 
 
 def _gleason_distribution(n: int, low: Sequence[int]) -> dict[int, int]:
@@ -376,14 +422,12 @@ def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1):
     gate of the module docstring, with the abort contract of
     :func:`_scan_binary`.  The words are one packed array in
     ``_packed_rows`` layout; on abort the distribution is None and no words.
-    The screen aborts at the first of levels 1 to ``_PROBE_ROWS`` that holds
-    a lighter word, returning that level's least weight."""
+    The screen aborts at the first of levels 1 to ``_PROBE_ROWS`` that
+    :func:`_levels` lists and that holds a lighter word, returning that
+    level's least weight."""
     _check_gf2(code)
-    if abort_below is not None and code.k:
-        rows = level = _packed_rows(code._reduced.row_bits, code.n)
-        for r in range(1, min(code.k, _PROBE_ROWS) + 1):
-            level = _next_level(level, rows, r)
-            light = int(_popcounts(level).min())
+    if abort_below is not None:
+        for light in islice(_levels(code), _PROBE_ROWS):
             if light < abort_below:
                 return light, None, [], True
     if _lists_two_sets(code):
@@ -427,7 +471,10 @@ def _scan_generic(code: LinearCode, *, abort_below: int | None = None):
 
 def min_weight(code: LinearCode, abort_above: int | None = None,
                threads: int = 1) -> int:
-    """Exact minimum nonzero codeword weight; binary codes take the gate.
+    """Exact minimum nonzero codeword weight.  A binary code lists levels
+    1, 2, ... of its RREF rows until the least weight seen is d (see
+    :func:`_listed_min_weight`), and takes the gate when the listing ends
+    first, past 2^k / 8 words.
 
     With ``abort_above = t`` the scan may stop at a nonzero codeword of
     weight < t; the returned value is then that weight (an upper bound on
@@ -438,6 +485,9 @@ def min_weight(code: LinearCode, abort_above: int | None = None,
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     if code.field.binary:
+        listed = _listed_min_weight(code, abort_above)
+        if listed is not None:
+            return listed
         return _scan(code, abort_below=abort_above, threads=threads)[0]
     best, _, _ = _scan_generic(code, abort_below=abort_above)
     return best

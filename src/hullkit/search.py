@@ -266,9 +266,11 @@ def _emit(records: list[SearchRecord], dedup: dict, rec: SearchRecord,
     """Append ``rec`` unless the code of ``cert`` is proved equivalent to an earlier one.
 
     ``dedup`` maps a fingerprint key to its class representatives, as (record
-    index, certificate without its cover: 0.73 MB at n = 56) in emission
-    order.  A new code is merged into the first found equivalent, or else
-    kept as one more, its ``collision`` note naming every record compared.
+    index, certificate without its cover) in emission order; at n = 56 a
+    kept certificate holds 65,520 bytes of weight-12 words and drops a
+    734,580-byte cover.  A new code is merged into the first found
+    equivalent, or else kept as one more, its ``collision`` note naming
+    every record compared.
     """
     key = (rec.fingerprint["distribution"], rec.fingerprint["nt"])
     reps = dedup.setdefault(key, [])

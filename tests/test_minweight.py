@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -45,6 +46,7 @@ from hullkit.minweight import (
     _scan,
     _scan_binary,
     _scan_generic,
+    _scan_range,
     _scan_two_sets,
     _words,
 )
@@ -200,9 +202,52 @@ def test_codewords_emitted_in_gray_order(monkeypatch):
     assert got == expected
     # 128 blocks of 4 words: odd blocks read backwards, and three threads merge
     monkeypatch.setattr(hullkit.minweight, "LOW_BITS", 2)
+    monkeypatch.setattr(hullkit.minweight, "THREADED_LOW_BITS", 2)
     monkeypatch.setattr(hullkit.minweight, "_usable_cpus", lambda: 3)
     for threads in (1, 3):
         assert codeword_masks_of_weight(code, target, threads=threads) == expected
+
+
+def test_walk_results_do_not_depend_on_the_table_size(monkeypatch):
+    # Blocks follow the global reflected-Gray order whatever their size, so
+    # the distribution, the kept words, their order and the abort verdict are
+    # the same at 2^2, 2^16 and 2^18 words per table, on one thread and on
+    # three.  An aborted walk may stop in another block and so return another
+    # weight, always in [d, t).
+    monkeypatch.setattr(hullkit.minweight, "_usable_cpus", lambda: 3)
+    rng = random.Random(211)
+    codes = [random_code(rng, GF2, n, k) for n, k in ((40, 20), (70, 20), (30, 10), (80, 9))]
+    codes.append(LinearCode(FieldMatrix.from_bit_rows([], 12)))  # k = 0
+    for code in codes:
+        d = min((w for w in walked_distribution(code).counts if w), default=code.n + 1)
+        seen = set()
+        for bits in ((2, 16, 18) if code.k <= 10 else (16, 18)):  # 2^18 blocks of 4 words are slow
+            monkeypatch.setattr(hullkit.minweight, "LOW_BITS", bits)
+            monkeypatch.setattr(hullkit.minweight, "THREADED_LOW_BITS", bits)
+            for threads in (1, 3):
+                best, counts, words, _ = _scan_binary(code, threads=threads)
+                collected = _scan_binary(code, collect_weight=(d, d + 1, d + 2), threads=threads)[2]
+                verdicts = []
+                for t in (d, d + 1, d + 3):
+                    got, _, _, aborted = _scan_binary(code, abort_below=t, threads=threads)
+                    assert d <= got < t if aborted else got == d, (code, bits, threads, t)
+                    verdicts.append(aborted)
+                seen.add((best, counts.tobytes(), words.tobytes(), collected.tobytes(), tuple(verdicts)))
+        assert len(seen) == 1, code
+
+
+def test_a_serial_walk_of_a_k22_code_keeps_its_table_in_l2():
+    # 2^16 words per table: 512 KB of words, a 64 KB popcount buffer and a
+    # 256 KB bincount copy per block; 2^18 words peaked at 3.66 MiB
+    seed = load_a_block_code("a40226")
+    out = transform_code(standard_form(seed), load_pair("c40227"))
+    tracemalloc.start()
+    try:
+        _scan_binary(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_d11_weight12_codeword_count():
@@ -407,6 +452,43 @@ def test_gate_matches_the_naive_oracle_on_random_codes(seed):
         assert sorted(words.tolist()) == sorted(walked)
     else:
         _assert_gate_matches_the_walk(code, 1, dist)
+
+
+def test_min_weight_lists_levels_and_agrees_with_the_walk(monkeypatch):
+    # k = 22 codes are decided from a few levels; the [38,13] codes would list
+    # more than 2^13 / 8 words and take the gate, as do most short random codes
+    walked = []
+
+    def counting(*args):
+        walked.append(args)
+        return _scan_range(*args)
+
+    monkeypatch.setattr(hullkit.minweight, "_scan_range", counting)
+    rng = random.Random(223)
+    codes = list(_lcd_seeds_and_upgrades())
+    codes += [random_code(rng, GF2, rng.randint(k + 4, 64), k) for k in (12, 16, 20, 22)]
+    codes += [random_code(rng, GF2, rng.randint(65, 90), k) for k in (10, 14)]
+    codes += [_code_with_hidden_light_word(k, m, seed=3) for k, m in ((20, 40), (20, 60))]
+    # [I_12 | A] with distinct even-weight rows of A, each of weight >= 4:
+    # levels 1 and 2 weigh at least 5 and 4, a1 + a2 = a3 makes a word of
+    # weight 3 at level 3, and a1 + a4 has weight 2 (a word of weight 4 at
+    # level 2), so the listing must not stop at level 2
+    a = [0x0F, 0xF0, 0xFF, 0x1E, 0x33, 0x55, 0x66, 0x99, 0xAA, 0xCC, 0x3C, 0x5A]
+    codes.append(LinearCode(FieldMatrix.from_bit_rows([1 << i | ai << 12 for i, ai in enumerate(a)], 20)))
+    listed = 0
+    for code in codes:
+        d = min(w for w in walked_distribution(code).counts if w)
+        walked.clear()
+        assert min_weight(code) == d
+        listed += not walked
+        for t in range(1, code.n + 2):
+            got = min_weight(code, abort_above=t)
+            assert d <= got < t if d < t else got == d, (code, t, got)
+    assert listed >= 6
+    walked.clear()
+    seed = load_a_block_code("a40226")
+    assert (min_weight(seed), min_weight(seed, abort_above=7)) == (6, 6) and walked == []
+    assert min_weight(load_a_block_code("a381310")) == 10 and walked
 
 
 def test_gate_walks_each_code_once(monkeypatch):
