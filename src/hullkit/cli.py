@@ -427,7 +427,9 @@ def main(argv: list[str] | None = None) -> int:
         # exits 2; --exhaustive and --pair draw nothing, so a seed there would go unrecorded
         ap.error("--sample requires --rng-seed" if args.rng_seed is None
                  else "--rng-seed applies only to --sample")
-    for name, low in (("threads", 1), ("sample", 1), ("rng_seed", 0)):
+    if getattr(args, "distribution", False) and args.abort_above is not None:
+        ap.error("--abort-above does not apply to --distribution")  # it would go unused
+    for name, low in (("threads", 1), ("sample", 1), ("rng_seed", 0), ("weight", 1)):
         if (value := getattr(args, name, None)) is not None and value < low:
             ap.error(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
     try:

@@ -21,29 +21,26 @@ uses 2^``THREADED_LOW_BITS`` = 2^18, because each block's Python work holds
 the GIL, and four times as many blocks made a 2-thread [56,28] walk about
 8 % slower.
 
-Light words are listed level by level by ``_next_level``: level r is
-every sum of r rows of the RREF generator, one packed array built from
-level r - 1 (Brouwer-Zimmermann; Grassl 2006).  The rows are independent,
-so each sum is a nonzero codeword.  ``_levels`` builds them one at a time
-on demand, up to 2^k / 8 words in all.  The early-abort screen lists
-levels 1 to ``_PROBE_ROWS`` and stops at the first with a word lighter than
-the bound, without building the Gray table.  The public ``min_weight``
-lists levels until the least weight seen is d.
+Light words are listed level by level (Brouwer-Zimmermann; Grassl 2006):
+level r is every sum of r rows of the RREF generator, a nonzero codeword
+each, built as one packed array from level r - 1.  ``_levels`` is the one
+producer of levels, and ``_scan`` lists each level of a code once: the
+early-abort screen lists levels 1 to ``_PROBE_ROWS`` without building a
+Gray table, ``min_weight`` lists on until the least weight seen is d, both
+within 2^k / 8 words, and the two-set path continues that listing.
 
 A doubly even self-dual code can skip the walk: ``_scan_two_sets`` lists
-the same levels on two disjoint information sets, which fixes d and the
-weight-d words, and takes the rest of the distribution from Gleason's
-theorem; each level is filtered and counted by vectorized popcounts.  One
-gate, ``_scan``, gives the search, replay and ``is_equivalent`` d, the
+levels on two disjoint information sets, which fixes d and the weight-d
+words, and takes the rest of the distribution from Gleason's theorem.  One
+gate, ``_scan``, gives the search, replay, ``is_equivalent``,
+``weight_distribution`` and an undecided ``min_weight`` d, the
 distribution and the weight-d words: it screens first, takes the two-set
 path for a doubly even self-dual code with n = 2k, and walks any other
-code once.  The public ``weight_distribution`` answers through the gate
-too, and so does ``min_weight`` when its listing ends before d.  Words of
-other weights come from ``_words``: one walk per request, however many
-weights it asks for, each weight's words in Gray order.  The tests hold the gate equal to the walk.  The walk, the
-two-set path, the gate and ``_words`` return their words as packed uint64
-arrays in ``_packed_rows`` layout; ``codeword_masks_of_weight`` alone turns
-them into ints.
+code once; the tests hold it equal to the walk.  Words of other weights
+come from ``_words``: one walk per request, each weight's words in Gray
+order.  All of these return words as packed uint64 arrays in
+``_packed_rows`` layout; ``codeword_masks_of_weight`` alone turns them
+into ints.
 
 q >= 3 codes are enumerated directly over all q^k information vectors in
 lexicographic chunks; only each chunk's weights are kept (small-k property
@@ -54,7 +51,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, product
+from functools import cache
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
@@ -271,36 +268,26 @@ def _next_level(prev: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def _levels(code: LinearCode) -> Iterator[int]:
-    """The least weight of each of levels 1, 2, ... of ``_next_level`` on the
-    RREF rows, each level built only when it is asked for.  The listing ends
-    before a level that would take it past 2^k / 8 words, so that a listing
-    the caller gives up on costs a fraction of the walk that follows it, or
-    that alone would outgrow a threaded walk's Gray table."""
-    rows = level = _packed_rows(code._reduced.row_bits, code.n)
-    listed = 0
-    for r in range(1, code.k + 1):
-        size = comb(code.k, r)
-        listed += size
-        if listed > (1 << code.k) // 8 or size > 1 << THREADED_LOW_BITS:
-            return
+def _levels(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Levels 1, 2, ... of :func:`_next_level` on ``rows`` as (words, popcounts),
+    each built when it is asked for: the one producer of listed words."""
+    level = rows
+    for r in range(1, len(rows) + 1):
         level = _next_level(level, rows, r)
-        yield int(_popcounts(level).min())
+        yield level, _popcounts(level)
 
 
-def _listed_min_weight(code: LinearCode, abort_below: int | None) -> int | None:
-    """``min_weight`` of a binary code from :func:`_levels` with no walk, or
-    None when the listing ends first.  A word of information weight r weighs
-    at least r, so once level r is listed every word not yet seen weighs
-    more than r: a least weight m <= r + 1 is d.  A level with a word
-    lighter than ``abort_below`` ends the listing."""
-    _check_gf2(code)
-    best = code.n + 1
-    for r, light in enumerate(_levels(code), 1):
-        best = min(best, light)
-        if best <= r + 1 or abort_below is not None and best < abort_below:
-            return best
-    return None
+@cache
+def _listable(k: int) -> int:
+    """How many levels a listing its caller may give up on builds at dimension
+    k: it stops before 2^k / 8 words in all, a fraction of the walk after it,
+    and before a level that alone would outgrow a threaded walk's Gray table."""
+    listed = 0
+    for r in range(1, k + 1):
+        listed += comb(k, r)
+        if listed > (1 << k) // 8 or comb(k, r) > 1 << THREADED_LOW_BITS:
+            return r - 1
+    return k
 
 
 def _gleason_distribution(n: int, low: Sequence[int]) -> dict[int, int]:
@@ -337,7 +324,8 @@ def _gleason_distribution(n: int, low: Sequence[int]) -> dict[int, int]:
     return {w: c for w, c in dist.items() if c}
 
 
-def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None):
+def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None,
+                   listing: tuple | None = None):
     """Minimum weight, distribution and minimum-weight words of a doubly even
     self-dual code, from two disjoint information sets with no Gray walk
     (Brouwer-Zimmermann; Grassl 2006).
@@ -345,17 +333,18 @@ def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None):
     The RREF generator ``[I | A]`` is the identity on its pivot columns P.
     Self-duality with n = 2k gives A A^T = A^T A = I, so the rows of
     ``A^T [I | A] = [A^T | I]`` are the identity on the other columns Q.
-    Level r lists every word that is 1 on exactly r columns of P, then every
-    word that is 1 on exactly r columns of Q, each as one packed array of
-    sums of r rows.  After the P side of level r a word not yet listed has
-    more than r ones on P and at least r on Q, so it weighs more than 2r;
-    after the Q side, more than 2r + 1.  The listing stops at the first side
-    after which every word of weight up to max(d, 4 floor(n/24)) is listed,
-    which for a [56,28,12] code skips the Q side of level 6 (376 740 words).
-    The Q-side words with at most r ones on P, listed on the P side too, are
-    dropped by one popcount over the kept words.  The distribution follows
-    from A_0, A_4, ..., A_(4 floor(n/24)) by :func:`_gleason_distribution`,
-    checked against every count listed up to that weight.
+    The P side continues the (levels, listed) ``listing`` of :func:`_scan`
+    (by default a fresh one) and the Q side runs :func:`_levels` on those
+    rows, so level r of a side is every word with exactly r ones on its
+    columns.  Each step lists the next level of the side with fewer, P
+    first on a tie.  With levels 1 to a of P and 1 to b of Q listed, a word
+    not yet listed weighs more than a + b + 1.  The listing stops once every
+    word of weight up to max(d, 4 floor(n/24)) is listed, which for a
+    [56,28,12] code skips the Q side of level 6 (376 740 words).  The Q-side
+    words with at most a ones on P, listed on the P side too, are dropped by
+    one popcount over the kept words.  The distribution follows from A_0,
+    A_4, ..., A_(4 floor(n/24)) by :func:`_gleason_distribution`, checked
+    against every count listed up to that weight.
 
     Returns (min_nonzero_weight, dist_or_None, minimum_weight_words, aborted)
     with the abort contract of :func:`_scan_binary`: it aborts exactly when
@@ -377,25 +366,27 @@ def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None):
         right.append(acc)
     if n != 2 * k or any(row & ~p_mask != 1 << j for row, j in zip(right, q_cols)):
         raise PredicateError("two information sets need a self-dual code with n = 2k")
+    levels, listed = listing or (_levels(_packed_rows(left, n)), [])
     floor = 4 * (n // 24)
-    sides = [_packed_rows(left, n), _packed_rows(right, n)]  # 1-D: n = 2k <= 60
-    levels = [np.zeros(1, dtype=np.uint64)] * 2  # level 0: the zero word, kept once below
-    light = [[level] for level in levels]  # each side's kept words, level by level
-    best = n + 1
-    for r, side in product(range(1, k + 1), (0, 1)):
-        level = levels[side] = _next_level(levels[side], sides[side], r)
-        w = np.bitwise_count(level)
+    best = min([n + 1] + [int(w.min()) for _, w in listed])
+    sides = [levels, _levels(_packed_rows(right, n))]  # 1-D: n = 2k <= 60
+    zero = np.zeros(1, dtype=np.uint64)  # level 0, kept once below
+    # each side's kept words, level by level; the listed P levels are released here
+    light = [[zero] + [words[w <= max(best, floor)] for words, w in listed], [zero]]
+    listed.clear()
+    depth = [len(light[0]) - 1, 0]
+    while max(best, floor) > sum(depth) + 1:
+        side = int(depth[1] < depth[0])
+        words, w = next(sides[side])
+        depth[side] += 1
         best = min(best, int(w.min()))
         if abort_below is not None and best < abort_below:
             return best, None, [], True
-        light[side].append(level[w <= max(best, floor)])
-        # a word not yet listed has more than r ones on P and r + side or more on Q
-        if max(best, floor) <= 2 * r + side:
-            break
+        light[side].append(words[w <= max(best, floor)])
     bound = max(best, floor)
     p_words, q_words = map(np.concatenate, light)
-    # a Q-side word with at most r ones on P was listed on the P side too
-    q_words = q_words[np.bitwise_count(q_words & np.uint64(p_mask)) > r]
+    # a Q-side word with at most depth[0] ones on P was listed on the P side too
+    q_words = q_words[np.bitwise_count(q_words & np.uint64(p_mask)) > depth[0]]
     words = np.concatenate([p_words, q_words])
     weights = np.bitwise_count(words)
     counts = np.bincount(weights[weights <= bound], minlength=n + 1)
@@ -404,9 +395,7 @@ def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None):
         raise PostconditionError(
             "Gleason distribution disagrees with the listed light words; "
             "the code is not doubly even self-dual")
-    out = np.zeros(n + 1, dtype=np.int64)
-    for w, c in dist.items():
-        out[w] = c
+    out = np.array([dist.get(w, 0) for w in range(n + 1)], dtype=np.int64)
     return best, out, words[weights == best], False
 
 
@@ -417,22 +406,34 @@ def _lists_two_sets(code: LinearCode) -> bool:
     return code.k > 0 and code.n == 2 * code.k and is_doubly_even(code)
 
 
-def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1):
+def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1,
+          d_only: bool = False):
     """(d, distribution, weight-d words, aborted) of a binary code by the
     gate of the module docstring, with the abort contract of
     :func:`_scan_binary`.  The words are one packed array in
     ``_packed_rows`` layout; on abort the distribution is None and no words.
-    The screen aborts at the first of levels 1 to ``_PROBE_ROWS`` that
-    :func:`_levels` lists and that holds a lighter word, returning that
-    level's least weight."""
+    With ``abort_below`` the screen lists levels 1 to ``_PROBE_ROWS`` of
+    :func:`_levels` on the RREF rows and aborts at the first that holds a
+    lighter word, returning the least weight listed.  ``d_only``, for
+    :func:`min_weight`, lists up to the :func:`_listable` levels instead and
+    returns (d, None, [], False) once the least weight listed is d.  The
+    two-set path continues this listing; a walk drops it."""
     _check_gf2(code)
-    if abort_below is not None:
-        for light in islice(_levels(code), _PROBE_ROWS):
-            if light < abort_below:
-                return light, None, [], True
+    listing = levels, listed = _levels(_packed_rows(code._reduced.row_bits, code.n)), []
+    if abort_below is not None or d_only:
+        best = code.n + 1
+        for r in range(1, min(code.k if d_only else _PROBE_ROWS, _listable(code.k)) + 1):
+            listed.append(next(levels))
+            best = min(best, int(listed[-1][1].min()))
+            if abort_below is not None and best < abort_below:
+                return best, None, [], True
+            # every word not yet listed weighs more than r, so a best <= r + 1 is d
+            if d_only and best <= r + 1:
+                return best, None, [], False
     if _lists_two_sets(code):
-        best, dist, words, aborted = _scan_two_sets(code, abort_below=abort_below)
+        best, dist, words, aborted = _scan_two_sets(code, abort_below=abort_below, listing=listing)
     else:
+        listing = levels = listed = None  # the walk needs no listed level
         best, dist, words, aborted = _scan_binary(code, abort_below=abort_below, threads=threads)
     if aborted:
         return best, None, [], True
@@ -472,9 +473,9 @@ def _scan_generic(code: LinearCode, *, abort_below: int | None = None):
 def min_weight(code: LinearCode, abort_above: int | None = None,
                threads: int = 1) -> int:
     """Exact minimum nonzero codeword weight.  A binary code lists levels
-    1, 2, ... of its RREF rows until the least weight seen is d (see
-    :func:`_listed_min_weight`), and takes the gate when the listing ends
-    first, past 2^k / 8 words.
+    1, 2, ... of its RREF rows until the least weight seen is d, and takes
+    the gate, which continues that listing, when the listing ends first,
+    past 2^k / 8 words (see :func:`_scan`).
 
     With ``abort_above = t`` the scan may stop at a nonzero codeword of
     weight < t; the returned value is then that weight (an upper bound on
@@ -485,10 +486,7 @@ def min_weight(code: LinearCode, abort_above: int | None = None,
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     if code.field.binary:
-        listed = _listed_min_weight(code, abort_above)
-        if listed is not None:
-            return listed
-        return _scan(code, abort_below=abort_above, threads=threads)[0]
+        return _scan(code, abort_below=abort_above, threads=threads, d_only=True)[0]
     best, _, _ = _scan_generic(code, abort_below=abort_above)
     return best
 

@@ -201,7 +201,7 @@ def _isotropic_pair_count(m: int) -> int:
 
 def _sample(count: int, rng_seed: int, draw: Callable, what: str, m: int, available: int) -> list:
     """``count`` items from ``draw(rng)`` with distinct keys, drawn with the
-    named PRNG at ``rng_seed`` >= 0 (a negative seed replays its absolute value).
+    named PRNG at ``rng_seed``; a negative count or seed raises ``ValueError``.
     ``draw`` returns (key, item), item None for a rejected draw; ``available``
     distinct keys exist, so a larger ``count`` raises before the first draw."""
     if count < 0 or rng_seed < 0:

@@ -96,6 +96,15 @@ def test_minweight_abort_above(capsys):
     assert "verdict" in doc
 
 
+def test_minweight_refuses_abort_above_with_distribution(capsys):
+    # the distribution scan ignored the bound and printed every count
+    with pytest.raises(SystemExit) as exc:
+        main(["minweight", "a40226", "--distribution", "--abort-above", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--abort-above does not apply to --distribution" in err
+
+
 def test_distribution_json(capsys, tmp_path):
     path = tmp_path / "ham.code"
     run_cli(capsys, "build-circulant", "0111", "--pure", "-o", str(path))
@@ -412,6 +421,16 @@ def test_threads_below_one_is_a_usage_error(capsys, command, threads):
         main([command, "a37225", "--threads", threads])
     assert exc.value.code == 2
     assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight", ["0", "-1"])
+def test_invariant_weight_below_one_is_a_usage_error(capsys, weight):
+    # --weight -1 walked every codeword and printed an all-zero sequence
+    with pytest.raises(SystemExit) as exc:
+        main(["invariant", "a381310", "--weight", weight])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--weight must be at least 1, got {weight}" in err
 
 
 def test_console_entry_point():

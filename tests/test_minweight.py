@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import tracemalloc
@@ -5,6 +6,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -661,6 +663,9 @@ def test_two_sets_match_the_walk_on_random_doubly_even_self_dual_codes(base, see
     _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan_two_sets)
 
 
+_PROBE_MISSES = [294, 569, 640, 853, 864, 1057, 1267, 1420]
+
+
 def test_two_sets_decide_the_sd_screen_probe_misses(monkeypatch):
     # The D11/y4 candidates of this pool whose light words all need four
     # information rows: the screen's levels 1-3 pass them to the two-set
@@ -676,7 +681,7 @@ def test_two_sets_decide_the_sd_screen_probe_misses(monkeypatch):
         for out in outs:
             _scan(out, 12)
     misses = [i for i, out in enumerate(outs) if any(out is c for c in handed)]
-    assert misses == [294, 569, 640, 853, 864, 1057, 1267, 1420]
+    assert misses == _PROBE_MISSES
     for i in misses:
         walked = _scan_binary(outs[i], abort_below=12)
         assert walked[0] == 8 and walked[3]
@@ -686,17 +691,65 @@ def test_two_sets_decide_the_sd_screen_probe_misses(monkeypatch):
 
 def test_two_sets_stop_after_the_last_levels_p_side(monkeypatch):
     # D11 (d = 12) needs P-side levels 1-6 and Q-side levels 1-5: a word
-    # missing from them has at least 7 ones on P and 6 on Q
+    # missing from them has at least 7 ones on P and 6 on Q.  The screen and
+    # min_weight start the P side, and the two-set path continues it.
+    code = load_seed("D11")
+    p_rows = _packed_rows(code._reduced.row_bits, code.n)
     levels = []
 
     def counting(prev, rows, r):
-        levels.append(r)
+        levels.append(("P" if np.array_equal(rows, p_rows) else "Q") + str(r))
         return _next_level(prev, rows, r)
 
     monkeypatch.setattr(hullkit.minweight, "_next_level", counting)
-    d, _, masks, _ = _scan_two_sets(load_seed("D11"))
+    d, _, masks, _ = _scan_two_sets(code)
     assert (d, len(masks)) == (12, GLEASON_56_EXTREMAL[12])
-    assert levels == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+    assert levels == ["P1", "Q1", "P2", "Q2", "P3", "Q3", "P4", "Q4", "P5", "Q5", "P6"]
+    once = sorted(levels)
+    levels.clear()
+    d, _, masks, _ = _scan(code, abort_below=12)
+    assert (d, len(masks)) == (12, GLEASON_56_EXTREMAL[12])
+    assert levels == ["P1", "P2", "P3", "Q1", "Q2", "Q3", "P4", "Q4", "P5", "Q5", "P6"]
+    assert sorted(levels) == once
+    levels.clear()
+    assert min_weight(code) == 12
+    assert levels == ["P1", "P2", "P3", "P4", "P5", "Q1", "Q2", "Q3", "Q4", "Q5", "P6"]
+    assert sorted(levels) == once
+
+
+def test_gate_continuing_the_screen_matches_a_fresh_two_set_listing():
+    # the gate hands the screen's listed P levels to the two-set path; the
+    # result must not depend on where the P side was started
+    form = standard_form(load_seed("D11"))
+    y = make_yi(28, 4)
+    xs = sampled_x(28, y, 1500, rng_seed=22, rule="mod4")
+    codes = [load_seed(name) for name in CIRCULANT_SEED_NAMES]
+    codes += [transform_code(form, TransformPair(xs[i], y)) for i in _PROBE_MISSES]
+    assert len(codes) == 14
+    for code in codes:
+        for abort_below in (12, None):
+            d, dist, words, aborted = _scan(code, abort_below)
+            fresh = _scan_two_sets(code, abort_below=abort_below)
+            assert (d, aborted) == (fresh[0], fresh[3])
+            assert (dist is None) == (fresh[1] is None)
+            if dist is not None:
+                assert dict(dist.counts) == {w: int(c) for w, c in enumerate(fresh[1]) if c}
+            assert sorted(np.asarray(words).tolist()) == sorted(np.asarray(fresh[2]).tolist())
+
+
+def test_one_function_calls_next_level():
+    # every listing goes through the one producer, _levels, so a new path
+    # cannot build levels of its own beside the listing _scan hands on
+    source = Path(hullkit.__file__).resolve().parent
+    callers = []
+    for path in sorted(source.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Call) and "_next_level" in
+                    (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    for node in ast.walk(fn)):
+                callers.append(f"{path.stem}.{fn.name}")
+    assert callers == ["minweight._levels"]
 
 
 def test_gate_returns_its_words_as_one_packed_array():
