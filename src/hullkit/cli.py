@@ -429,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
                  else "--rng-seed applies only to --sample")
     if getattr(args, "distribution", False) and args.abort_above is not None:
         ap.error("--abort-above does not apply to --distribution")  # it would go unused
-    for name, low in (("threads", 1), ("sample", 1), ("rng_seed", 0), ("weight", 1)):
+    for name, low in (("threads", 1), ("sample", 1), ("rng_seed", 0), ("weight", 1), ("node_budget", 0)):
         if (value := getattr(args, name, None)) is not None and value < low:
             ap.error(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
     try:

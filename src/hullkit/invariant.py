@@ -37,7 +37,7 @@ import numpy as np
 from .code import LinearCode, same_code
 from .errors import DimensionError, UnsupportedFieldError
 from .field import FieldVector
-from .minweight import WeightDistribution, _lists_two_sets, _scan, _words
+from .minweight import WeightDistribution, _scan, _two_set_rows, _words
 # tracer-only: perfbench/tracing.py wraps these names, and invariant does not call them
 from .minweight import codeword_masks_of_weight, weight_distribution  # noqa: F401
 
@@ -160,15 +160,17 @@ class _Certificate(NamedTuple):
 
 
 def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtSequence:
-    """The N_t invariant of ``code`` at codeword weight w, by default the
-    minimum weight d; its ``sequence`` runs to max(n, largest t).  The
-    certificate's weight-d words serve w = d; a code the gate would walk is
-    walked once, for its weight-w words."""
+    """The N_t invariant of ``code`` at codeword weight w, 1 <= w <= n, by
+    default the minimum weight d; its ``sequence`` runs to max(n, largest
+    t).  The certificate's weight-d words serve w = d; a code the gate would
+    walk is walked once, for its weight-w words."""
     if not code.field.binary:
         raise UnsupportedFieldError("N_t invariant is defined for binary codes")
     if w is None and code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
-    cert = _Certificate.of(code, threads=threads) if w is None or _lists_two_sets(code) else None
+    if w is not None and not 1 <= w <= code.n:
+        raise ValueError(f"codeword weight must be in 1..{code.n}, got {w}")
+    cert = _Certificate.of(code, threads=threads) if w is None or _two_set_rows(code) is not None else None
     w = cert.d if w is None else w
     words = cert.words if cert is not None and w == cert.d else _words(code, (w,), threads)[0]
     return NtSequence(code.n, code.k, w, nt_from_masks(words, code.n))

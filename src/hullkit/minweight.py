@@ -23,24 +23,20 @@ the GIL, and four times as many blocks made a 2-thread [56,28] walk about
 
 Light words are listed level by level (Brouwer-Zimmermann; Grassl 2006):
 level r is every sum of r rows of the RREF generator, a nonzero codeword
-each, built as one packed array from level r - 1.  ``_levels`` is the one
-producer of levels, and ``_scan`` lists each level of a code once: the
-early-abort screen lists levels 1 to ``_PROBE_ROWS`` without building a
-Gray table, ``min_weight`` lists on until the least weight seen is d, both
-within 2^k / 8 words, and the two-set path continues that listing.
-
-A doubly even self-dual code can skip the walk: ``_scan_two_sets`` lists
-levels on two disjoint information sets, which fixes d and the weight-d
-words, and takes the rest of the distribution from Gleason's theorem.  One
-gate, ``_scan``, gives the search, replay, ``is_equivalent``,
-``weight_distribution`` and an undecided ``min_weight`` d, the
-distribution and the weight-d words: it screens first, takes the two-set
-path for a doubly even self-dual code with n = 2k, and walks any other
-code once; the tests hold it equal to the walk.  Words of other weights
-come from ``_words``: one walk per request, each weight's words in Gray
-order.  All of these return words as packed uint64 arrays in
-``_packed_rows`` layout; ``codeword_masks_of_weight`` alone turns them
-into ints.
+each, built as one packed array from level r - 1 by ``_levels``, the one
+producer of levels.  One gate, ``_scan``, gives d, the distribution and
+the weight-d words to the search, replay, ``is_equivalent`` and
+``weight_distribution``, and d to ``min_weight``, from one loop that lists
+each level of a code once.  The early-abort screen lists levels 1 to
+``_PROBE_ROWS`` without building a Gray table, and ``min_weight`` lists on
+until the least weight seen is d, both within 2^k / 8 words.  A doubly
+even self-dual code with n = 2k then lists on two disjoint information
+sets, which fixes d and the weight-d words, and takes the rest of the
+distribution from Gleason's theorem; any other code is walked once.  The
+tests hold the gate equal to the walk.  Words of other weights come from
+``_words``: one walk per request, each weight's words in Gray order.  All
+of these return words as packed uint64 arrays in ``_packed_rows`` layout;
+``codeword_masks_of_weight`` alone turns them into ints.
 
 q >= 3 codes are enumerated directly over all q^k information vectors in
 lexicographic chunks; only each chunk's weights are kept (small-k property
@@ -57,8 +53,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .code import LinearCode, is_doubly_even
-from .errors import CapacityError, PostconditionError, PredicateError
+from .code import LinearCode
+from .errors import CapacityError, PostconditionError
 from .field import FieldVector
 
 LOW_BITS = 16
@@ -324,86 +320,30 @@ def _gleason_distribution(n: int, low: Sequence[int]) -> dict[int, int]:
     return {w: c for w, c in dist.items() if c}
 
 
-def _scan_two_sets(code: LinearCode, *, abort_below: int | None = None,
-                   listing: tuple | None = None):
-    """Minimum weight, distribution and minimum-weight words of a doubly even
-    self-dual code, from two disjoint information sets with no Gray walk
-    (Brouwer-Zimmermann; Grassl 2006).
+def _two_set_rows(code: LinearCode) -> list[int] | None:
+    """The rows of a second information set, Q, of a doubly even self-dual
+    code with n = 2k, or None for any other code.
 
     The RREF generator ``[I | A]`` is the identity on its pivot columns P.
-    Self-duality with n = 2k gives A A^T = A^T A = I, so the rows of
-    ``A^T [I | A] = [A^T | I]`` are the identity on the other columns Q.
-    The P side continues the (levels, listed) ``listing`` of :func:`_scan`
-    (by default a fresh one) and the Q side runs :func:`_levels` on those
-    rows, so level r of a side is every word with exactly r ones on its
-    columns.  Each step lists the next level of the side with fewer, P
-    first on a tie.  With levels 1 to a of P and 1 to b of Q listed, a word
-    not yet listed weighs more than a + b + 1.  The listing stops once every
-    word of weight up to max(d, 4 floor(n/24)) is listed, which for a
-    [56,28,12] code skips the Q side of level 6 (376 740 words).  The Q-side
-    words with at most a ones on P, listed on the P side too, are dropped by
-    one popcount over the kept words.  The distribution follows from A_0,
-    A_4, ..., A_(4 floor(n/24)) by :func:`_gleason_distribution`, checked
-    against every count listed up to that weight.
-
-    Returns (min_nonzero_weight, dist_or_None, minimum_weight_words, aborted)
-    with the abort contract of :func:`_scan_binary`: it aborts exactly when
-    d < abort_below, returning the weight of a word lighter than that.  The
-    words are the weight-d words as one packed array in ``_packed_rows``
-    layout, in no particular order.
-    """
-    _check_gf2(code)
-    n, k = code.n, code.k
-    left = code._reduced.row_bits
+    For each other column j, the sum of the rows with a one at j is row j of
+    ``[A^T | A^T A]``, which is e_j on Q for every j exactly when A^T A = I:
+    with n = 2k, exactly when the code is self-dual.  A self-dual code whose
+    rows all weigh 0 mod 4 is doubly even.  The [0, 0] code has no level to
+    list and gets None."""
+    n, k, rows = code.n, code.k, code._reduced.row_bits
+    if k == 0 or n != 2 * k or any(row.bit_count() % 4 for row in rows):
+        return None
     p_mask = sum(1 << (p - 1) for p in code._pivots)
-    q_cols = [j for j in range(n) if not p_mask >> j & 1]
-    right = []
-    for j in q_cols:
+    q_rows = []
+    for j in (j for j in range(n) if not p_mask >> j & 1):
         acc = 0
-        for row in left:
+        for row in rows:
             if row >> j & 1:
                 acc ^= row
-        right.append(acc)
-    if n != 2 * k or any(row & ~p_mask != 1 << j for row, j in zip(right, q_cols)):
-        raise PredicateError("two information sets need a self-dual code with n = 2k")
-    levels, listed = listing or (_levels(_packed_rows(left, n)), [])
-    floor = 4 * (n // 24)
-    best = min([n + 1] + [int(w.min()) for _, w in listed])
-    sides = [levels, _levels(_packed_rows(right, n))]  # 1-D: n = 2k <= 60
-    zero = np.zeros(1, dtype=np.uint64)  # level 0, kept once below
-    # each side's kept words, level by level; the listed P levels are released here
-    light = [[zero] + [words[w <= max(best, floor)] for words, w in listed], [zero]]
-    listed.clear()
-    depth = [len(light[0]) - 1, 0]
-    while max(best, floor) > sum(depth) + 1:
-        side = int(depth[1] < depth[0])
-        words, w = next(sides[side])
-        depth[side] += 1
-        best = min(best, int(w.min()))
-        if abort_below is not None and best < abort_below:
-            return best, None, [], True
-        light[side].append(words[w <= max(best, floor)])
-    bound = max(best, floor)
-    p_words, q_words = map(np.concatenate, light)
-    # a Q-side word with at most depth[0] ones on P was listed on the P side too
-    q_words = q_words[np.bitwise_count(q_words & np.uint64(p_mask)) > depth[0]]
-    words = np.concatenate([p_words, q_words])
-    weights = np.bitwise_count(words)
-    counts = np.bincount(weights[weights <= bound], minlength=n + 1)
-    dist = _gleason_distribution(n, counts[:floor + 1:4].tolist())
-    if any(dist.get(w, 0) != counts[w] for w in range(bound + 1)):
-        raise PostconditionError(
-            "Gleason distribution disagrees with the listed light words; "
-            "the code is not doubly even self-dual")
-    out = np.array([dist.get(w, 0) for w in range(n + 1)], dtype=np.int64)
-    return best, out, words[weights == best], False
-
-
-def _lists_two_sets(code: LinearCode) -> bool:
-    """Whether the gate takes the two-set path.  n = 2k is tested first: double
-    evenness costs more and implies self-orthogonality, so with n = 2k self-duality.
-    The [0, 0] code has no level to list and is walked."""
-    return code.k > 0 and code.n == 2 * code.k and is_doubly_even(code)
+        if acc & ~p_mask != 1 << j:
+            return None
+        q_rows.append(acc)
+    return q_rows
 
 
 def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1,
@@ -412,32 +352,72 @@ def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1,
     gate of the module docstring, with the abort contract of
     :func:`_scan_binary`.  The words are one packed array in
     ``_packed_rows`` layout; on abort the distribution is None and no words.
-    With ``abort_below`` the screen lists levels 1 to ``_PROBE_ROWS`` of
-    :func:`_levels` on the RREF rows and aborts at the first that holds a
-    lighter word, returning the least weight listed.  ``d_only``, for
-    :func:`min_weight`, lists up to the :func:`_listable` levels instead and
-    returns (d, None, [], False) once the least weight listed is d.  The
-    two-set path continues this listing; a walk drops it."""
+
+    One loop lists the levels of :func:`_levels`, on the RREF rows (the P
+    side) and, for a doubly even self-dual code with n = 2k, on the rows of
+    :func:`_two_set_rows` (the Q side); level r of a side is every word with
+    exactly r ones on its columns.  The head lists P levels only: 1 to
+    ``_PROBE_ROWS`` with ``abort_below``, up to the :func:`_listable` levels
+    for ``d_only`` (:func:`min_weight`), none otherwise.  After it, a code
+    that :func:`_two_set_rows` turns down is walked, and the listing drops;
+    any other continues with the next level of the side with fewer, P first
+    on a tie.  It aborts once the least weight listed is below
+    ``abort_below``.  With P levels 1 to a and Q levels 1 to b listed, a
+    word not yet listed weighs more than a + b + 1: ``d_only`` returns
+    (d, None, [], False) once the least weight listed is at most that, and
+    the two-set path stops once every word up to max(d, 4 floor(n/24)) is
+    listed, which for a [56,28,12] code skips the Q side of level 6
+    (376 740 words).  It keeps the words up to that weight, drops the Q-side
+    words with at most a ones on P (listed on the P side too), and takes the
+    distribution from A_0, A_4, ..., A_(4 floor(n/24)) by
+    :func:`_gleason_distribution`, checked against every count listed up to
+    that weight.  Its weight-d words come in no particular order."""
     _check_gf2(code)
-    listing = levels, listed = _levels(_packed_rows(code._reduced.row_bits, code.n)), []
-    if abort_below is not None or d_only:
-        best = code.n + 1
-        for r in range(1, min(code.k if d_only else _PROBE_ROWS, _listable(code.k)) + 1):
-            listed.append(next(levels))
-            best = min(best, int(listed[-1][1].min()))
-            if abort_below is not None and best < abort_below:
-                return best, None, [], True
-            # every word not yet listed weighs more than r, so a best <= r + 1 is d
-            if d_only and best <= r + 1:
-                return best, None, [], False
-    if _lists_two_sets(code):
-        best, dist, words, aborted = _scan_two_sets(code, abort_below=abort_below, listing=listing)
-    else:
-        listing = levels = listed = None  # the walk needs no listed level
+    n = code.n
+    head = (min(code.k if d_only else _PROBE_ROWS, _listable(code.k))
+            if abort_below is not None or d_only else 0)
+    sides = [_levels(_packed_rows(code._reduced.row_bits, n))]
+    kept, depth = [[]], [0]  # per side: the words kept and the levels listed
+    best, floor = n + 1, 4 * (n // 24)
+    while len(sides) == 1 or max(best, floor) > sum(depth) + 1:
+        if len(sides) == 1 and depth[0] == head:
+            q_rows = _two_set_rows(code)  # after the head, which turns down almost every screened code
+            if q_rows is None:
+                break
+            sides.append(_levels(_packed_rows(q_rows, n)))  # 1-D: n = 2k <= 60
+            kept.append([])
+            depth.append(0)
+            continue
+        side = int(len(sides) == 2 and depth[1] < depth[0])
+        words, w = next(sides[side])
+        depth[side] += 1
+        best = min(best, int(w.min()))
+        if abort_below is not None and best < abort_below:
+            return best, None, [], True
+        if d_only and best <= sum(depth) + 1:
+            return best, None, [], False
+        if not d_only:  # the head's levels whole, later ones up to the weight the stop needs
+            kept[side].append(words if len(sides) == 1 else words[w <= max(best, floor)])
+    if len(sides) == 1:
+        sides = kept = None  # the walk needs no listed level
         best, dist, words, aborted = _scan_binary(code, abort_below=abort_below, threads=threads)
-    if aborted:
-        return best, None, [], True
-    return best, _distribution(code.n, dist), words, False
+        if aborted:
+            return best, None, [], True
+        return best, _distribution(n, dist), words, False
+    bound = max(best, floor)
+    zero = np.zeros(1, dtype=np.uint64)  # level 0 of either side
+    q_words = np.concatenate([zero, *kept[1]])
+    p_mask = np.uint64(sum(1 << (p - 1) for p in code._pivots))
+    # a Q-side word with at most depth[0] ones on P was listed on the P side too
+    words = np.concatenate([zero, *kept[0], q_words[np.bitwise_count(q_words & p_mask) > depth[0]]])
+    weights = np.bitwise_count(words)
+    counts = np.bincount(weights[weights <= bound], minlength=n + 1)
+    dist = _gleason_distribution(n, counts[:floor + 1:4].tolist())
+    if any(dist.get(w, 0) != counts[w] for w in range(bound + 1)):
+        raise PostconditionError(
+            "Gleason distribution disagrees with the listed light words; "
+            "the code is not doubly even self-dual")
+    return best, WeightDistribution(n, dist), words[weights == best], False
 
 
 def _distribution(n: int, dist: np.ndarray) -> WeightDistribution:
@@ -472,10 +452,10 @@ def _scan_generic(code: LinearCode, *, abort_below: int | None = None):
 
 def min_weight(code: LinearCode, abort_above: int | None = None,
                threads: int = 1) -> int:
-    """Exact minimum nonzero codeword weight.  A binary code lists levels
-    1, 2, ... of its RREF rows until the least weight seen is d, and takes
-    the gate, which continues that listing, when the listing ends first,
-    past 2^k / 8 words (see :func:`_scan`).
+    """Exact minimum nonzero codeword weight.  A binary code takes the gate,
+    which lists levels until the least weight seen is d: of its RREF rows up
+    to 2^k / 8 words, then of a second information set for a doubly even
+    self-dual code with n = 2k; any other code is walked (see :func:`_scan`).
 
     With ``abort_above = t`` the scan may stop at a nonzero codeword of
     weight < t; the returned value is then that weight (an upper bound on

@@ -433,6 +433,23 @@ def test_invariant_weight_below_one_is_a_usage_error(capsys, weight):
     assert out == "" and f"--weight must be at least 1, got {weight}" in err
 
 
+def test_invariant_weight_above_n_is_an_error(capsys):
+    # a381310 has n = 38: --weight 39 printed 38 zeros and exited 0
+    assert main(["invariant", "a381310", "--weight", "39"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "weight must be in 1..38, got 39" in err
+
+
+@pytest.mark.parametrize("budget", ["-1", "-5"])
+def test_equiv_node_budget_below_zero_is_a_usage_error(capsys, budget):
+    # --node-budget -5 ran, and answered "unknown" after one node as 0 does
+    with pytest.raises(SystemExit) as exc:
+        main(["equiv", "D11", "C56.1", "--node-budget", budget])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--node-budget must be at least 0, got {budget}" in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hullkit.cli", "info", "a37225", "--format", "json"],

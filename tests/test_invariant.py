@@ -19,7 +19,7 @@ from hullkit import (
     nt_sequence,
     same_code,
 )
-from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_seed
+from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_seed
 from hullkit import invariant
 from hullkit.invariant import _cover, _incidence, _key_dtype, _slice, nt_from_masks
 from hullkit.minweight import _packed_rows, codeword_masks_of_weight
@@ -178,6 +178,15 @@ def test_slice_counts_every_entry_directly(data):
         s = _slice(cover, a, n)
         assert s.dtype == np.int32 and s.shape == (n, len(i))
         assert np.array_equal(s, np.where(repeated, -1, want))
+
+
+def test_nt_sequence_needs_a_weight_from_1_to_n():
+    # w = 0 counted only the zero word and w = n + 1 none, both as all zeros
+    code = load_a_block_code("a40226")
+    for w in (0, code.n + 1, -1):
+        with pytest.raises(ValueError, match=f"weight must be in 1..40, got {w}"):
+            nt_sequence(code, w)
+    assert nt_sequence(code, code.n).weight == code.n
 
 
 def test_nt_sequence_runs_past_n_when_counts_do():

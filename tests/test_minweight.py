@@ -39,7 +39,6 @@ from hullkit import (
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_pair, load_seed
 from hullkit.cli import main
 from hullkit.code import apply_column_permutation
-from hullkit.errors import PredicateError
 from hullkit.minweight import (
     _PROBE_ROWS,
     _gleason_distribution,
@@ -49,7 +48,7 @@ from hullkit.minweight import (
     _scan_binary,
     _scan_generic,
     _scan_range,
-    _scan_two_sets,
+    _two_set_rows,
     _words,
 )
 from hullkit.invariant import nt_from_masks
@@ -603,15 +602,16 @@ def test_walk_threads_are_capped_at_the_usable_cpus(monkeypatch):
 # --- two information sets -------------------------------------------------------
 
 def _assert_two_sets_match_walk(code, dist=None, threads=1):
-    """_scan_two_sets gives the walk's d, weight-d words (as a set),
-    distribution and fingerprint; ``dist`` stands in for a walked
+    """The gate's two-set path gives the walk's d, weight-d words (as a
+    set), distribution and fingerprint; ``dist`` stands in for a walked
     distribution that another test already pins."""
     if dist is None:
         dist = dict(walked_distribution(code, threads=threads).counts)
-    d, got, words, aborted = _scan_two_sets(code)
+    assert _two_set_rows(code) is not None
+    d, got, words, aborted = _scan(code)
     assert not aborted
     assert d == min(w for w in dist if w > 0)
-    assert {w: int(c) for w, c in enumerate(got) if c} == dist
+    assert dict(got.counts) == dist
     walked = codeword_masks_of_weight(code, d, threads=threads)
     masks = words.tolist()
     assert len(masks) == len(set(masks)) == len(walked)
@@ -630,21 +630,79 @@ def test_two_sets_match_the_walk_on_bundled_codes():
     _assert_two_sets_match_walk(direct_sum(*[extended_hamming()] * 6), threads=2)
 
 
-def test_two_sets_need_a_self_dual_code():
-    # [I | 0] has n = 2k, but A A^T = 0, not I
-    code = LinearCode(FieldMatrix.from_bit_rows([1, 2, 4, 8], 8))
-    with pytest.raises(PredicateError, match="self-dual"):
-        _scan_two_sets(code)
+def test_codes_without_a_second_information_set_are_walked(monkeypatch):
+    # each has n = 2k: four copies of the [2,1] repetition code are self-dual
+    # but singly even; [I | A] has rows of weight 4, but two equal rows of A
+    # make A^T A singular; [I | 0] has rows of weight 1 and A^T A = 0
+    repetition = LinearCode(FieldMatrix.from_bit_rows([0b11], 2))
+    a = [0b0111, 0b0111, 0b1011, 0b1101]
+    codes = [direct_sum(*[repetition] * 4),
+             LinearCode(FieldMatrix.from_bit_rows([1 << i | ai << 4 for i, ai in enumerate(a)], 8)),
+             LinearCode(FieldMatrix.from_bit_rows([1, 2, 4, 8], 8))]
+    assert [c.generator.row_bits[0].bit_count() % 4 for c in codes] == [2, 0, 1]
+    walked = []
+
+    def counting(code, **kwargs):
+        walked.append(code)
+        return _scan_binary(code, **kwargs)
+
+    monkeypatch.setattr(hullkit.minweight, "_scan_binary", counting)
+    for code in codes:
+        assert (code.n, _two_set_rows(code)) == (2 * code.k, None)
+        walked.clear()
+        _scan(code)
+        assert walked == [code]
+        _assert_gate_matches_the_walk(code, 1)
+        dist = walked_distribution(code).counts
+        _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan)
+
+
+def test_a_permuted_d11_takes_the_listing(monkeypatch):
+    # its pivots are not its first 28 columns; no path may walk
+    d11 = load_seed("D11")
+    perm = list(range(1, d11.n + 1))
+    random.Random(3).shuffle(perm)
+    code = apply_column_permutation(d11, perm)
+    assert list(code._pivots) != list(range(1, code.k + 1))
+    expected_nt = nt_from_masks(_scan(d11)[2], d11.n)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a doubly even self-dual code was walked")
+
+    monkeypatch.setattr(hullkit.minweight, "_scan_binary", no_walk)
+    d, dist, words, aborted = _scan(code)
+    assert (d, dict(dist.counts), aborted) == (12, GLEASON_56_EXTREMAL, False)
+    assert len(set(words.tolist())) == GLEASON_56_EXTREMAL[12]
+    assert nt_from_masks(words, code.n) == expected_nt
+    assert all(code.contains(FieldVector.from_bits(int(m), code.n)) for m in words[:50])
+    assert _listed(_scan(code, 12)) == _listed((d, dist, words, aborted))
+    assert _scan(code, 13) == (12, None, [], True)
+    assert min_weight(code) == 12
+
+
+def test_the_gate_computes_no_gram(monkeypatch):
+    seeds = [load_seed(name) for name in CIRCULANT_SEED_NAMES]
+
+    def no_gram(*args):
+        raise AssertionError("the gate computed a Gram matrix")
+
+    monkeypatch.setattr(hullkit.field, "gram", no_gram)
+    monkeypatch.setattr(hullkit.code, "gram", no_gram)
+    for code in seeds:
+        for abort_below in (None, 12):
+            d, dist, _, aborted = _scan(code, abort_below)
+            assert (d, dict(dist.counts), aborted) == (12, GLEASON_56_EXTREMAL, False)
+    assert min_weight(seeds[0]) == 12
 
 
 def test_two_sets_screen_is_exact_on_bundled_codes():
     for name in CIRCULANT_SEED_NAMES:
         low = 1 if name == "D11" else 12
         _assert_screen_exact(load_seed(name), GLEASON_56_EXTREMAL, range(low, 58),
-                             scan=_scan_two_sets)
+                             scan=_scan)
     for code in (extended_hamming(), bordered_golay()):
         dist = walked_distribution(code).counts
-        _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan_two_sets)
+        _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan)
 
 
 _E8 = extended_hamming()
@@ -660,7 +718,7 @@ def test_two_sets_match_the_walk_on_random_doubly_even_self_dual_codes(base, see
     code = transform_code(form, random_de_safe_pair(random.Random(seed), form.a_block.cols))
     _assert_two_sets_match_walk(code)
     dist = walked_distribution(code).counts
-    _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan_two_sets)
+    _assert_screen_exact(code, dist, range(1, code.n + 2), scan=_scan)
 
 
 _PROBE_MISSES = [294, 569, 640, 853, 864, 1057, 1267, 1420]
@@ -668,25 +726,31 @@ _PROBE_MISSES = [294, 569, 640, 853, 864, 1057, 1267, 1420]
 
 def test_two_sets_decide_the_sd_screen_probe_misses(monkeypatch):
     # The D11/y4 candidates of this pool whose light words all need four
-    # information rows: the screen's levels 1-3 pass them to the two-set
-    # path, and both scans find the same weight-8 word bound.
+    # information rows: the screen's levels 1-3 pass them to the structural
+    # test, they take the two-set listing, and it finds the walk's weight-8
+    # word bound.
     form = standard_form(load_seed("D11"))
     y = make_yi(28, 4)
     xs = sampled_x(28, y, 1500, rng_seed=22, rule="mod4")
     outs = [transform_code(form, TransformPair(x, y)) for x in xs]
-    handed = []
+    tested = []
+
+    def recording(code):
+        tested.append((code, _two_set_rows(code)))
+        return tested[-1][1]
+
     with monkeypatch.context() as m:
-        m.setattr(hullkit.minweight, "_scan_two_sets",
-                  lambda code, **kwargs: handed.append(code) or (8, None, [], True))
+        m.setattr(hullkit.minweight, "_two_set_rows", recording)
         for out in outs:
             _scan(out, 12)
-    misses = [i for i, out in enumerate(outs) if any(out is c for c in handed)]
+    misses = [i for i, out in enumerate(outs) if any(out is c for c, _ in tested)]
     assert misses == _PROBE_MISSES
+    assert all(rows is not None for _, rows in tested)
     for i in misses:
         walked = _scan_binary(outs[i], abort_below=12)
         assert walked[0] == 8 and walked[3]
-        assert _scan_two_sets(outs[i], abort_below=12) == (8, None, [], True)
-        assert _scan_two_sets(outs[i])[0] == 8
+        assert _scan(outs[i], 12) == (8, None, [], True)
+        assert _scan(outs[i])[0] == 8
 
 
 def test_two_sets_stop_after_the_last_levels_p_side(monkeypatch):
@@ -702,7 +766,7 @@ def test_two_sets_stop_after_the_last_levels_p_side(monkeypatch):
         return _next_level(prev, rows, r)
 
     monkeypatch.setattr(hullkit.minweight, "_next_level", counting)
-    d, _, masks, _ = _scan_two_sets(code)
+    d, _, masks, _ = _scan(code)
     assert (d, len(masks)) == (12, GLEASON_56_EXTREMAL[12])
     assert levels == ["P1", "Q1", "P2", "Q2", "P3", "Q3", "P4", "Q4", "P5", "Q5", "P6"]
     once = sorted(levels)
@@ -718,7 +782,7 @@ def test_two_sets_stop_after_the_last_levels_p_side(monkeypatch):
 
 
 def test_gate_continuing_the_screen_matches_a_fresh_two_set_listing():
-    # the gate hands the screen's listed P levels to the two-set path; the
+    # the two-set path continues the screen's and min_weight's P levels; the
     # result must not depend on where the P side was started
     form = standard_form(load_seed("D11"))
     y = make_yi(28, 4)
@@ -727,29 +791,39 @@ def test_gate_continuing_the_screen_matches_a_fresh_two_set_listing():
     codes += [transform_code(form, TransformPair(xs[i], y)) for i in _PROBE_MISSES]
     assert len(codes) == 14
     for code in codes:
-        for abort_below in (12, None):
-            d, dist, words, aborted = _scan(code, abort_below)
-            fresh = _scan_two_sets(code, abort_below=abort_below)
-            assert (d, aborted) == (fresh[0], fresh[3])
-            assert (dist is None) == (fresh[1] is None)
-            if dist is not None:
-                assert dict(dist.counts) == {w: int(c) for w, c in enumerate(fresh[1]) if c}
-            assert sorted(np.asarray(words).tolist()) == sorted(np.asarray(fresh[2]).tolist())
+        fresh = _scan(code)  # no head: P1, Q1, P2, ...
+        d, dist, words, aborted = _scan(code, 12)
+        assert aborted == (fresh[0] < 12) and min_weight(code) == fresh[0]
+        if aborted:
+            assert fresh[0] <= d < 12 and dist is None
+        else:
+            assert (d, dict(dist.counts)) == (fresh[0], dict(fresh[1].counts))
+            assert sorted(words.tolist()) == sorted(fresh[2].tolist())
 
 
-def test_one_function_calls_next_level():
-    # every listing goes through the one producer, _levels, so a new path
-    # cannot build levels of its own beside the listing _scan hands on
+def _callers(name):
+    """module.function for every function of hullkit that calls ``name``."""
     source = Path(hullkit.__file__).resolve().parent
     callers = []
     for path in sorted(source.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                    isinstance(node, ast.Call) and "_next_level" in
+                    isinstance(node, ast.Call) and name in
                     (getattr(node.func, "id", None), getattr(node.func, "attr", None))
                     for node in ast.walk(fn)):
                 callers.append(f"{path.stem}.{fn.name}")
-    assert callers == ["minweight._levels"]
+    return callers
+
+
+def test_one_function_calls_next_level():
+    # every listing goes through the one producer, _levels, so a new path
+    # cannot build levels of its own beside the listing of _scan
+    assert _callers("_next_level") == ["minweight._levels"]
+
+
+def test_one_function_lists_levels():
+    # the screen, min_weight and the two-set path are one loop in _scan
+    assert _callers("_levels") == ["minweight._scan"]
 
 
 def test_gate_returns_its_words_as_one_packed_array():

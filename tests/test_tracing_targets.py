@@ -48,7 +48,7 @@ def test_every_import_is_used_or_traced(monkeypatch):
 def test_invariant_takes_from_minweight_only_the_gate_the_producer_and_traced_names(monkeypatch):
     # invariant reads packed words from the gate and from minweight._words; it
     # packs nothing itself and calls no public int enumeration
-    allowed = {"WeightDistribution", "_lists_two_sets", "_scan", "_words"}
+    allowed = {"WeightDistribution", "_scan", "_two_set_rows", "_words"}
     allowed |= {attr for owner, attr, *_ in _targets(monkeypatch) if owner is hullkit.invariant}
     tree = ast.parse((SOURCE / "invariant.py").read_text(encoding="utf-8"))
     imported = {a.asname or a.name for node in ast.walk(tree)
