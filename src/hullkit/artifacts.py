@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .circulant import CirculantSpec, bordered_double_circulant
 from .code import LinearCode
 from .errors import CodeParseError
-from .field import GF2, FieldMatrix, FieldVector
+from .field import GF2, FieldMatrix, FieldVector, parse_symbols
 from .transform import TransformPair
 
 CIRCULANT_SEED_NAMES = ("D11", "C56.1", "C56.2", "C56.3", "C56.4", "C56.5")
@@ -94,7 +94,7 @@ def load_seed(name: str) -> LinearCode:
         raise KeyError(f"no bundled circulant seed named {name!r}")
     if len(art.payload) != 27:
         raise CodeParseError(f"seed {name}: expected 27 symbols, got {len(art.payload)}")
-    row = FieldVector(GF2, [int(c) for c in art.payload])
+    row = FieldVector(GF2, parse_symbols(GF2, art.payload))
     return bordered_double_circulant(CirculantSpec(row))
 
 
@@ -107,8 +107,8 @@ def load_a_block_code(name: str) -> LinearCode:
     k, m = _EXPECTED_A_DIMS[name]
     if len(rows) != k or any(len(r) != m for r in rows):
         raise CodeParseError(f"A-block {name}: expected {k} rows of {m} symbols")
-    a = FieldMatrix(GF2, [[int(c) for c in r] for r in rows], cols=m)
-    return LinearCode(FieldMatrix.identity(GF2, k).hstack(a))
+    a = FieldMatrix(GF2, [parse_symbols(GF2, r) for r in rows], cols=m)
+    return LinearCode.systematic(a)
 
 
 def load_pair(name: str) -> TransformPair:

@@ -31,9 +31,7 @@ def circulant_matrix(spec: CirculantSpec) -> FieldMatrix:
 
 def pure_double_circulant(spec: CirculantSpec) -> LinearCode:
     """[2l, l] code with generator [I_l | R]."""
-    r = circulant_matrix(spec)
-    ident = FieldMatrix.identity(spec.first_row.field, spec.size)
-    return LinearCode(ident.hstack(r))
+    return LinearCode.systematic(circulant_matrix(spec))
 
 
 def bordered_double_circulant(spec: CirculantSpec) -> LinearCode:
@@ -47,6 +45,4 @@ def bordered_double_circulant(spec: CirculantSpec) -> LinearCode:
     r = circulant_matrix(spec)
     border = [tuple([0] + [1] * l)]
     body = [tuple([1] + list(row)) for row in r.entries]
-    b = FieldMatrix(field, border + body, cols=l + 1)
-    ident = FieldMatrix.identity(field, l + 1)
-    return LinearCode(ident.hstack(b))
+    return LinearCode.systematic(FieldMatrix(field, border + body, cols=l + 1))

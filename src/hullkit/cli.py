@@ -87,7 +87,7 @@ def _parse_coords(text: str) -> list[int]:
 
 
 def _parse_y(spec: str, m: int) -> FieldVector:
-    if spec.startswith("y") and spec[1:].isdigit():
+    if spec.startswith("y") and spec[1:].isascii() and spec[1:].isdigit():
         return make_yi(m, int(spec[1:]))
     if set(spec) <= {"0", "1"}:
         if len(spec) != m:

@@ -1,5 +1,6 @@
 """Linear codes over prime fields: duals, hulls, predicates, standard form,
 shortening/puncturing, and the extremality bound for doubly even self-dual codes.
+:meth:`LinearCode.systematic` builds every code given as [I_k | A].
 
 Coordinate sets passed to :func:`shorten` / :func:`puncture` are 1-based
 subsets of {1..n}; permutation tuples are in source-order form (entry i is
@@ -22,6 +23,7 @@ from .field import (
     FieldVector,
     PrimeField,
     gram,
+    parse_symbols,
     rank,
     rref,
     transpose,
@@ -35,6 +37,9 @@ class LinearCode:
     k = 0 (empty generator) is legal as the result of dual/shorten, never as
     input to the transform.  ``provenance`` is free-form metadata (e.g. the
     column permutation applied by standard_form); it never affects identity.
+
+    ``_reduced`` is the generator's reduced row-echelon form and ``_pivots``
+    its pivot columns, 0-based (``rref`` reports them 1-based).
     """
 
     __slots__ = ("field", "n", "k", "generator", "provenance", "_reduced", "_pivots")
@@ -52,19 +57,16 @@ class LinearCode:
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "provenance", dict(provenance) if provenance else {})
         object.__setattr__(self, "_reduced", reduced)
-        object.__setattr__(self, "_pivots", pivots)
+        object.__setattr__(self, "_pivots", tuple(c - 1 for c in pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
 
     @classmethod
-    def from_spanning_rows(cls, field: PrimeField, rows: Iterable[Sequence[int]],
-                           n: int | None = None) -> "LinearCode":
-        """Code spanned by the given rows; dependent rows are dropped."""
-        mat = FieldMatrix(field, rows, cols=n)
-        reduced, pivots = rref(mat)
-        basis = [reduced.entries[i] for i in range(len(pivots))]
-        return cls(FieldMatrix(field, basis, cols=mat.cols))
+    def systematic(cls, a: FieldMatrix, provenance: Mapping | None = None) -> "LinearCode":
+        """The code generated by [I_k | A], the one place such a generator is
+        assembled; it is its own reduced row-echelon form, pivots 0..k-1."""
+        return cls(FieldMatrix.identity(a.field, a.rows).hstack(a), provenance)
 
     def __repr__(self) -> str:
         return f"LinearCode(GF({self.field.p}), [{self.n},{self.k}])"
@@ -76,13 +78,13 @@ class LinearCode:
         if self.field.binary:
             bits = v.bits
             for row_bits, piv in zip(self._reduced.row_bits, self._pivots):
-                if (bits >> (piv - 1)) & 1:
+                if (bits >> piv) & 1:
                     bits ^= row_bits
             return bits == 0
         p = self.field.p
         syms = list(v.symbols)
         for row, piv in zip(self._reduced.entries, self._pivots):
-            c = syms[piv - 1]
+            c = syms[piv]
             if c:
                 for j in range(self.n):
                     syms[j] = (syms[j] - c * row[j]) % p
@@ -101,12 +103,8 @@ def _first_dependent_row(mat: FieldMatrix) -> int:
 
 
 def same_code(c1: LinearCode, c2: LinearCode) -> bool:
-    """Set equality, decided by two-sided generator membership."""
-    if c1.field != c2.field or c1.n != c2.n:
-        return False
-    if c1.k != c2.k:
-        return False
-    return all(c2.contains(c1.generator.row(i)) for i in range(c1.k))
+    """Set equality: a subspace has exactly one reduced row-echelon basis."""
+    return c1._reduced == c2._reduced
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,6 @@ class StandardForm:
     def is_identity_permutation(self) -> bool:
         return self.column_permutation == tuple(range(1, self.n + 1))
 
-    def generator(self) -> FieldMatrix:
-        return FieldMatrix.identity(self.field, self.k).hstack(self.a_block)
-
     @cached_property
     def a_gram(self) -> FieldMatrix:
         """A A^T, so that G G^T = I + A A^T for G = [I_k | A]."""
@@ -157,7 +152,14 @@ class StandardForm:
         prov = {}
         if not self.is_identity_permutation:
             prov["column_permutation"] = self.column_permutation
-        return LinearCode(self.generator(), provenance=prov)
+        return LinearCode.systematic(self.a_block, prov)
+
+
+def _pivots_first(code: LinearCode) -> tuple[list[int], FieldMatrix]:
+    """The columns (0-based), pivots first, and A of the reduced generator so permuted."""
+    pivots = set(code._pivots)
+    free = [j for j in range(code.n) if j not in pivots]
+    return list(code._pivots) + free, code._reduced.take_columns(free)
 
 
 def standard_form(code: LinearCode) -> StandardForm:
@@ -169,10 +171,8 @@ def standard_form(code: LinearCode) -> StandardForm:
     """
     if code.k == 0:
         raise PredicateError("standard form of the zero code is undefined")
-    piv0 = [p - 1 for p in code._pivots]
-    nonpiv = sorted(set(range(code.n)) - set(piv0))
-    a = code._reduced.take_columns(nonpiv)
-    return StandardForm(tuple(j + 1 for j in piv0 + nonpiv), a)
+    order, a = _pivots_first(code)
+    return StandardForm(tuple(j + 1 for j in order), a)
 
 
 def apply_column_permutation(code: LinearCode, perm: Sequence[int]) -> LinearCode:
@@ -183,21 +183,15 @@ def apply_column_permutation(code: LinearCode, perm: Sequence[int]) -> LinearCod
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """The [n, n-k] dual code under the standard inner product."""
-    n = code.n
-    reduced, pivots = code._reduced, code._pivots
-    piv0 = [p - 1 for p in pivots]
-    pivset = set(piv0)
-    free = [j for j in range(n) if j not in pivset]
-    p = code.field.p
-    basis = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for i, pc in enumerate(piv0):
-            v[pc] = (-reduced.entries[i][f]) % p
-        basis.append(v)
-    return LinearCode(FieldMatrix(code.field, basis, cols=n))
+    """The [n, n-k] dual code under the standard inner product.
+
+    Pivots first, the reduced generator is [I_k | A], and [-A^T | I_{n-k}]
+    generates the dual (Huffman & Pless, *Fundamentals of Error-Correcting
+    Codes*, §1.2); its columns then go back in place.
+    """
+    order, a = _pivots_first(code)
+    h = (-transpose(a)).hstack(FieldMatrix.identity(code.field, code.n - code.k))
+    return LinearCode(h.take_columns(sorted(range(code.n), key=order.__getitem__)))
 
 
 def gram_matrix(code: LinearCode) -> FieldMatrix:
@@ -252,9 +246,9 @@ def is_extremal_doubly_even_self_dual(code: LinearCode, d: int) -> bool:
     return d == 4 * (code.n // 24) + 4
 
 
-def _check_coords(code: LinearCode, coords: Iterable[int]) -> list[int]:
-    t = sorted(set(int(c) for c in coords))
-    for c in t:
+def _check_coords(code: LinearCode, coords: Iterable[int]) -> set[int]:
+    t = set(int(c) for c in coords)
+    for c in sorted(t):
         if not 1 <= c <= code.n:
             raise DimensionError(f"coordinate {c} out of range 1..{code.n}")
     return t
@@ -263,9 +257,9 @@ def _check_coords(code: LinearCode, coords: Iterable[int]) -> list[int]:
 def puncture(code: LinearCode, coords: Iterable[int]) -> LinearCode:
     """Delete the 1-based coordinates in ``coords`` from every codeword."""
     t = _check_coords(code, coords)
-    keep = [j for j in range(code.n) if j + 1 not in set(t)]
-    rows = [[r[j] for j in keep] for r in code.generator.entries]
-    return LinearCode.from_spanning_rows(code.field, rows, n=len(keep))
+    keep = [j for j in range(code.n) if j + 1 not in t]
+    reduced, pivots = rref(code.generator.take_columns(keep))
+    return LinearCode(reduced.take_rows(range(len(pivots))))
 
 
 def shorten(code: LinearCode, coords: Iterable[int]) -> LinearCode:
@@ -306,26 +300,23 @@ def parse_code(text: str, source: str = "<string>") -> LinearCode:
         if len(ln) != n:
             raise CodeParseError(f"{source}:{i}: row has {len(ln)} symbols, expected {n}")
         try:
-            row = [int(ch) for ch in ln]
-        except ValueError:
-            raise CodeParseError(f"{source}:{i}: non-digit symbol in row") from None
-        for s in row:
-            if s >= q:
-                raise CodeParseError(f"{source}:{i}: symbol {s} out of range for GF({q})")
-        rows.append(row)
+            rows.append(parse_symbols(field, ln))
+        except ValueError as e:
+            raise CodeParseError(f"{source}:{i}: {e}") from None
     mat = FieldMatrix(field, rows, cols=n)
-    if rank(mat) < k:
+    try:
+        return LinearCode(mat)
+    except (DimensionError, ValueError):  # k > n, or rank below k
         dep = _first_dependent_row(mat)
         raise CodeParseError(
             f"{source}:{dep + 1}: row {dep} is linearly dependent on rows 1..{dep - 1}"
-        )
-    return LinearCode(mat)
+        ) from None
 
 
 def format_code(code: LinearCode) -> str:
     if code.field.p > 7:
         raise ValueError("digit format supports q <= 7")
     lines = [f"{code.field.p} {code.n} {code.k}"]
-    lines += ["".join(str(s) for s in r) for r in code.generator.entries]
+    lines += [code.generator.row(i).to_string() for i in range(code.k)]
     return "\n".join(lines) + "\n"
 

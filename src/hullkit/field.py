@@ -1,16 +1,17 @@
 """Prime-field scalar/vector/matrix arithmetic with a bit-packed GF(2) fast path.
 
-Everything above this module is field-generic.  Vectors and matrices are
+Everything above this module is field-generic, and builds codes through the
+operations here without unpacking a GF(2) row.  Vectors and matrices are
 immutable values: operations return fresh objects and never mutate inputs,
 so all types are safe to share between threads.
 
 Over GF(2), vectors and matrices are packed-first: a vector keeps its
 coordinates packed into a Python int (``bits``, bit i = coordinate i), a
 matrix its rows, and symbol tuples are unpacked only when asked for.  Inner
-products reduce to ``(a & b).bit_count() & 1``, and products, transposes
-and Gram matrices work on the packed rows.  The generic modular path covers
-p >= 3.  Both paths are kept alive and differentially tested against each
-other.
+products reduce to ``(a & b).bit_count() & 1``, and products, transposes,
+negations, row and column selections and Gram matrices work on the packed
+rows.  The generic modular path covers p >= 3.  Both paths are kept alive and
+differentially tested against each other.
 
 Public coordinate references (pivot columns and the like) are 1-based,
 following the conventions of the coding-theory literature; see README.
@@ -77,6 +78,15 @@ def _pack_bits(symbols: Sequence[int]) -> int:
         if s:
             bits |= 1 << i
     return bits
+
+
+def parse_symbols(field: PrimeField, text: str) -> tuple[int, ...]:
+    """The symbols of a digit string such as '0110': ASCII '0' to 'p - 1'
+    only, where ``int`` would take any Unicode decimal digit."""
+    for ch in text:
+        if not "0" <= ch <= "9":
+            raise ValueError(f"invalid literal for a GF({field.p}) symbol: {ch!r}")
+    return tuple(field.check(int(ch)) for ch in text)
 
 
 def _bit_string(bits: int, length: int) -> str:
@@ -189,11 +199,6 @@ class FieldVector:
         p = self.field.p
         return FieldVector(self.field, [(a + b) % p for a, b in zip(self.symbols, other.symbols)])
 
-    def __sub__(self, other: "FieldVector") -> "FieldVector":
-        self._require_compatible(other)
-        p = self.field.p
-        return FieldVector(self.field, [(a - b) % p for a, b in zip(self.symbols, other.symbols)])
-
     def __neg__(self) -> "FieldVector":
         p = self.field.p
         return FieldVector(self.field, [(-a) % p for a in self.symbols])
@@ -287,6 +292,8 @@ class FieldMatrix:
         return self._entries
 
     def row(self, i: int) -> FieldVector:
+        if self.field.binary:
+            return FieldVector.from_bits(self.row_bits[i], self.cols)
         return FieldVector(self.field, self.entries[i])
 
     def to_numpy(self) -> np.ndarray:
@@ -307,6 +314,12 @@ class FieldMatrix:
 
     def __repr__(self) -> str:
         return f"FieldMatrix(GF({self.field.p}), {self.rows}x{self.cols})"
+
+    def __neg__(self) -> "FieldMatrix":
+        if self.field.binary:
+            return self  # -1 = 1
+        p = self.field.p
+        return FieldMatrix(self.field, [[(-s) % p for s in r] for r in self.entries], cols=self.cols)
 
     def hstack(self, other: "FieldMatrix") -> "FieldMatrix":
         if other.field != self.field or other.rows != self.rows:
@@ -330,6 +343,12 @@ class FieldMatrix:
                 len(js),
             )
         return FieldMatrix(self.field, [[r[j] for j in js] for r in self.entries], cols=len(js))
+
+    def take_rows(self, rs: Sequence[int]) -> "FieldMatrix":
+        """New matrix whose row i is this matrix's row rs[i] (0-based)."""
+        if self.field.binary:
+            return FieldMatrix.from_bit_rows([self.row_bits[r] for r in rs], self.cols)
+        return FieldMatrix(self.field, [self.entries[r] for r in rs], cols=self.cols)
 
 
 def _xor_rows(mask: int, rows: Sequence[int]) -> int:
@@ -436,8 +455,6 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
         work, pivots = _rref_gf2(list(m.row_bits), m.cols)
         reduced = FieldMatrix.from_bit_rows(work, m.cols)
     else:
-        if m.rows == 0:
-            return m, ()
         work, pivots = _rref_generic(m.to_numpy(), m.field.p)
         reduced = FieldMatrix(m.field, work.tolist(), cols=m.cols)
     return reduced, tuple(c + 1 for c in pivots)
@@ -445,8 +462,4 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
 
 def rank(m: FieldMatrix) -> int:
     """Row rank over the field, by row reduction. Input is not mutated."""
-    if m.rows == 0:
-        return 0
-    if m.field.binary:
-        return len(_rref_gf2(list(m.row_bits), m.cols)[1])
-    return len(_rref_generic(m.to_numpy(), m.field.p)[1])
+    return len(rref(m)[1])

@@ -333,7 +333,7 @@ def _two_set_rows(code: LinearCode) -> list[int] | None:
     n, k, rows = code.n, code.k, code._reduced.row_bits
     if k == 0 or n != 2 * k or any(row.bit_count() % 4 for row in rows):
         return None
-    p_mask = sum(1 << (p - 1) for p in code._pivots)
+    p_mask = sum(1 << p for p in code._pivots)
     q_rows = []
     for j in (j for j in range(n) if not p_mask >> j & 1):
         acc = 0
@@ -407,7 +407,7 @@ def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1,
     bound = max(best, floor)
     zero = np.zeros(1, dtype=np.uint64)  # level 0 of either side
     q_words = np.concatenate([zero, *kept[1]])
-    p_mask = np.uint64(sum(1 << (p - 1) for p in code._pivots))
+    p_mask = np.uint64(sum(1 << p for p in code._pivots))
     # a Q-side word with at most depth[0] ones on P was listed on the P side too
     words = np.concatenate([zero, *kept[0], q_words[np.bitwise_count(q_words & p_mask) > depth[0]]])
     weights = np.bitwise_count(words)

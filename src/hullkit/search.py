@@ -31,7 +31,7 @@ from .code import (
     standard_form,
 )
 from .errors import CapacityError, IntegrityError, PostconditionError, PredicateError
-from .field import GF2, FieldVector
+from .field import GF2, FieldVector, parse_symbols
 from .invariant import _Certificate, _decide, _nt_counts
 # tracer-only: perfbench/tracing.py wraps these names, and search calls none of them
 from .invariant import is_equivalent, nt_from_masks  # noqa: F401
@@ -165,11 +165,6 @@ def _x_test(y: FieldVector, m: int, rule: str) -> Callable[[int], bool]:
     FieldVector.from_bits(0, m)._require_compatible(y)
     yb, mod = y.bits, _RULE_MOD[rule]
     return lambda v: v != 0 and not (v & yb).bit_count() & 1 and v.bit_count() % mod == 0
-
-
-def _x_ok(x: FieldVector, y: FieldVector, rule: str) -> bool:
-    x._require_compatible(y)  # a caller's x: DimensionError on a field or length mismatch
-    return _x_test(y, len(y), rule)(x.bits)
 
 
 def exhaustive_x(m: int, y: FieldVector, rule: str = "mod4") -> Iterator[FieldVector]:
@@ -334,7 +329,7 @@ def sd_search(seed: LinearCode, y: FieldVector,
     any other rule raises ValueError.  Every screen runs on one thread:
     ``threads`` reaches only dedup's equivalence decision.
     """
-    _x_test(y, len(y), rule)  # ValueError on an unknown rule, DimensionError on a non-binary y
+    ok = _x_test(y, len(y), rule)  # ValueError on an unknown rule, DimensionError on a non-binary y
     if not seed.field.binary:
         raise PredicateError("sd_search operates on binary seeds")
     if not is_self_dual(seed) or not is_doubly_even(seed):
@@ -344,8 +339,14 @@ def sd_search(seed: LinearCode, y: FieldVector,
     form = standard_form(seed)
     if len(y) != form.a_block.cols:
         raise PredicateError(f"y must have length n-k = {form.a_block.cols}")
-    pairs = (TransformPair(x, y) for x in x_candidates if _x_ok(x, y, rule))
-    return _search(form, pairs, "checked" if rule == "mod4" else "unchecked",
+
+    def pairs():
+        for x in x_candidates:
+            x._require_compatible(y)  # a caller's x: DimensionError on a field or length mismatch
+            if ok(x.bits):
+                yield TransformPair(x, y)
+
+    return _search(form, pairs(), "checked" if rule == "mod4" else "unchecked",
                    lambda sd, de, lcd: sd and de,
                    "sd_search emitted a non doubly-even-self-dual code",
                    d_target, seed_id, threads, stamp)
@@ -381,7 +382,7 @@ def _record_vector(record: SearchRecord, name: str, seed: LinearCode) -> FieldVe
     """The record's ``x`` or ``y`` as a nonzero vector over the seed's field."""
     text = getattr(record, name)
     try:
-        v = FieldVector(seed.field, [int(c) for c in text])
+        v = FieldVector(seed.field, parse_symbols(seed.field, text))
     except ValueError as e:
         raise IntegrityError(f"record {name}={text!r} is not a vector: {e}") from None
     if v.is_zero():

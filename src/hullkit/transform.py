@@ -36,6 +36,7 @@ from .field import (
     FieldVector,
     gram,
     inner_product,
+    parse_symbols,
 )
 from .field import matmul  # noqa: F401  (perfbench/tracing.py wraps transform.matmul)
 
@@ -115,7 +116,7 @@ class TransformPair:
                 raise CodeParseError(f"{source}:{i}: expected 'x' or 'y', got {name!r}")
             body = "".join(body.split())
             try:
-                vals[name] = FieldVector(GF2, [int(ch) for ch in body])
+                vals[name] = FieldVector(GF2, parse_symbols(GF2, body))
             except ValueError as e:
                 raise CodeParseError(f"{source}:{i}: {e}") from None
         if set(vals) != {"x", "y"}:
@@ -173,8 +174,8 @@ def transform_code(code: LinearCode | StandardForm, pair: TransformPair,
                    mode: Mode = "checked") -> LinearCode:
     """Build the transformed code with generator [I_k | A(x,y)].
 
-    The input is brought to standard form first; the column permutation used
-    (if any) is recorded in the output's provenance.  In checked mode the
+    The input is brought to standard form first; the output's provenance
+    records only the column permutation used (if any).  In checked mode the
     pair must carry a hypothesis flag, and the corresponding guaranteed
     conclusion is verified post hoc:
 
@@ -202,12 +203,7 @@ def transform_code(code: LinearCode | StandardForm, pair: TransformPair,
             "use mode='unchecked' for exploration"
         )
     a2 = transform_rows(form.a_block, pair)
-    prov: dict = {"transform_pair": (pair.x.to_string(), pair.y.to_string())}
-    if not form.is_identity_permutation:
-        prov["column_permutation"] = form.column_permutation
-    out = LinearCode(
-        FieldMatrix.identity(form.field, form.k).hstack(a2), provenance=prov
-    )
+    out = StandardForm(form.column_permutation, a2).code()
     if mode == "checked":
         if pair.isotropic and gram(a2) != form.a_gram:
             raise PostconditionError(

@@ -11,7 +11,7 @@ import random
 from . import artifacts
 from .circulant import CirculantSpec, pure_double_circulant
 from .code import is_doubly_even, is_extremal_doubly_even_self_dual, is_lcd, is_self_dual
-from .field import GF2, FieldMatrix, FieldVector, PrimeField, matmul
+from .field import GF2, FieldMatrix, FieldVector, PrimeField, matmul, parse_symbols
 from .minweight import min_weight, weight_distribution
 from .transform import TransformPair, m_matrix, transform_code, transform_rows
 
@@ -46,11 +46,11 @@ def run_verification() -> dict:
     ok, bad = True, []
     for name, art in artifacts.ARTIFACTS.items():
         if art.kind == "circulant-seed":
-            row = FieldVector(GF2, [int(c) for c in art.payload])
+            row = FieldVector(GF2, parse_symbols(GF2, art.payload))
             good = len(row) == 27 and row.to_string() == art.payload
         elif art.kind == "generator-A-block":
             code = artifacts.load_a_block_code(name)
-            a_rows = ["".join(str(s) for s in r[code.k:]) for r in code.generator.entries]
+            a_rows = [code.generator.row(i).to_string()[code.k:] for i in range(code.k)]
             good = "\n".join(a_rows) == art.payload
         else:
             good = artifacts.load_pair(name).to_text() == art.payload

@@ -32,6 +32,7 @@ from hullkit import (
     is_equivalent,
     nt_sequence,
     pure_double_circulant,
+    rref,
     same_code,
     transform_rows,
     weight_distribution,
@@ -197,6 +198,29 @@ def walked_distribution(code: LinearCode, threads: int = 1) -> WeightDistributio
     """A binary code's distribution from the exhaustive Gray walk alone, the
     reference the scan gate is held to (the public functions take the gate)."""
     return _distribution(code.n, _scan_binary(code, threads=threads)[1])
+
+
+def dual_symbolwise(code: LinearCode) -> FieldMatrix:
+    """A dual generator built one word at a time from the reduced generator:
+    for each non-pivot column f, 1 at f and minus column f on the pivots."""
+    n, p = code.n, code.field.p
+    reduced, pivots = rref(code.generator)
+    piv0 = [c - 1 for c in pivots]
+    basis = []
+    for f in sorted(set(range(n)) - set(piv0)):
+        v = [0] * n
+        v[f] = 1
+        for i, pc in enumerate(piv0):
+            v[pc] = (-reduced.entries[i][f]) % p
+        basis.append(v)
+    return FieldMatrix(code.field, basis, cols=n)
+
+
+def spanning_basis(field: PrimeField, rows, n: int) -> FieldMatrix:
+    """The nonzero rows of the reduced row-echelon form of ``rows``: a
+    generator of the code they span."""
+    reduced, pivots = rref(FieldMatrix(field, rows, cols=n))
+    return FieldMatrix(field, [reduced.entries[i] for i in range(len(pivots))], cols=n)
 
 
 def hull_dim_naive(code: LinearCode) -> int:

@@ -66,3 +66,13 @@ def test_seed_store_covers_codes_only():
     assert set(store) == set(artifact_names("circulant-seed")) | set(
         artifact_names("generator-A-block")
     )
+
+
+@pytest.mark.parametrize("digit", ["\u0661", "\uff11"], ids=["arabic-indic", "fullwidth"])
+def test_loaders_take_only_ascii_digits(monkeypatch, digit):
+    # int() reads both as 1
+    for name, load in (("D11", load_seed), ("a37225", load_a_block_code)):
+        art = ARTIFACTS[name]
+        monkeypatch.setitem(ARTIFACTS, name, BundledArtifact(name, art.kind, digit + art.payload[1:]))
+        with pytest.raises(ValueError, match="invalid literal"):
+            load(name)

@@ -476,3 +476,24 @@ def test_sample_and_rng_seed_below_their_floor_are_usage_errors(capsys, tmp_path
     assert exc.value.code == 2
     assert f"{option} must be at least {low}, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("digits", ["\u0660\u0661", "\uff10\uff11"], ids=["arabic-indic", "fullwidth"])
+def test_replay_fails_on_non_ascii_digits(capsys, tmp_path, digits):
+    records = _lcd_records(capsys, tmp_path)
+    header, record, _ = records.read_text().splitlines()
+    doc = json.loads(record)
+    doc["x"] = doc["x"].translate(str.maketrans("01", digits))
+    records.write_text("\n".join([header, json.dumps(doc)]) + "\n")
+    code, out, err = run_cli(capsys, "replay", "--records", str(records))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"hullkit: error: record x='{doc['x']}' is not a vector: invalid literal")
+
+
+@pytest.mark.parametrize("spec", ["y\u0664", "y\uff14"], ids=["arabic-indic", "fullwidth"])
+def test_search_sd_y_count_takes_only_ascii_digits(capsys, tmp_path, spec):
+    # int() reads both as y4
+    code, out, err = run_cli(capsys, "search-sd", "--seed", "D11", "--y", spec, "--sample", "1",
+                             "--rng-seed", "1", "--d-target", "12", "--out", str(tmp_path / "r"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"hullkit: error: cannot parse y spec {spec!r}")

@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import hullkit
 from hullkit import (
     GF2,
     CodeParseError,
@@ -10,12 +13,14 @@ from hullkit import (
     FieldVector,
     LinearCode,
     PredicateError,
+    TransformPair,
     UnsupportedFieldError,
     apply_column_permutation,
     dual,
     format_code,
     hull_dim,
     is_doubly_even,
+    is_equivalent,
     is_even,
     is_extremal_doubly_even_self_dual,
     is_lcd,
@@ -23,18 +28,25 @@ from hullkit import (
     is_self_orthogonal,
     parse_code,
     puncture,
+    rref,
     same_code,
     shorten,
     standard_form,
+    transform_code,
 )
 from hullkit.artifacts import load_a_block_code, load_seed
+from hullkit.search import make_yi
+from hullkit.verify import run_verification
 
 from conftest import (
     GF3,
+    GF5,
+    dual_symbolwise,
     enumerate_codewords_naive,
     extended_hamming,
     hull_dim_naive,
     random_code,
+    spanning_basis,
     weight_distribution_naive,
 )
 
@@ -312,3 +324,109 @@ def test_code_file_round_trip_random():
             c2 = parse_code(format_code(c))
             assert c2.generator == c.generator
             assert format_code(c2) == format_code(c)
+
+
+@pytest.mark.parametrize("digit", ["\u0661", "\uff11"], ids=["arabic-indic", "fullwidth"])
+def test_code_file_takes_only_ascii_digits(digit):
+    # int() reads both as 1
+    with pytest.raises(CodeParseError, match=r"<string>:2: invalid literal"):
+        parse_code(f"2 4 2\n1{digit}00\n0101\n")
+    with pytest.raises(CodeParseError, match=r"<string>:3: invalid literal"):
+        parse_code(f"3 3 2\n120\n0{digit}1\n")
+
+
+def test_code_file_with_more_rows_than_columns_names_a_dependent_row():
+    with pytest.raises(CodeParseError, match=r"<string>:4: row 3 is linearly dependent on rows 1\.\.2"):
+        parse_code("2 2 3\n10\n01\n11\n")
+
+
+def _punctured_oracle(code, coords):
+    keep = [j for j in range(code.n) if j + 1 not in coords]
+    return spanning_basis(code.field, [[r[j] for j in keep] for r in code.generator.entries], len(keep))
+
+
+def _shortened_oracle(code, coords):
+    """The reduced dual of the punctured dual, every step on the oracles."""
+    punctured = LinearCode(_punctured_oracle(LinearCode(dual_symbolwise(code)), coords))
+    return rref(dual_symbolwise(punctured))[0]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF5], ids=["GF2", "GF3", "GF5"])
+def test_dual_puncture_and_shorten_match_the_symbolwise_oracles(field):
+    rng = random.Random(4100 + field.p)
+    codes = [LinearCode(FieldMatrix.zeros(field, 0, 6)), LinearCode(FieldMatrix.identity(field, 6))]
+    for i in range(30):
+        n = rng.randint(2, 10)
+        code = random_code(rng, field, n, rng.randint(1, n - 1))
+        if i % 2:  # a zero first column is never a pivot
+            codes.append(LinearCode(FieldMatrix.zeros(field, code.k, 1).hstack(code.generator)))
+        else:
+            codes.append(_permuted(code, rng.random()))
+    assert [c.k for c in codes[:2]] == [0, 6]
+    assert sum(c._pivots != tuple(range(c.k)) for c in codes) >= 15
+    for code in codes:
+        assert dual(code).generator == dual_symbolwise(code)
+        coords = set(rng.sample(range(1, code.n + 1), rng.randint(1, code.n - 1)))
+        assert puncture(code, coords).generator == _punctured_oracle(code, coords)
+        assert shorten(code, coords).generator == _shortened_oracle(code, coords)
+
+
+def _no_unpacking(monkeypatch):
+    """Make unpacking a packed GF(2) matrix or vector raise."""
+    for cls, name, slot in ((FieldMatrix, "entries", "_entries"), (FieldVector, "symbols", "_symbols")):
+        unpack = getattr(cls, name).fget
+
+        def guarded(self, unpack=unpack, slot=slot):
+            if getattr(self, slot) is None:
+                raise AssertionError(f"{type(self).__name__} unpacked")
+            return unpack(self)
+
+        monkeypatch.setattr(cls, name, property(guarded))
+
+
+def _permuted(code, seed):
+    perm = list(range(1, code.n + 1))
+    random.Random(seed).shuffle(perm)
+    return apply_column_permutation(code, perm)
+
+
+_PACKED_CALLS = {
+    "dual": dual,
+    "dual-k0": lambda c: dual(dual(LinearCode(FieldMatrix.identity(GF2, 5)))),
+    "dual-kn": lambda c: dual(LinearCode(FieldMatrix.identity(GF2, 5))),
+    "puncture": lambda c: puncture(c, [1, 4, 9]),
+    "shorten": lambda c: shorten(c, [2, 3, 20]),
+    "same_code": lambda c: same_code(c, _permuted(c, 0)),
+    "format_code": format_code,
+    "parse_code": lambda c: parse_code(format_code(c)),
+    "standard_form": standard_form,
+    "transform_code": lambda c: transform_code(c, TransformPair(make_yi(28, 4), make_yi(28, 8))),
+    "is_equivalent": lambda c: is_equivalent(load_seed("D11"), c, node_budget=2000),
+    "run_verification": lambda c: run_verification(),
+}
+
+
+@pytest.mark.parametrize("call", list(_PACKED_CALLS))
+def test_code_operations_never_unpack_packed_rows(monkeypatch, call):
+    code = _permuted(load_seed("D11"), 3)  # packed rows, pivots not first
+    assert code.generator._entries is None and code._pivots != tuple(range(code.k))
+    _no_unpacking(monkeypatch)
+    with pytest.raises(AssertionError, match="FieldMatrix unpacked"):
+        code.generator.entries
+    _PACKED_CALLS[call](code)
+
+
+def test_one_constructor_assembles_identity_and_a_block():
+    # FieldMatrix.identity(...).hstack(...) is built by LinearCode.systematic alone
+    src = Path(hullkit.__file__).parent
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "hstack" and isinstance(node.func.value, ast.Call)
+                            and getattr(node.func.value.func, "attr", None) == "identity"):
+                        sites.append((path.name, fn.name))
+    assert sites == [("code.py", "systematic")]

@@ -16,7 +16,7 @@ from hullkit import (
     rref,
     transpose,
 )
-from hullkit.field import _inner_product_symbols, _matmul_symbols, gram
+from hullkit.field import _inner_product_symbols, _matmul_symbols, gram, parse_symbols
 
 from conftest import GF3, GF5, random_matrix, random_vector
 
@@ -221,3 +221,29 @@ def test_gram_generic_field_matches_symbol_product():
     for field in (GF3, GF5):
         m = random_matrix(rng, field, 4, 6)
         assert gram(m) == _matmul_symbols(m, transpose(m))
+
+
+def test_parse_symbols_reads_ascii_digits_only():
+    assert parse_symbols(GF3, "0120") == (0, 1, 2, 0)
+    assert parse_symbols(GF2, "") == ()
+    for text in ("1\u0661", "\uff11", "1 0", "1a"):
+        with pytest.raises(ValueError, match="invalid literal for a GF\\(2\\) symbol"):
+            parse_symbols(GF2, text)
+    with pytest.raises(ValueError, match="out of range"):
+        parse_symbols(GF3, "0130")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_negation_and_row_selection_match_symbol_built(seed):
+    rng = random.Random(seed)
+    for field in (GF2, GF3, GF5):
+        r, c = rng.randint(0, 5), rng.randint(0, 7)
+        sym = random_matrix(rng, field, r, c)
+        m = FieldMatrix.from_bit_rows(sym.row_bits, c) if field.binary else sym
+        rows = [rng.randrange(r) for _ in range(rng.randint(0, 4))] if r else []
+        assert m.take_rows(rows).entries == tuple(sym.entries[i] for i in rows)
+        assert (-m).entries == tuple(tuple(-s % field.p for s in row) for row in sym.entries)
+        for i in range(r):
+            assert m.row(i) == FieldVector(field, sym.entries[i])
+            if field.binary:
+                assert m.row(i).bits == m.row_bits[i] and m.row(i)._symbols is None

@@ -663,7 +663,7 @@ def test_a_permuted_d11_takes_the_listing(monkeypatch):
     perm = list(range(1, d11.n + 1))
     random.Random(3).shuffle(perm)
     code = apply_column_permutation(d11, perm)
-    assert list(code._pivots) != list(range(1, code.k + 1))
+    assert list(code._pivots) != list(range(code.k))
     expected_nt = nt_from_masks(_scan(d11)[2], d11.n)
 
     def no_walk(*args, **kwargs):

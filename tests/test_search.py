@@ -633,3 +633,36 @@ def test_exhaustive_pairs_small_m():
                     and (xv & yv).bit_count() % 2 == 0:
                 count += 1
     assert len(pairs) == count
+
+
+@pytest.mark.parametrize("zero, one", [("\u0660", "\u0661"), ("\uff10", "\uff11")],
+                         ids=["arabic-indic", "fullwidth"])
+def test_replay_refuses_non_ascii_digits(zero, one):
+    # int() reads these digits as 0 and 1, but the payload is not the emitted one
+    (rec,) = lcd_improve(load_a_block_code("a40226"), [load_pair("c40227")], d_target=7,
+                         seed_id="a40226")
+    store = {"a40226": load_a_block_code("a40226")}
+    replay(rec, store)
+    for name in ("x", "y"):
+        text = getattr(rec, name).translate(str.maketrans("01", zero + one))
+        bad = dataclasses.replace(rec, **{name: text})
+        assert bad.payload() != rec.payload()
+        with pytest.raises(IntegrityError, match=f"record {name}=.*invalid literal"):
+            replay(bad, store)
+
+
+def test_sd_search_rejects_a_caller_x_of_another_field():
+    ham, y = extended_hamming(), make_yi(4, 4)
+    with pytest.raises(DimensionError, match="field mismatch: GF\\(3\\) vs GF\\(2\\)"):
+        sd_search(ham, y, [FieldVector(GF3, [1, 1, 1, 0])], d_target=4)
+
+
+def test_sd_search_builds_its_x_test_once(monkeypatch):
+    calls = []
+    x_test = hullkit.search._x_test
+    monkeypatch.setattr(hullkit.search, "_x_test", lambda *a: calls.append(a) or x_test(*a))
+    ham, y = extended_hamming(), make_yi(4, 4)
+    xs = [FieldVector.from_bits(v, 4) for v in range(1, 16)]
+    records = sd_search(ham, y, xs, d_target=4, seed_id="ham8")
+    assert len(calls) == 1
+    assert [r.x for r in records] == [r.x for r in sd_search(ham, y, exhaustive_x(4, y), d_target=4)]

@@ -12,6 +12,7 @@ from hullkit import (
     LinearCode,
     PostconditionError,
     TransformPair,
+    apply_column_permutation,
     exhaustive_isotropic_pairs,
     hull_dim,
     inner_product,
@@ -29,7 +30,8 @@ from hullkit import (
     transpose,
 )
 import hullkit.transform
-from hullkit.artifacts import load_a_block_code, load_pair, load_seed
+from hullkit.artifacts import CIRCULANT_SEED_NAMES, PAIR_SEED, load_a_block_code, load_pair, load_seed
+from hullkit.search import make_yi, sampled_x
 from hullkit.transform import _transform_rows_symbols
 
 from conftest import (
@@ -370,3 +372,41 @@ def test_doubly_even_self_dual_specialization_with_all_ones():
                 r = a.row(i)
                 expected = r + x if inner_product(r, x) == 0 else r + x + ones
                 assert out.row(i) == expected
+
+
+@pytest.mark.parametrize("digit", ["\u0661", "\uff11"], ids=["arabic-indic", "fullwidth"])
+def test_pair_text_takes_only_ascii_digits(digit):
+    # int() reads both as 1
+    with pytest.raises(CodeParseError, match="<string>:1: invalid literal"):
+        TransformPair.parse(f"x={digit}{digit}00\ny=0011")
+    with pytest.raises(CodeParseError, match="<string>:2: .*out of range"):
+        TransformPair.parse("x=1100\ny=0012")
+
+
+def test_transform_outputs_are_their_own_reduced_form():
+    # every output of the one [I_k | A] constructor is already in RREF, pivots first
+    rng = random.Random(24)
+    cases = [(load_seed(name), make_yi(28, 4)) for name in CIRCULANT_SEED_NAMES]
+    cases += [(load_a_block_code(PAIR_SEED[name]), load_pair(name)) for name in PAIR_SEED]
+    for seed, pair_or_y in cases:
+        perm = list(range(1, seed.n + 1))
+        permuted = seed
+        while standard_form(permuted).is_identity_permutation:
+            rng.shuffle(perm)
+            permuted = apply_column_permutation(seed, perm)
+        for code in (seed, permuted):
+            form = standard_form(code)
+            if isinstance(pair_or_y, TransformPair):
+                pairs = [pair_or_y]
+            else:
+                pairs = [TransformPair(x, pair_or_y) for x in sampled_x(28, pair_or_y, 3, rng_seed=7)]
+            for pair in pairs:
+                out = transform_code(form, pair)
+                assert out.generator == FieldMatrix.identity(GF2, out.k).hstack(transform_rows(form.a_block, pair))
+                assert out._reduced == out.generator
+                assert out._pivots == tuple(range(out.k))
+                assert out.provenance == ({} if form.is_identity_permutation
+                                          else {"column_permutation": form.column_permutation})
+        assert not form.is_identity_permutation
+        direct = LinearCode.systematic(form.a_block)
+        assert (direct._reduced, direct._pivots) == (direct.generator, tuple(range(direct.k)))
