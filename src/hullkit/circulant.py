@@ -23,10 +23,14 @@ class CirculantSpec:
 
 def circulant_matrix(spec: CirculantSpec) -> FieldMatrix:
     """The l x l matrix whose row i is first_row rotated right i positions."""
-    syms = spec.first_row.symbols
-    l = len(syms)
+    row, l = spec.first_row, spec.size
+    if row.field.binary:
+        # rotating coordinates right is rotating the packed bits left
+        b, full = row.bits, (1 << l) - 1
+        return FieldMatrix.from_bit_rows([(b << i | b >> (l - i)) & full for i in range(l)], l)
+    syms = row.symbols
     rows = [tuple(syms[(j - i) % l] for j in range(l)) for i in range(l)]
-    return FieldMatrix(spec.first_row.field, rows, cols=l)
+    return FieldMatrix(row.field, rows, cols=l)
 
 
 def pure_double_circulant(spec: CirculantSpec) -> LinearCode:
@@ -43,6 +47,9 @@ def bordered_double_circulant(spec: CirculantSpec) -> LinearCode:
     field = spec.first_row.field
     l = spec.size
     r = circulant_matrix(spec)
+    if field.binary:
+        rows = [((1 << l) - 1) << 1] + [1 | b << 1 for b in r.row_bits]
+        return LinearCode.systematic(FieldMatrix.from_bit_rows(rows, l + 1))
     border = [tuple([0] + [1] * l)]
     body = [tuple([1] + list(row)) for row in r.entries]
     return LinearCode.systematic(FieldMatrix(field, border + body, cols=l + 1))

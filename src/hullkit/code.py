@@ -215,7 +215,8 @@ def is_self_orthogonal(code: LinearCode) -> bool:
 
 
 def is_self_dual(code: LinearCode) -> bool:
-    return is_self_orthogonal(code) and 2 * code.k == code.n
+    """n = 2k and C is self-orthogonal; the Gram matrix is built only when n = 2k."""
+    return 2 * code.k == code.n and is_self_orthogonal(code)
 
 
 def is_even(code: LinearCode) -> bool:

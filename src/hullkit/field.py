@@ -13,6 +13,11 @@ negations, row and column selections and Gram matrices work on the packed
 rows.  The generic modular path covers p >= 3.  Both paths are kept alive and
 differentially tested against each other.
 
+Rows are checked once, where they enter: ``FieldMatrix.from_bit_rows``,
+``FieldVector.from_bits`` and the symbol constructors convert and range-check
+them.  The packed operations build their results on ``FieldMatrix._trusted``,
+which takes the Python ints they computed as they are.
+
 Public coordinate references (pivot columns and the like) are 1-based,
 following the conventions of the coding-theory literature; see README.
 """
@@ -259,12 +264,22 @@ class FieldMatrix:
 
     @classmethod
     def from_bit_rows(cls, bit_rows: Sequence[int], cols: int) -> "FieldMatrix":
-        """GF(2) matrix from packed rows (bit j of a row = column j)."""
+        """GF(2) matrix from packed rows (bit j of a row = column j).
+
+        Each row is converted with ``int`` and must fit in ``cols`` columns:
+        this is where packed rows from outside hullkit enter."""
         packed = tuple(int(b) for b in bit_rows)
         for b in packed:
             if b < 0 or b >> cols:
                 raise ValueError(f"row bits 0x{b:x} do not fit in {cols} columns")
+        return cls._trusted(packed, cols)
+
+    @classmethod
+    def _trusted(cls, row_bits: Iterable[int], cols: int) -> "FieldMatrix":
+        """GF(2) matrix on packed rows that hullkit built: Python ints in
+        [0, 2^cols), kept as they are, neither converted nor checked."""
         m = object.__new__(cls)
+        packed = tuple(row_bits)
         object.__setattr__(m, "field", GF2)
         object.__setattr__(m, "rows", len(packed))
         object.__setattr__(m, "cols", cols)
@@ -275,13 +290,13 @@ class FieldMatrix:
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "FieldMatrix":
         if field.binary:
-            return cls.from_bit_rows([1 << i for i in range(n)], n)
+            return cls._trusted([1 << i for i in range(n)], n)
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
     def zeros(cls, field: PrimeField, r: int, c: int) -> "FieldMatrix":
         if field.binary:
-            return cls.from_bit_rows([0] * r, c)
+            return cls._trusted([0] * r, c)
         return cls(field, [[0] * c for _ in range(r)], cols=c)
 
     @property
@@ -325,7 +340,7 @@ class FieldMatrix:
         if other.field != self.field or other.rows != self.rows:
             raise DimensionError("hstack needs same field and row count")
         if self.field.binary:
-            return FieldMatrix.from_bit_rows(
+            return FieldMatrix._trusted(
                 [a | b << self.cols for a, b in zip(self.row_bits, other.row_bits)],
                 self.cols + other.cols,
             )
@@ -336,19 +351,29 @@ class FieldMatrix:
         )
 
     def take_columns(self, js: Sequence[int]) -> "FieldMatrix":
-        """New matrix whose column i is this matrix's column js[i] (0-based)."""
+        """New matrix whose column i is this matrix's column js[i] (0-based);
+        ``IndexError`` on an index outside 0..cols-1."""
+        _check_indices(js, self.cols, "column")
         if self.field.binary:
-            return FieldMatrix.from_bit_rows(
+            return FieldMatrix._trusted(
                 [sum(((b >> j) & 1) << i for i, j in enumerate(js)) for b in self.row_bits],
                 len(js),
             )
         return FieldMatrix(self.field, [[r[j] for j in js] for r in self.entries], cols=len(js))
 
     def take_rows(self, rs: Sequence[int]) -> "FieldMatrix":
-        """New matrix whose row i is this matrix's row rs[i] (0-based)."""
+        """New matrix whose row i is this matrix's row rs[i] (0-based);
+        ``IndexError`` on an index outside 0..rows-1."""
+        _check_indices(rs, self.rows, "row")
         if self.field.binary:
-            return FieldMatrix.from_bit_rows([self.row_bits[r] for r in rs], self.cols)
+            return FieldMatrix._trusted([self.row_bits[r] for r in rs], self.cols)
         return FieldMatrix(self.field, [self.entries[r] for r in rs], cols=self.cols)
+
+
+def _check_indices(indices: Sequence[int], size: int, what: str) -> None:
+    for i in indices:
+        if not 0 <= i < size:
+            raise IndexError(f"{what} index {i} out of range 0..{size - 1}")
 
 
 def _xor_rows(mask: int, rows: Sequence[int]) -> int:
@@ -363,7 +388,7 @@ def _xor_rows(mask: int, rows: Sequence[int]) -> int:
 
 def transpose(m: FieldMatrix) -> FieldMatrix:
     if m.field.binary:
-        return FieldMatrix.from_bit_rows(
+        return FieldMatrix._trusted(
             [_pack_bits([(b >> j) & 1 for b in m.row_bits]) for j in range(m.cols)], m.rows
         )
     return FieldMatrix(
@@ -382,7 +407,7 @@ def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     if a.cols != b.rows:
         raise DimensionError(f"inner dimension mismatch: {a.cols} vs {b.rows}")
     if a.field.binary:
-        return FieldMatrix.from_bit_rows([_xor_rows(rb, b.row_bits) for rb in a.row_bits], b.cols)
+        return FieldMatrix._trusted([_xor_rows(rb, b.row_bits) for rb in a.row_bits], b.cols)
     return _matmul_symbols(a, b)
 
 
@@ -390,7 +415,7 @@ def gram(m: FieldMatrix) -> FieldMatrix:
     """The Gram matrix M M^T; over GF(2) entry (i, j) is parity(r_i & r_j)."""
     if m.field.binary:
         rb = m.row_bits
-        return FieldMatrix.from_bit_rows(
+        return FieldMatrix._trusted(
             [sum(((ri & rj).bit_count() & 1) << j for j, rj in enumerate(rb)) for ri in rb],
             m.rows,
         )
@@ -453,7 +478,7 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and its pivot columns (1-based, increasing)."""
     if m.field.binary:
         work, pivots = _rref_gf2(list(m.row_bits), m.cols)
-        reduced = FieldMatrix.from_bit_rows(work, m.cols)
+        reduced = FieldMatrix._trusted(work, m.cols)
     else:
         work, pivots = _rref_generic(m.to_numpy(), m.field.p)
         reduced = FieldMatrix(m.field, work.tolist(), cols=m.cols)

@@ -371,7 +371,9 @@ def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1,
     words with at most a ones on P (listed on the P side too), and takes the
     distribution from A_0, A_4, ..., A_(4 floor(n/24)) by
     :func:`_gleason_distribution`, checked against every count listed up to
-    that weight.  Its weight-d words come in no particular order."""
+    that weight.  Its weight-d words come in no particular order.  A walk
+    that completes must count 2^k words and keep A_d words of weight d, or
+    the scan raises ``PostconditionError``."""
     _check_gf2(code)
     n = code.n
     head = (min(code.k if d_only else _PROBE_ROWS, _listable(code.k))
@@ -403,6 +405,12 @@ def _scan(code: LinearCode, abort_below: int | None = None, threads: int = 1,
         best, dist, words, aborted = _scan_binary(code, abort_below=abort_below, threads=threads)
         if aborted:
             return best, None, [], True
+        if int(dist.sum()) != 1 << code.k:
+            raise PostconditionError(
+                f"the walk counted {int(dist.sum())} codewords, not 2^{code.k}")
+        if len(words) != (dist[best] if best <= n else 0):
+            raise PostconditionError(
+                f"the walk kept {len(words)} weight-{best} words, not A_{best}")
         return best, _distribution(n, dist), words, False
     bound = max(best, floor)
     zero = np.zeros(1, dtype=np.uint64)  # level 0 of either side

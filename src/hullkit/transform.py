@@ -144,7 +144,7 @@ def transform_rows(a: FieldMatrix, pair: TransformPair) -> FieldMatrix:
             if (rb & xb).bit_count() & 1:
                 r ^= yb
             out.append(r)
-        return FieldMatrix.from_bit_rows(out, a.cols)
+        return FieldMatrix._trusted(out, a.cols)
     return _transform_rows_symbols(a, pair)
 
 
@@ -162,6 +162,19 @@ def _transform_rows_symbols(a: FieldMatrix, pair: TransformPair) -> FieldMatrix:
 
 def m_matrix(pair: TransformPair) -> FieldMatrix:
     """M(x,y) = I_m + y^T x - x^T y, so that A(x,y) = A M(x,y)."""
+    if pair.field.binary:
+        # over GF(2), row i is e_i xor y_i x xor x_i y
+        xb, yb = pair.x.bits, pair.y.bits
+        return FieldMatrix._trusted(
+            [(1 << i) ^ (xb if yb >> i & 1 else 0) ^ (yb if xb >> i & 1 else 0)
+             for i in range(pair.length)],
+            pair.length,
+        )
+    return _m_matrix_symbols(pair)
+
+
+def _m_matrix_symbols(pair: TransformPair) -> FieldMatrix:
+    """Field-generic signed path (differential twin of the GF(2) path)."""
     p = pair.field.p
     m = pair.length
     x = np.array(pair.x.symbols, dtype=np.int64)

@@ -1,10 +1,13 @@
 import random
 
+import pytest
+
 from hullkit import (
     GF2,
     CirculantSpec,
     FieldMatrix,
     FieldVector,
+    LinearCode,
     bordered_double_circulant,
     circulant_matrix,
     is_doubly_even,
@@ -14,7 +17,7 @@ from hullkit import (
 )
 from hullkit.artifacts import ARTIFACTS, CIRCULANT_SEED_NAMES, load_seed
 
-from conftest import enumerate_codewords_naive
+from conftest import GF3, enumerate_codewords_naive
 
 
 def spec_of(symbols):
@@ -106,3 +109,30 @@ def test_bordered_golay_hits_length_24_extremal_bound():
     assert d == 8
     assert is_extremal_doubly_even_self_dual(code, d)
     assert not is_extremal_doubly_even_self_dual(code, 4)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_circulants_match_symbol_built(seed):
+    # oracle: the same matrices built entry by entry from the first row's symbols
+    rng = random.Random(seed)
+    for _ in range(15):
+        l = rng.choice([rng.randint(1, 20), rng.randint(60, 80)])
+        bits = rng.getrandbits(l)
+        syms = [(bits >> j) & 1 for j in range(l)]
+        circ = [[syms[(j - i) % l] for j in range(l)] for i in range(l)]
+        spec = CirculantSpec(FieldVector.from_bits(bits, l))
+        assert circulant_matrix(spec) == FieldMatrix(GF2, circ, cols=l)
+        assert pure_double_circulant(spec).generator == (
+            LinearCode.systematic(FieldMatrix(GF2, circ, cols=l)).generator)
+        border = [[0] + [1] * l] + [[1] + row for row in circ]
+        assert bordered_double_circulant(spec).generator == (
+            LinearCode.systematic(FieldMatrix(GF2, border, cols=l + 1)).generator)
+        assert spec.first_row._symbols is None  # never unpacked
+
+
+def test_circulants_keep_the_symbol_path_for_odd_p():
+    row = FieldVector(GF3, [1, 2, 0])
+    assert circulant_matrix(CirculantSpec(row)) == FieldMatrix(
+        GF3, [[1, 2, 0], [0, 1, 2], [2, 0, 1]], cols=3)
+    code = bordered_double_circulant(CirculantSpec(row))
+    assert code.generator.entries[1] == (0, 1, 0, 0, 1, 1, 2, 0)

@@ -7,6 +7,7 @@ import pytest
 import hullkit
 from hullkit import (
     GF2,
+    CirculantSpec,
     CodeParseError,
     DimensionError,
     FieldMatrix,
@@ -16,6 +17,7 @@ from hullkit import (
     TransformPair,
     UnsupportedFieldError,
     apply_column_permutation,
+    bordered_double_circulant,
     dual,
     format_code,
     hull_dim,
@@ -26,8 +28,10 @@ from hullkit import (
     is_lcd,
     is_self_dual,
     is_self_orthogonal,
+    m_matrix,
     parse_code,
     puncture,
+    pure_double_circulant,
     rref,
     same_code,
     shorten,
@@ -403,7 +407,19 @@ _PACKED_CALLS = {
     "transform_code": lambda c: transform_code(c, TransformPair(make_yi(28, 4), make_yi(28, 8))),
     "is_equivalent": lambda c: is_equivalent(load_seed("D11"), c, node_budget=2000),
     "run_verification": lambda c: run_verification(),
+    "load_seed": lambda c: _built_packed(load_seed("D11")),
+    "pure_double_circulant": lambda c: _built_packed(pure_double_circulant(CirculantSpec(c.generator.row(0)))),
+    "bordered_double_circulant":
+        lambda c: _built_packed(bordered_double_circulant(CirculantSpec(c.generator.row(0)))),
+    "m_matrix": lambda c: _built_packed(m_matrix(TransformPair(
+        *(FieldVector.from_bits(make_yi(28, i).bits, 28) for i in (4, 8))))),
 }
+
+
+def _built_packed(value):
+    matrix = value.generator if isinstance(value, LinearCode) else value
+    assert matrix._entries is None, "built on unpacked rows"
+    return value
 
 
 @pytest.mark.parametrize("call", list(_PACKED_CALLS))
@@ -430,3 +446,13 @@ def test_one_constructor_assembles_identity_and_a_block():
                             and getattr(node.func.value.func, "attr", None) == "identity"):
                         sites.append((path.name, fn.name))
     assert sites == [("code.py", "systematic")]
+
+
+def test_is_self_dual_builds_no_gram_unless_n_is_2k(monkeypatch):
+    gram = hullkit.code.gram
+    calls = []
+    monkeypatch.setattr(hullkit.code, "gram", lambda m: calls.append(m) or gram(m))
+    code = load_a_block_code("a37225")
+    assert (code.n, code.k) == (37, 22)
+    assert not is_self_dual(code) and calls == []
+    assert is_self_dual(load_seed("D11")) and len(calls) == 1

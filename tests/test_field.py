@@ -1,19 +1,26 @@
+import ast
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hullkit
 from hullkit import (
     GF2,
     DimensionError,
     FieldMatrix,
     FieldVector,
     PrimeField,
+    TransformPair,
     inner_product,
+    m_matrix,
     matmul,
     rank,
     rref,
+    transform_rows,
     transpose,
 )
 from hullkit.field import _inner_product_symbols, _matmul_symbols, gram, parse_symbols
@@ -247,3 +254,73 @@ def test_row_negation_and_row_selection_match_symbol_built(seed):
             assert m.row(i) == FieldVector(field, sym.entries[i])
             if field.binary:
                 assert m.row(i).bits == m.row_bits[i] and m.row(i)._symbols is None
+
+
+def test_from_bit_rows_still_checks_and_converts_rows_from_outside():
+    with pytest.raises(ValueError, match="do not fit"):
+        FieldMatrix.from_bit_rows([0b1, -2], 3)
+    with pytest.raises(ValueError, match="do not fit"):
+        FieldMatrix.from_bit_rows([1 << 70], 70)
+    with pytest.raises(ValueError, match="do not fit"):
+        FieldMatrix.from_bit_rows(np.array([8], dtype=np.uint64), 3)
+    m = FieldMatrix.from_bit_rows(np.array([5, 2**63 + 1], dtype=np.uint64), 64)
+    assert [type(b) for b in m.row_bits] == [int, int] and m.row_bits == (5, 2**63 + 1)
+    assert FieldMatrix.from_bit_rows([np.int64(3)], 2).row_bits == (3,)
+
+
+@pytest.mark.parametrize("shape", ["cols <= 64", "cols > 64", "no rows"])
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_operations_build_int_rows_that_fit(shape, seed):
+    # the operations build on FieldMatrix._trusted, which checks nothing, so
+    # every row they return must already be a Python int below 2^cols
+    rng = random.Random(seed)
+    r = 0 if shape == "no rows" else rng.randint(1, 8)
+    c = rng.randint(65, 140) if shape == "cols > 64" else rng.randint(1, 64)
+    c2 = rng.choice([rng.randint(0, 64), rng.randint(65, 100)])
+    m = FieldMatrix.from_bit_rows([rng.getrandbits(c) for _ in range(r)], c)
+    other = FieldMatrix.from_bit_rows([rng.getrandbits(c2) for _ in range(r)], c2)
+    b = FieldMatrix.from_bit_rows([rng.getrandbits(c2) for _ in range(c)], c2)
+    x, y = (FieldVector.from_bits(rng.getrandbits(c) | 1 << rng.randrange(c), c) for _ in range(2))
+    pair = TransformPair(x, y)
+    built = {
+        "identity": FieldMatrix.identity(GF2, c),
+        "zeros": FieldMatrix.zeros(GF2, r, c),
+        "hstack": m.hstack(other),
+        "take_columns": m.take_columns([rng.randrange(c) for _ in range(rng.randint(0, 80))]),
+        "take_rows": m.take_rows([rng.randrange(r) for _ in range(rng.randint(0, 9))] if r else []),
+        "transpose": transpose(m),
+        "matmul": matmul(m, b),
+        "gram": gram(m),
+        "rref": rref(m)[0],
+        "transform_rows": transform_rows(m, pair),
+        "m_matrix": m_matrix(pair),
+    }
+    for name, out in built.items():
+        assert out.rows == len(out.row_bits) and out._entries is None, name
+        assert all(type(row) is int and 0 <= row < 1 << out.cols for row in out.row_bits), name
+
+
+def test_only_field_and_transform_build_on_trusted_rows():
+    # rows from anywhere else enter through the checked constructors
+    callers = set()
+    for path in sorted(Path(hullkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+                callers.add(path.stem)
+    assert callers == {"field", "transform"}
+
+
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_row_and_column_selection_refuse_indices_out_of_range(field):
+    m = random_matrix(random.Random(5), field, 2, 3)
+    if field.binary:
+        m = FieldMatrix.from_bit_rows(m.row_bits, 3)  # the packed path
+    for js in ([0, 7], [-1], [3], [2, 0, -4]):
+        with pytest.raises(IndexError, match="column index"):
+            m.take_columns(js)
+    for rs in ([-1], [2], [0, 5]):
+        with pytest.raises(IndexError, match="row index"):
+            m.take_rows(rs)
+    assert m.take_columns([2, 0]).entries == tuple((row[2], row[0]) for row in m.entries)
+    assert m.take_rows([1, 1]).entries == (m.entries[1], m.entries[1])
+    assert m.take_columns([]).cols == 0 and m.take_rows([]).rows == 0

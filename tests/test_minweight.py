@@ -20,6 +20,7 @@ from hullkit import (
     FieldMatrix,
     FieldVector,
     LinearCode,
+    PostconditionError,
     TransformPair,
     codeword_masks_of_weight,
     codewords_of_weight,
@@ -853,3 +854,43 @@ def test_gleason_solver_matches_the_table_and_walked_distributions():
         low = [dist.get(w, 0) for w in range(0, 4 * (code.n // 24) + 1, 4)]
         assert _gleason_distribution(code.n, low) == dist
     assert dict(walked_distribution(direct_sum(_E8, _E8)).counts)[4] == 28
+
+
+def _walk_mutant(monkeypatch, change):
+    """Patch _scan_range so that a counting walk's result goes through ``change``."""
+    scan_range = hullkit.minweight._scan_range
+
+    def mutant(*args):
+        best, tally, words, aborted = scan_range(*args)
+        if tally is not None:
+            tally, words = change(tally.copy(), words)
+        return best, tally, words, aborted
+
+    monkeypatch.setattr(hullkit.minweight, "_scan_range", mutant)
+    monkeypatch.setattr(hullkit.minweight, "_usable_cpus", lambda: 2)
+
+
+def _drop_one_count(tally, words):
+    tally[0] -= 1
+    return tally, words
+
+
+def _drop_one_word(tally, words):
+    return tally, words[1:] if len(words) else words
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("change, message", [(_drop_one_count, "counted"), (_drop_one_word, "kept")])
+def test_a_completed_walk_checks_its_count_and_its_words(monkeypatch, threads, change, message):
+    code = load_a_block_code("a37225")  # LCD, k = 22: the gate walks it, threaded at 2
+    d, dist, words, _ = _scan(code, threads=threads)
+    assert dist.total() == 1 << code.k and len(words) == dist[d]
+    _walk_mutant(monkeypatch, change)
+    with pytest.raises(PostconditionError, match=message):
+        _scan(code, threads=threads)
+
+
+def test_the_zero_code_walk_keeps_no_words():
+    code = LinearCode(FieldMatrix.zeros(GF2, 0, 9))
+    d, dist, words, aborted = _scan(code)
+    assert (d, dist.items(), len(words), aborted) == (10, [(0, 1)], 0, False)

@@ -32,7 +32,7 @@ from hullkit import (
 import hullkit.transform
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, PAIR_SEED, load_a_block_code, load_pair, load_seed
 from hullkit.search import make_yi, sampled_x
-from hullkit.transform import _transform_rows_symbols
+from hullkit.transform import _m_matrix_symbols, _transform_rows_symbols
 
 from conftest import (
     GF3,
@@ -410,3 +410,15 @@ def test_transform_outputs_are_their_own_reduced_form():
         assert not form.is_identity_permutation
         direct = LinearCode.systematic(form.a_block)
         assert (direct._reduced, direct._pivots) == (direct.generator, tuple(range(direct.k)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_m_matrix_matches_the_symbol_path(seed):
+    rng = random.Random(seed)
+    for _ in range(15):
+        m = rng.choice([rng.randint(1, 20), rng.randint(60, 80)])
+        x, y = (FieldVector.from_bits(rng.getrandbits(m) | 1 << rng.randrange(m), m) for _ in range(2))
+        packed = m_matrix(TransformPair(x, y))
+        assert packed._entries is None and x._symbols is None and y._symbols is None
+        symbolic = _m_matrix_symbols(TransformPair(FieldVector(GF2, x.symbols), FieldVector(GF2, y.symbols)))
+        assert packed == symbolic and packed.entries == symbolic.entries
