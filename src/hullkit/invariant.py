@@ -14,15 +14,23 @@ pair counts and, along each branch of an individualization-refinement
 search, by the cover counts of the 4-subsets through each individualized
 column (the same cover arrays, read a slice at a time: the counts of
 {a} + T for every 3-subset T, gathered once, then read through a cached
-table of the 3-subset ranks of {j, i, h}).  It is exact because every
-"equivalent" answer carries a witness permutation verified by generator
-membership, and every "inequivalent" answer comes from a permutation
-invariant or from exhausting a search pruned only by permutation
-invariants.  A blown node budget yields verdict "unknown", never a wrong
-answer.  Its distribution and minimum-weight words come from a code's
-certificate, built by ``_Certificate.of`` on the gate ``minweight._scan``,
-which a search's dedup reuses; the heavier words it compares come from one
-walk per code, ``minweight._words``.
+table of the 3-subset ranks of {j, i, h}).  Before it refines a tried pair
+(a, b), the search compares the histogram of the cover counts of the
+C(n-1,3) 4-subsets through a in the first code with that through b in the
+second, read off the gathered counts, and drops b when they differ: the
+refinement would turn it down on its first pass, as each of those 4-subsets
+lies three times in a's slice.  Only searches whose cover is not constant
+use slices, so only they use the check; on each permuted extremal
+[56,28,12] seed tried, it turned down every try but the two that lead to
+the witness.  The test is exact because every "equivalent" answer carries
+a witness permutation verified by generator membership, and every
+"inequivalent" answer comes from a permutation invariant or from
+exhausting a search pruned only by permutation invariants.  A blown node
+budget yields verdict "unknown", never a wrong answer.  Its distribution
+and minimum-weight words come from a code's certificate, built by
+``_Certificate.of`` on the gate ``minweight._scan``, which a search's dedup
+reuses; the heavier words it compares come from one walk per code,
+``minweight._words``.
 """
 from __future__ import annotations
 
@@ -251,14 +259,14 @@ def _slice_tables(n: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _slice(cover: np.ndarray, a: int, n: int) -> np.ndarray:
-    """(n, C(n,2)) int32 array: entry [j, {i < h}] is the cover count of
-    {a, j, i, h}, or -1 when the four columns are not distinct.
+def _through(cover: np.ndarray, a: int, n: int) -> np.ndarray:
+    """(C(n,3) + 1,) int32 array: entry T, a 3-subset's colex rank, is the
+    cover count of {a} + T, or -1 when T holds a; the last entry is -1.
 
-    The counts of {a} + T for the 3-subsets T, in colex order, are read
-    through the table once.  For T below a they are one run of the cover;
-    any other T = {x, y, z} not through a has z > a, and {a} + T ranks as
-    {a, x, y}, row a of the table, plus C(z, 4)."""
+    For T below a the counts are one run of the cover; any other
+    T = {x, y, z} not through a has z > a, and {a} + T ranks as {a, x, y},
+    row a of the :func:`_slice_tables` table, plus C(z, 4).  The entries
+    that are not -1 are the cover counts of the C(n-1,3) 4-subsets through a."""
     table, column, c4 = _slice_tables(n)
     vals = np.empty(len(column) + 1, dtype=np.int32)  # -1 would wrap in an unsigned cover
     vals[:comb(a, 3)] = cover[comb(a, 4):comb(a + 1, 4)]
@@ -267,7 +275,14 @@ def _slice(cover: np.ndarray, a: int, n: int) -> np.ndarray:
         # clipped: a T through a reads a sentinel or a wrong rank, marked below
         vals[past:-1] = cover.take(table[a].take(column[past:]) + c4[past:], mode="clip")
     vals[table[a]] = -1  # every T through a, and the sentinel
-    return vals.take(table)
+    return vals
+
+
+def _slice(cover: np.ndarray, a: int, n: int) -> np.ndarray:
+    """(n, C(n,2)) int32 array: entry [j, {i < h}] is the cover count of
+    {a, j, i, h}, or -1 when the four columns are not distinct: the counts
+    :func:`_through` gathers, read through the table."""
+    return _through(cover, a, n).take(_slice_tables(n)[0])
 
 
 def _relabel(rows: np.ndarray) -> np.ndarray:
@@ -347,14 +362,25 @@ class _Search:
             return images if _witness_ok(*self.codes, images.tolist()) else None
         cell = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
         a = int(np.argmax(cols[0] == cell))
-        lead = None if self.flat else _slice(self.covers[0], a, n)
+        if not self.flat:
+            table = _slice_tables(n)[0]
+            through_a = _through(self.covers[0], a, n)
+            hist_a = np.bincount(through_a + 1, minlength=self.reach)  # -1 entries count at 0
+            lead = through_a.take(table)
         for b in np.flatnonzero(cols[1] == cell).tolist():
             self.nodes += 1
             if self.nodes > self.node_budget:
                 raise _BudgetSpent
+            deeper = slices
+            if not self.flat:
+                # refine's first pass turns b down unless the 4-subsets through
+                # it have a's cover counts: each lies three times in a slice
+                through_b = _through(self.covers[1], b, n)
+                if not np.array_equal(np.bincount(through_b + 1, minlength=self.reach), hist_a):
+                    continue
+                deeper = slices + [np.stack([lead, through_b.take(table)])]
             tried = cols.copy()
             tried[0, a] = tried[1, b] = len(sizes)
-            deeper = slices if self.flat else slices + [np.stack([lead, _slice(self.covers[1], b, n)])]
             refined = self.refine(tried, deeper)
             found = None if refined is None else self.extend(refined, deeper)
             if found is not None:
@@ -376,7 +402,11 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     by the 4-subset cover counts of {a, j, i, h}.  It individualizes the
     first column of the smallest non-singleton colour class of the first
     code and tries each column of that colour in the second code: each try
-    is one node.  A discrete colouring is a candidate witness, verified by
+    is one node, also one dropped before its refinement because the cover
+    counts of the 4-subsets through the two columns have different
+    histograms (which the refinement would find on its first pass, so
+    nodes, verdicts and witnesses are those of a search that refines every
+    try).  A discrete colouring is a candidate witness, verified by
     mapping a generator through it; every prune is an invariant computed
     alike on both codes, so exhausting the search proves inequivalence.
     More than ``node_budget`` nodes yields "unknown", never a wrong answer.

@@ -19,7 +19,9 @@ thread uses 2^``LOW_BITS`` = 2^16 words per table, so its 512 KB table,
 popcount buffer and counting copy stay in a 2 MB L2 cache; a threaded walk
 uses 2^``THREADED_LOW_BITS`` = 2^18, because each block's Python work holds
 the GIL, and four times as many blocks made a 2-thread [56,28] walk about
-8 % slower.
+8 % slower.  Only a walk of k >= ``_THREADED_MIN_K`` = 25 is threaded: on 2
+cores, 2 threads were slower than 1 up to k = 24 ([40,24]: 50 against
+41 ms) and faster from k = 25 on ([40,25]: 58 against 78 ms).
 
 Light words are listed level by level (Brouwer-Zimmermann; Grassl 2006):
 level r is every sum of r rows of the RREF generator, a nonzero codeword
@@ -59,6 +61,7 @@ from .field import FieldVector
 
 LOW_BITS = 16
 THREADED_LOW_BITS = 18
+_THREADED_MIN_K = 25
 _PROBE_ROWS = 3
 _GF2_K_LIMIT = 30
 _GENERIC_K_LIMIT = 12
@@ -204,14 +207,13 @@ def _scan_binary(code: LinearCode, *, abort_below: int | None = None,
     that cannot abort into one contiguous chunk per worker; each chunk XORs
     its own copy of the Gray table in place (see :func:`_scan_range`).
     A walk on one thread has tables of 2^``LOW_BITS`` words, which fit in
-    L2; a threaded one, at least 4 blocks of 2^``THREADED_LOW_BITS``, as
-    more and smaller blocks contend for the GIL.
+    L2; a threaded one, of k >= ``_THREADED_MIN_K``, blocks of
+    2^``THREADED_LOW_BITS``, as more and smaller blocks contend for the GIL.
     """
     _check_gf2(code)
     threads = min(threads, _usable_cpus())
     rows = _packed_rows(code.generator.row_bits, code.n)
-    # a threaded walk needs at least 4 blocks of the larger table
-    serial = threads <= 1 or code.k < THREADED_LOW_BITS + 2 or abort_below is not None
+    serial = threads <= 1 or code.k < _THREADED_MIN_K or abort_below is not None
     low = min(code.k, LOW_BITS if serial else THREADED_LOW_BITS)
     table = _gray_low_table(rows, low)
     blocks = 1 << (code.k - low)

@@ -74,6 +74,14 @@ def fingerprint_code(code: LinearCode) -> dict[str, str]:
     return _certify(code)[2]
 
 
+# the JSON type of each record field, as ``json`` decodes it
+_RECORD_TYPES = {"seed_id": (str,), "x": (str,), "y": (str,), "n": (int,), "k": (int,), "d": (int,),
+                 "self_dual": (bool,), "doubly_even": (bool,), "lcd": (bool,), "fingerprint": (dict,),
+                 "collision": (str, type(None)), "created": (str, type(None))}
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+                    dict: "an object", list: "an array", type(None): "null"}
+
+
 @dataclass
 class SearchRecord:
     """One persisted discovery; everything needed to replay it."""
@@ -109,9 +117,25 @@ class SearchRecord:
     @classmethod
     def from_json_doc(cls, doc: Mapping) -> "SearchRecord":
         """A field without a default is required: a missing one raises
-        KeyError naming it."""
-        return cls(**{f.name: doc[f.name] if f.default is MISSING else doc.get(f.name, f.default)
-                      for f in fields(cls)})
+        KeyError naming it.  Each field must have the JSON type the writer
+        writes, and the fingerprint exactly its two string fields; a wrong
+        type or a field other than these and ``kind`` raises ValueError
+        naming it."""
+        unknown = sorted(set(doc) - set(_RECORD_TYPES) - {"kind"})
+        if unknown:
+            raise ValueError(f"unknown field {unknown[0]!r}")
+        values = {f.name: doc[f.name] if f.default is MISSING else doc.get(f.name, f.default)
+                  for f in fields(cls)}
+        for name, value in values.items():
+            if type(value) not in _RECORD_TYPES[name]:  # exact: a bool is not an int
+                raise ValueError(f"field {name!r} must be "
+                                 f"{' or '.join(map(_JSON_TYPE_NAMES.get, _RECORD_TYPES[name]))}, "
+                                 f"got {_JSON_TYPE_NAMES.get(type(value), type(value).__name__)}")
+        fingerprint = values["fingerprint"]
+        if sorted(fingerprint) != ["distribution", "nt"] or \
+                any(type(v) is not str for v in fingerprint.values()):
+            raise ValueError("field 'fingerprint' must hold exactly the strings 'distribution' and 'nt'")
+        return cls(**values)
 
 
 def write_records(path: str, records: Iterable[SearchRecord],

@@ -257,6 +257,23 @@ def test_replay_names_the_bad_line(capsys, tmp_path, bad_line, reason):
     assert reason in err
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("x", None, "field 'x' must be a string, got null"),
+    ("seed_id", ["a37225"], "field 'seed_id' must be a string, got an array"),
+    ("d", "6", "field 'd' must be an integer, got a string"),
+    ("n", 37.0, "field 'n' must be an integer, got a number"),
+    ("zzz", 1, "unknown field 'zzz'"),
+])
+def test_replay_refuses_a_record_field_of_the_wrong_type(capsys, tmp_path, name, value, message):
+    # each once crashed replay with a TypeError, replayed as a mismatch or was accepted
+    records = _lcd_records(capsys, tmp_path)
+    header, record, _ = records.read_text().splitlines()
+    records.write_text("\n".join([header, record, json.dumps({**json.loads(record), name: value})]) + "\n")
+    code, out, err = run_cli(capsys, "replay", "--records", str(records))
+    assert (code, out) == (1, "")
+    assert err == f"hullkit: error: {records}:3: malformed record: {message}\n"
+
+
 def test_replay_names_a_malformed_vector(capsys, tmp_path):
     records = _lcd_records(capsys, tmp_path)
     header, record, _ = records.read_text().splitlines()

@@ -420,3 +420,111 @@ def test_refine_colours_the_same_on_int32_and_int64_keys(monkeypatch):
     assert any(depth for _, depth, _ in calls32)  # slices were keyed
     assert calls32 == calls64 and results32 == results64
     assert all(verdict == "equivalent" for verdict, _, _ in results32)
+
+
+def _extend_refining_every_try(turned_down):
+    """``_Search.extend`` without its cover-histogram check: every tried
+    pair (a, b) is refined.  For each try whose cover counts through a and
+    through b have different histograms, read here off the slices (each
+    4-subset through a column lies three times in its slice), ``refine``'s
+    answer goes to ``turned_down``."""
+
+    def extend(self, cols, slices):
+        n = cols.shape[1]
+        sizes = np.bincount(cols[0])
+        if sizes.max() == 1:
+            images = np.argsort(cols[1])[cols[0]]
+            return images if invariant._witness_ok(*self.codes, images.tolist()) else None
+        cell = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
+        a = int(np.argmax(cols[0] == cell))
+        lead = None if self.flat else _slice(self.covers[0], a, n)
+        for b in np.flatnonzero(cols[1] == cell).tolist():
+            self.nodes += 1
+            if self.nodes > self.node_budget:
+                raise invariant._BudgetSpent
+            tried = cols.copy()
+            tried[0, a] = tried[1, b] = len(sizes)
+            deeper = slices if self.flat else slices + [np.stack([lead, _slice(self.covers[1], b, n)])]
+            refined = self.refine(tried, deeper)
+            if not self.flat:
+                through = [np.bincount(s[s >= 0], minlength=self.reach) for s in deeper[-1]]
+                if not np.array_equal(*through):
+                    turned_down.append(refined)
+            found = None if refined is None else self.extend(refined, deeper)
+            if found is not None:
+                return found
+        return None
+
+    return extend
+
+
+def _decisions(monkeypatch, pairs):
+    """(verdict, nodes, witness) of each decision at the search budget, and
+    its number of ``refine`` calls."""
+    refine, calls, results = invariant._Search.refine, [], []
+
+    def counted(self, cols, slices):
+        calls[-1] += 1
+        return refine(self, cols, slices)
+
+    with monkeypatch.context() as m:
+        m.setattr(invariant._Search, "refine", counted)
+        for c1, c2 in pairs:
+            calls.append(0)
+            res = is_equivalent(c1, c2, node_budget=SEARCH_NODE_BUDGET)
+            results.append((res.verdict, res.nodes, res.witness))
+    return results, calls
+
+
+def _assert_the_check_is_exact(monkeypatch, pairs):
+    """Same verdicts, nodes and witnesses with the check as without it; the
+    check saves exactly the ``refine`` calls of the tries it turns down,
+    and ``refine`` would have turned down every one of them.  Returns the
+    number of tries turned down."""
+    results, calls = _decisions(monkeypatch, pairs)
+    turned_down = []
+    with monkeypatch.context() as m:
+        m.setattr(invariant._Search, "extend", _extend_refining_every_try(turned_down))
+        oracle, oracle_calls = _decisions(monkeypatch, pairs)
+    assert results == oracle
+    assert all(refined is None for refined in turned_down)
+    assert sum(oracle_calls) - sum(calls) == len(turned_down)
+    return len(turned_down)
+
+
+def _permuted_seed(name):
+    seed = load_seed(name)
+    return seed, apply_column_permutation(seed, random_perm(random.Random(name), seed.n))
+
+
+def test_the_cover_histogram_check_is_exact_on_permuted_seeds(monkeypatch):
+    # the weight-12 words form 3-designs: the root has one colour class, and
+    # at depth 1 most columns' cover counts differ from the individualized one's
+    assert _assert_the_check_is_exact(monkeypatch, [_permuted_seed(name) for name in CIRCULANT_SEED_NAMES])
+
+
+def test_the_cover_histogram_check_is_exact_on_small_codes(monkeypatch):
+    rng = random.Random(149)
+    ham = extended_hamming()
+    pairs = [(ham, apply_column_permutation(ham, random_perm(rng, 8)))]
+    rng = random.Random(163)
+    for n in range(8, 17):
+        for _ in range(3):
+            code = random_code(rng, GF2, n, rng.randint(3, n - 3))
+            pairs.append((code, apply_column_permutation(code, random_perm(rng, n))))
+    # the first tie of each stream whose verdict needed the search: [9,4]
+    # in 2474 nodes and [10,4] in 164
+    sizes = [(9, 3), (9, 4), (10, 3), (10, 4)]
+    for seed in (3, 6):
+        pairs.append(next((c1, c2) for c1, c2, res in tied_pairs(random.Random(seed), 400, sizes) if res.nodes))
+    # on these codes the check has turned down no try: it must not change a search it cannot shorten
+    _assert_the_check_is_exact(monkeypatch, pairs)
+
+
+@pytest.mark.parametrize("name", CIRCULANT_SEED_NAMES)
+def test_permuted_seeds_refine_three_times(monkeypatch, name):
+    # the root, one try at depth 1 and one at depth 2, which gives the
+    # witness: every other try is turned down by its cover histogram
+    results, calls = _decisions(monkeypatch, [_permuted_seed(name)])
+    assert calls == [3]
+    assert results[0][1] == PERMUTED_SEED_PATHS[name][0]

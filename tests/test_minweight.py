@@ -129,7 +129,8 @@ def test_d11_distribution_is_the_gleason_enumerator():
     assert min_weight(d11) == 12
 
 
-def test_threaded_scan_matches_single_threaded():
+def test_threaded_scan_matches_single_threaded(monkeypatch):
+    monkeypatch.setattr(hullkit.minweight, "_THREADED_MIN_K", 20)  # so that a37225 (k = 22) threads
     d11 = load_seed("D11")
     assert dict(walked_distribution(d11, threads=2).counts) == GLEASON_56_EXTREMAL
     code = load_a_block_code("a37225")
@@ -205,6 +206,7 @@ def test_codewords_emitted_in_gray_order(monkeypatch):
     # 128 blocks of 4 words: odd blocks read backwards, and three threads merge
     monkeypatch.setattr(hullkit.minweight, "LOW_BITS", 2)
     monkeypatch.setattr(hullkit.minweight, "THREADED_LOW_BITS", 2)
+    monkeypatch.setattr(hullkit.minweight, "_THREADED_MIN_K", 4)
     monkeypatch.setattr(hullkit.minweight, "_usable_cpus", lambda: 3)
     for threads in (1, 3):
         assert codeword_masks_of_weight(code, target, threads=threads) == expected
@@ -226,6 +228,7 @@ def test_walk_results_do_not_depend_on_the_table_size(monkeypatch):
         for bits in ((2, 16, 18) if code.k <= 10 else (16, 18)):  # 2^18 blocks of 4 words are slow
             monkeypatch.setattr(hullkit.minweight, "LOW_BITS", bits)
             monkeypatch.setattr(hullkit.minweight, "THREADED_LOW_BITS", bits)
+            monkeypatch.setattr(hullkit.minweight, "_THREADED_MIN_K", bits + 2)  # 4 blocks and up
             for threads in (1, 3):
                 best, counts, words, _ = _scan_binary(code, threads=threads)
                 collected = _scan_binary(code, collect_weight=(d, d + 1, d + 2), threads=threads)[2]
@@ -366,7 +369,8 @@ def test_a_walk_that_may_abort_runs_on_one_thread(monkeypatch):
     # The only light word needs four rows, all in the top bits the blocks
     # walk, so the screen's levels 1-3 miss it and the screen must walk.
     # Every caller of that walk gets the one-thread answer without starting
-    # a pool.
+    # a pool, even where a walk that cannot abort threads (k = 22 here).
+    monkeypatch.setattr(hullkit.minweight, "_THREADED_MIN_K", 20)
     code = _code_with_hidden_light_word(22, 40, seed=5)
     rows = code.generator.row_bits
     t = 5
@@ -405,6 +409,20 @@ def test_a_walk_that_may_abort_runs_on_one_thread(monkeypatch):
     assert pools == [{"max_workers": 2}]
 
 
+def test_walks_below_the_thread_crossover_run_on_one_thread(monkeypatch):
+    # 2 threads walk a k <= 24 code more slowly than 1: on a 2-core guest the
+    # c40227 output ([40,22]) took 7.1-9.9 ms at 1 thread and 11.3-12.9 ms at 2
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a walk below the thread crossover started a thread pool")
+
+    out = transform_code(standard_form(load_a_block_code("a40226")), load_pair("c40227"))
+    assert (out.n, out.k) == (40, 22) and _two_set_rows(out) is None  # the gate walks it
+    single = weight_distribution(out)
+    monkeypatch.setattr(hullkit.minweight, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(hullkit.minweight, "ThreadPoolExecutor", no_pool)
+    assert weight_distribution(out, threads=2) == single
+
+
 # --- the scan gate on codes it walks ---------------------------------------------
 
 LCD_UPGRADES = [("a37225", "c37226"), ("a381310", "c381311"), ("a40226", "c40227")]
@@ -429,7 +447,8 @@ def _assert_gate_matches_the_walk(code, threads, dist=None):
     assert words.tolist() == _packed_rows(codeword_masks_of_weight(code, d, threads=threads), code.n).tolist()
 
 
-def test_gate_matches_the_walk_on_the_lcd_seeds_and_their_upgrades():
+def test_gate_matches_the_walk_on_the_lcd_seeds_and_their_upgrades(monkeypatch):
+    monkeypatch.setattr(hullkit.minweight, "_THREADED_MIN_K", 20)  # so that the k = 20-22 walks thread
     for code in _lcd_seeds_and_upgrades():
         for threads in (1, 2, 4):
             _assert_gate_matches_the_walk(code, threads)
@@ -590,6 +609,7 @@ def test_walk_threads_are_capped_at_the_usable_cpus(monkeypatch):
             return type("Done", (), {"result": lambda _, out=jobs[-1]: out})()
 
     assert 1 <= hullkit.minweight._usable_cpus() <= (os.cpu_count() or 1)
+    monkeypatch.setattr(hullkit.minweight, "_THREADED_MIN_K", 20)
     code = random_code(random.Random(17), GF2, 24, 20)  # 4 blocks of 2^18
     serial = _scan_binary(code)
     monkeypatch.setattr(hullkit.minweight, "ThreadPoolExecutor", Inline)
@@ -843,7 +863,8 @@ def test_gate_returns_its_words_as_one_packed_array():
         assert [sum(x << 64 * i for i, x in enumerate(row)) for row in rows] == walked
 
 
-def test_gleason_solver_matches_the_table_and_walked_distributions():
+def test_gleason_solver_matches_the_table_and_walked_distributions(monkeypatch):
+    monkeypatch.setattr(hullkit.minweight, "_THREADED_MIN_K", 20)  # so that golay + golay (k = 24) threads
     assert _gleason_distribution(56, [1, 0, 0]) == GLEASON_56_EXTREMAL
     golay = bordered_golay()
     # floor(n/24) = 0, 1, 1 (A_4 = 14 > 0) and 2 (A_8 = 1518); e8 + e8 is a
@@ -882,6 +903,7 @@ def _drop_one_word(tally, words):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("change, message", [(_drop_one_count, "counted"), (_drop_one_word, "kept")])
 def test_a_completed_walk_checks_its_count_and_its_words(monkeypatch, threads, change, message):
+    monkeypatch.setattr(hullkit.minweight, "_THREADED_MIN_K", 20)
     code = load_a_block_code("a37225")  # LCD, k = 22: the gate walks it, threaded at 2
     d, dist, words, _ = _scan(code, threads=threads)
     assert dist.total() == 1 << code.k and len(words) == dist[d]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import types
 from math import comb
 
@@ -375,6 +376,43 @@ def test_read_records_names_a_missing_field(tmp_path, name):
     path = tmp_path / "records.jsonl"
     path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
     with pytest.raises(IntegrityError, match=f":1: record has no '{name}' field"):
+        read_records(str(path))
+
+
+# one field of a valid record set to a value of the wrong JSON type, or an
+# unknown field, and the refusal read_records names
+MISTYPED_RECORD_FIELDS = [
+    ("x", None, "field 'x' must be a string, got null"),
+    ("seed_id", ["ham8"], "field 'seed_id' must be a string, got an array"),
+    ("d", "4", "field 'd' must be an integer, got a string"),
+    ("n", 8.0, "field 'n' must be an integer, got a number"),
+    ("k", True, "field 'k' must be an integer, got a boolean"),
+    ("lcd", 0, "field 'lcd' must be a boolean, got an integer"),
+    ("collision", 3, "field 'collision' must be a string or null, got an integer"),
+    ("created", {}, "field 'created' must be a string or null, got an object"),
+    ("fingerprint", "ab", "field 'fingerprint' must be an object, got a string"),
+    ("fingerprint", {"distribution": "a"}, "field 'fingerprint' must hold exactly"),
+    ("fingerprint", {"distribution": "a", "nt": "b", "d": "c"}, "field 'fingerprint' must hold exactly"),
+    ("fingerprint", {"distribution": "a", "nt": 1}, "field 'fingerprint' must hold exactly"),
+    ("zzz", 1, "unknown field 'zzz'"),
+]
+
+
+def test_every_record_field_has_a_json_type():
+    assert list(hullkit.search._RECORD_TYPES) == [f.name for f in dataclasses.fields(SearchRecord)]
+
+
+@pytest.mark.parametrize("name, value, message", MISTYPED_RECORD_FIELDS)
+def test_read_records_refuses_a_field_of_the_wrong_type(tmp_path, name, value, message):
+    rec = SearchRecord(seed_id="ham8", x="1111", y="1111", n=8, k=4, d=4,
+                       self_dual=True, doubly_even=True, lcd=False,
+                       fingerprint={"distribution": "a", "nt": "b"}, created="2026-01-01T00:00:00Z")
+    path = tmp_path / "records.jsonl"
+    path.write_text(rec.to_json_line() + "\n", encoding="utf-8")
+    assert read_records(str(path))[1] == [rec]
+    doc = json.loads(rec.to_json_line())
+    path.write_text(rec.to_json_line() + "\n" + json.dumps({**doc, name: value}) + "\n", encoding="utf-8")
+    with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}:2: malformed record: {re.escape(message)}"):
         read_records(str(path))
 
 
