@@ -16,6 +16,10 @@ from .field import FieldMatrix, FieldVector
 class CirculantSpec:
     first_row: FieldVector
 
+    def __post_init__(self):
+        if not len(self.first_row):
+            raise ValueError("a circulant first row must not be empty")
+
     @property
     def size(self) -> int:
         return len(self.first_row)

@@ -2,8 +2,8 @@
 search codes, with the bundled seeds/pairs addressable by name.
 
 Code files use the text format of :mod:`hullkit.code`; coordinate sets on
-the command line are 1-based.  Exit status: 0 success, 1 domain error,
-2 usage error.
+the command line are 1-based.  Exit status: 0 success, 1 domain or I/O
+error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -154,12 +154,6 @@ def _cmd_transform(args) -> int:
 
 def _cmd_minweight(args) -> int:
     code = _load_code_arg(args.code)
-    if args.distribution:
-        dist = weight_distribution(code, threads=args.threads)
-        doc = {"d": dist.min_nonzero(), "counts": dist.to_jsonable()}
-        print(json.dumps(doc) if args.format == "json" else
-              f"d: {doc['d']}\ncounts: {doc['counts']}")
-        return 0
     d = min_weight(code, abort_above=args.abort_above, threads=args.threads)
     doc = {"d": d}
     if args.abort_above is not None and d < args.abort_above:
@@ -169,25 +163,16 @@ def _cmd_minweight(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
-    code = _load_code_arg(args.code)
-    dist = weight_distribution(code, threads=args.threads)
-    if args.format == "json":
-        print(json.dumps({"n": dist.n, "counts": dist.to_jsonable()}))
-    else:
-        for w, c in dist.items():
-            print(f"{w}: {c}")
+    dist = weight_distribution(_load_code_arg(args.code), threads=args.threads)
+    _emit(dict(dist.items()) if args.format == "text" else
+          {"n": dist.n, "counts": dist.to_jsonable()}, args.format)
     return 0
 
 
 def _cmd_invariant(args) -> int:
-    code = _load_code_arg(args.code)
-    seq = nt_sequence(code, args.weight, threads=args.threads)
-    if args.format == "json":
-        print(json.dumps({"n": seq.n, "k": seq.k, "weight": seq.weight,
-                          "sequence": seq.to_jsonable()}))
-    else:
-        print(f"weight: {seq.weight}")
-        print(f"sequence: {list(seq.sequence)}")
+    seq = nt_sequence(_load_code_arg(args.code), args.weight, threads=args.threads)
+    doc = {"weight": seq.weight, "sequence": seq.to_jsonable()}
+    _emit(doc if args.format == "text" else {"n": seq.n, "k": seq.k, **doc}, args.format)
     return 0
 
 
@@ -202,16 +187,9 @@ def _cmd_equiv(args) -> int:
     return 0
 
 
-def _cmd_shorten(args) -> int:
-    code = _load_code_arg(args.code)
-    out = shorten(code, _parse_coords(args.coords))
-    _write_text(args.out, format_code(out))
-    return 0
-
-
-def _cmd_puncture(args) -> int:
-    code = _load_code_arg(args.code)
-    out = puncture(code, _parse_coords(args.coords))
+def _cmd_coords(args) -> int:
+    """``shorten`` or ``puncture``: ``args.op`` is the library call."""
+    out = args.op(_load_code_arg(args.code), _parse_coords(args.coords))
     _write_text(args.out, format_code(out))
     return 0
 
@@ -340,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code", help="code file, '-' for stdin, or bundled name")
     p.add_argument("--abort-above", type=int, default=None,
                    help="stop early once a codeword lighter than this is found")
-    p.add_argument("--distribution", action="store_true",
-                   help="also report the full weight distribution")
     _add_common(p)
     p.set_defaults(fn=_cmd_minweight)
 
@@ -366,17 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_equiv)
 
-    p = sub.add_parser("shorten", help="shorten on a 1-based coordinate set")
-    p.add_argument("code")
-    p.add_argument("--coords", required=True, help="e.g. '1,2,5'")
-    p.add_argument("-o", "--out", default=None)
-    p.set_defaults(fn=_cmd_shorten)
-
-    p = sub.add_parser("puncture", help="puncture on a 1-based coordinate set")
-    p.add_argument("code")
-    p.add_argument("--coords", required=True, help="e.g. '1,2,5'")
-    p.add_argument("-o", "--out", default=None)
-    p.set_defaults(fn=_cmd_puncture)
+    for op in (shorten, puncture):
+        p = sub.add_parser(op.__name__, help=f"{op.__name__} on a 1-based coordinate set")
+        p.add_argument("code")
+        p.add_argument("--coords", required=True, help="e.g. '1,2,5'")
+        p.add_argument("-o", "--out", default=None)
+        p.set_defaults(fn=_cmd_coords, op=op)
 
     p = sub.add_parser("dual", help="dual code")
     p.add_argument("code")
@@ -427,18 +398,14 @@ def main(argv: list[str] | None = None) -> int:
         # exits 2; --exhaustive and --pair draw nothing, so a seed there would go unrecorded
         ap.error("--sample requires --rng-seed" if args.rng_seed is None
                  else "--rng-seed applies only to --sample")
-    if getattr(args, "distribution", False) and args.abort_above is not None:
-        ap.error("--abort-above does not apply to --distribution")  # it would go unused
     for name, low in (("threads", 1), ("sample", 1), ("rng_seed", 0), ("weight", 1), ("node_budget", 0)):
         if (value := getattr(args, name, None)) is not None and value < low:
             ap.error(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
     try:
         return args.fn(args)
-    except HullkitError as e:
-        print(f"{PROG}: error: {e}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError, FileNotFoundError) as e:
-        print(f"{PROG}: error: {e}", file=sys.stderr)
+    except (HullkitError, KeyError, ValueError, OSError) as e:
+        # str() of a KeyError is the repr of its message, quotes and all
+        print(f"{PROG}: error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return 1
 
 

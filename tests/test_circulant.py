@@ -41,6 +41,11 @@ def test_circulant_row_sums_constant():
             assert sum(r) == row.weight
 
 
+def test_an_empty_first_row_is_refused():
+    with pytest.raises(ValueError, match="empty"):
+        CirculantSpec(FieldVector(GF2, []))
+
+
 def test_pure_double_circulant_examples():
     c = pure_double_circulant(spec_of([1]))
     assert (c.n, c.k) == (2, 1)

@@ -68,23 +68,11 @@ def test_transform_pipeline(capsys, tmp_path):
     assert json.loads(out)["d"] == 6
 
 
-def test_minweight_with_distribution(capsys, tmp_path):
-    path = tmp_path / "ham.code"
-    run_cli(capsys, "build-circulant", "0111", "--pure", "-o", str(path))
-    code, out, _ = run_cli(capsys, "minweight", str(path), "--distribution",
-                           "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["d"] == 4
-    assert doc["counts"] == [[0, 1], [4, 14], [8, 1]]
-
-
-def test_minweight_distribution_of_the_zero_code(capsys, tmp_path):
-    path = tmp_path / "zero.code"
-    path.write_text("2 4 0\n")
-    code, out, err = run_cli(capsys, "minweight", str(path), "--distribution")
-    assert (code, out) == (1, "")
-    assert err == "hullkit: error: the zero code has no nonzero codewords\n"
+def test_minweight_has_no_distribution_option(capsys):
+    # `hullkit distribution` prints the counts
+    with pytest.raises(SystemExit) as exc:
+        main(["minweight", "D11", "--distribution"])
+    assert exc.value.code == 2
 
 
 def test_minweight_abort_above(capsys):
@@ -94,15 +82,6 @@ def test_minweight_abort_above(capsys):
     doc = json.loads(out)
     assert doc["d"] < 6
     assert "verdict" in doc
-
-
-def test_minweight_refuses_abort_above_with_distribution(capsys):
-    # the distribution scan ignored the bound and printed every count
-    with pytest.raises(SystemExit) as exc:
-        main(["minweight", "a40226", "--distribution", "--abort-above", "3"])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "--abort-above does not apply to --distribution" in err
 
 
 def test_distribution_json(capsys, tmp_path):
@@ -391,6 +370,39 @@ def test_domain_error_exit_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "info", str(bad))
     assert code == 1
     assert "dependent" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay", "--records", "{dir}"],
+    ["dual", "a37225", "-o", "{dir}"],
+    ["replay", "--records", "{records}", "--seed-file", "X={dir}"],
+    ["info", "{dir}"],
+    ["dual", "a37225", "-o", "{dir}/missing/out.code"],
+], ids=["records-dir", "out-dir", "seed-file-dir", "code-dir", "out-missing-dir"])
+def test_an_unreadable_or_unwritable_path_is_one_error_line(capsys, tmp_path, argv):
+    # a directory once escaped main() as an IsADirectoryError traceback
+    records = _lcd_records(capsys, tmp_path)
+    argv = [a.format(dir=tmp_path, records=records) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("hullkit: error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transform", "--seed", "a37225", "--pair", "D11"], "no bundled transform pair named 'D11'"),
+    (["info", "c37226"], "artifact 'c37226' is a transform-pair, not a code"),
+], ids=["pair-D11", "code-c37226"])
+def test_a_key_error_prints_its_message_without_quotes(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"hullkit: error: {message}\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--pure"]])
+def test_build_circulant_refuses_an_empty_row(capsys, tmp_path, flags):
+    # it once wrote the [2,1] code, or with --pure the zero code
+    out_path = tmp_path / "out.code"
+    code, out, err = run_cli(capsys, "build-circulant", "", *flags, "-o", str(out_path))
+    assert (code, out) == (1, "") and not out_path.exists()
+    assert err == "hullkit: error: a circulant first row must not be empty\n"
 
 
 def test_verify_paper(capsys, tmp_path):
