@@ -52,10 +52,13 @@ PROG = "hullkit"
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise HullkitError(f"{'<stdin>' if path == '-' else path}: not UTF-8 text: {e}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -215,12 +218,11 @@ def _cmd_search_sd(args) -> int:
         xs = sampled_x(m, y, args.sample, args.rng_seed, rule=args.rule)
         source = {"x_source": "sample", "count": args.sample,
                   "rng": RNG_NAME, "rng_seed": args.rng_seed}
-    records = sd_search(
-        seed, y, xs, args.d_target, rule=args.rule,
-        seed_id=args.seed, stamp=True)
     header = {"search": "sd", "seed": args.seed, "y": y.to_string(),
               "d_target": args.d_target, "rule": args.rule, **source}
-    write_records(args.out, records, header=header)
+    with open(args.out, "w", encoding="utf-8") as out:  # an unwritable --out fails before the search
+        records = sd_search(seed, y, xs, args.d_target, rule=args.rule, seed_id=args.seed, stamp=True)
+        write_records(out, records, header=header)
     print(f"{len(records)} record(s) written to {args.out}")
     return 0
 
@@ -238,9 +240,10 @@ def _cmd_search_lcd(args) -> int:
         pairs = sampled_isotropic_pairs(m, args.sample, args.rng_seed)
         source = {"pair_source": "sample", "count": args.sample,
                   "rng": RNG_NAME, "rng_seed": args.rng_seed}
-    records = lcd_improve(seed, pairs, args.d_target, seed_id=args.seed, stamp=True)
     header = {"search": "lcd", "seed": args.seed, "d_target": args.d_target, **source}
-    write_records(args.out, records, header=header)
+    with open(args.out, "w", encoding="utf-8") as out:  # an unwritable --out fails before the search
+        records = lcd_improve(seed, pairs, args.d_target, seed_id=args.seed, stamp=True)
+        write_records(out, records, header=header)
     print(f"{len(records)} record(s) written to {args.out}")
     return 0
 

@@ -117,6 +117,8 @@ def _cover(bits: np.ndarray) -> np.ndarray:
     high = C(c,3) + C(e,4) are tabulated per column pair: each word gathers
     them once per pair of its support and adds them over the C(w,4) splits
     of its places.  Words go in chunks of about 2^16 ranks, added in place.
+    A word's support is its row's flat nonzero positions less the row's
+    offset; words of one weight are read in place, without a copy.
     """
     n = bits.shape[1]
     weights = bits.sum(axis=1)
@@ -125,7 +127,8 @@ def _cover(bits: np.ndarray) -> np.ndarray:
     cover = np.zeros(comb(n, 4), dtype=np.min_scalar_type(len(bits)))
     one = cover.dtype.type(1)  # a Python 1 sends np.add.at down its slow casting path
     for w in np.unique(weights[weights >= 4]).tolist():
-        supports = (np.flatnonzero(bits[weights == w].view(bool)) % n).reshape(-1, w)
+        rows = bits if (weights == w).all() else bits[weights == w]
+        supports = np.flatnonzero(rows.view(bool)).reshape(-1, w) - n * np.arange(len(rows))[:, None]
         p, q, lo, hi = _place_pairs(w)
         step = max(1, (1 << 16) // len(lo))
         for start in range(0, len(supports), step):
@@ -241,7 +244,7 @@ def _signature_weights(dist) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _slice_tables(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only tables of :func:`_slice`, under 1 MB at n = 56: per slice
+    """Read-only tables of :func:`_through`, under 1 MB at n = 56: per slice
     entry (j, {i < h}), the colex rank of {j, i, h}, or the sentinel C(n,3)
     when j is i or h; and per 3-subset {x < y < z} in colex order, the slice
     column of {x, y} and C(z, 4)."""
@@ -278,23 +281,18 @@ def _through(cover: np.ndarray, a: int, n: int) -> np.ndarray:
     return vals
 
 
-def _slice(cover: np.ndarray, a: int, n: int) -> np.ndarray:
-    """(n, C(n,2)) int32 array: entry [j, {i < h}] is the cover count of
-    {a, j, i, h}, or -1 when the four columns are not distinct: the counts
-    :func:`_through` gathers, read through the table."""
-    return _through(cover, a, n).take(_slice_tables(n)[0])
-
-
 def _relabel(rows: np.ndarray) -> np.ndarray:
     """(2, m) ids of the rows of a (2, m, ...) array, one id per distinct
-    row across both codes, in the order of the rows' bytes."""
-    keys = [r.tobytes() for r in rows.reshape(rows.shape[0] * rows.shape[1], -1)]
-    ids, label, last = [0] * len(keys), -1, None
-    for r in sorted(range(len(keys)), key=keys.__getitem__):  # compares bytes, hashes none
-        if keys[r] != last:
-            label, last = label + 1, keys[r]
-        ids[r] = label
-    return np.array(ids).reshape(rows.shape[:2])
+    row across both codes, in the order of the rows' bytes: one argsort of
+    the rows viewed as raw bytes, then runs of equal rows, compared as
+    unsigned words (numpy compares raw bytes far slower)."""
+    flat = np.ascontiguousarray(rows.reshape(rows.shape[0] * rows.shape[1], -1))
+    flat = flat.view(f"u{flat.itemsize}")  # equal words are equal bytes, also for floats
+    order = np.argsort(flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel())
+    ranked = flat[order]
+    ids = np.empty(len(flat), dtype=np.intp)
+    ids[order] = np.cumsum(np.concatenate(([False], (ranked[1:] != ranked[:-1]).any(axis=1))))
+    return ids.reshape(rows.shape[:2])
 
 
 def _key_dtype(c: int, reach: int) -> type:
@@ -318,6 +316,10 @@ class _Search:
         self.flat = np.count_nonzero(hist) <= 1
         diagonal = np.eye(pairs.shape[1], dtype=bool)
         self.static = self.flat and all(np.ptp(pairs[0][m]) == 0 for m in (diagonal, ~diagonal))
+        # with one pair class on both codes' diagonals and one off them (every
+        # extremal seed), a column's pair signature follows from its colour and
+        # its side's colour multiset, which refine keeps equal on both sides
+        self.pair_signature = not all(np.ptp(pairs[:, m]) == 0 for m in (diagonal, ~diagonal))
         self.reach = len(hist) + 1
         self.nodes = 0
 
@@ -330,8 +332,11 @@ class _Search:
         slice (the cover counts of one individualized column, stacked for
         both codes) the multiset over pairs {i, h} of (colours of i and h,
         slice entry).  Each multiset is a sorted row, reduced to an id at
-        once.  Returns the refined (2, n) colours, compact from 0, or None
-        when the two codes' colour multisets differ.
+        once.  The pair multiset is left out where it follows from the
+        colour (see ``pair_signature``): stacked after the colour, it orders
+        no row the colour does not, so every label stays as it was.  Returns
+        the refined (2, n) colours, compact from 0, or None when the two
+        codes' colour multisets differ.
         """
         if self.static:
             return cols
@@ -340,7 +345,9 @@ class _Search:
         width = int(self.pairs.max()) + 1
         while True:
             c = int(cols.max()) + 1
-            parts = [cols, _relabel(np.sort(cols[:, None, :] * width + self.pairs, axis=2))]
+            parts = [cols]
+            if self.pair_signature:
+                parts.append(_relabel(np.sort(cols[:, None, :] * width + self.pairs, axis=2)))
             lo, hi = np.minimum(cols[:, i], cols[:, h]), np.maximum(cols[:, i], cols[:, h])
             base = ((lo * c + hi) * self.reach).astype(_key_dtype(c, self.reach))[:, None, :]
             for s in slices:
@@ -423,6 +430,14 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     return _decide(*(_Certificate.of(c, threads=threads) for c in (c1, c2)), node_budget, threads)
 
 
+def _pair_counts(bits: np.ndarray) -> np.ndarray:
+    """(n, n) float64 counts of the words of ``bits`` that cover both
+    columns, from one float32 product while every count is exact in it
+    (fewer than 2^24 words), else from a float64 one."""
+    f = bits.astype(np.float32 if len(bits) < 1 << 24 else np.float64)
+    return (f.T @ f).astype(np.float64)
+
+
 def _decide(p1: _Certificate, p2: _Certificate, node_budget: int, threads: int) -> EquivalenceResult:
     """:func:`is_equivalent` on two certificates; a missing cover is built for this call only."""
     (c1, c2), n = (p1.code, p2.code), p1.code.n
@@ -440,7 +455,7 @@ def _decide(p1: _Certificate, p2: _Certificate, node_budget: int, threads: int) 
     pair_counts = []  # per code: (n, n, weights) counts of words covering both columns
     for code, b in zip((c1, c2), bits):
         sets = [b] + [_incidence(words, n) for words in _words(code, heavier, threads)]
-        pair_counts.append(np.stack([f.T @ f for f in (m.astype(float) for m in sets)], axis=-1))
+        pair_counts.append(np.stack([_pair_counts(m) for m in sets], axis=-1))
     pairs = _relabel(np.reshape(pair_counts, (2, n * n, -1))).reshape(2, n, n)
     search = _Search((c1, c2), covers, hist, pairs, node_budget)
     try:

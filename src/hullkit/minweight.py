@@ -288,16 +288,10 @@ def _listable(k: int) -> int:
     return k
 
 
-def _gleason_distribution(n: int, low: Sequence[int]) -> dict[int, int]:
-    """Weight distribution of a doubly even self-dual [n, n/2] code from its
-    counts A_0, A_4, ..., A_(4 floor(n/24)) (Gleason's theorem).
-
-    The enumerator is sum_j a_j g1^(n/8 - 3j) g2^j with
-    g1 = x^8 + 14 x^4 y^4 + y^8 and g2 = x^4 y^4 (x^4 - y^4)^4.  In t = y^4
-    (x = 1) the j-th basis polynomial starts at t^j with coefficient 1, so
-    the a_j follow from the A_4j by forward substitution, exactly in
-    integers.
-    """
+@cache
+def _gleason_basis(n: int, terms: int) -> tuple[tuple[int, ...], ...]:
+    """The first ``terms`` basis polynomials g1^(n/8 - 3j) g2^j of
+    :func:`_gleason_distribution`, in t = y^4, to degree n/4."""
     size = n // 4 + 1
 
     def mul(p, q):
@@ -314,11 +308,24 @@ def _gleason_distribution(n: int, low: Sequence[int]) -> dict[int, int]:
         return out
 
     g1, g2 = [1, 14, 1], [0, 1, -4, 6, -4, 1]
-    basis = [mul(power(g1, n // 8 - 3 * j), power(g2, j)) for j in range(len(low))]
+    return tuple(tuple(mul(power(g1, n // 8 - 3 * j), power(g2, j))) for j in range(terms))
+
+
+def _gleason_distribution(n: int, low: Sequence[int]) -> dict[int, int]:
+    """Weight distribution of a doubly even self-dual [n, n/2] code from its
+    counts A_0, A_4, ..., A_(4 floor(n/24)) (Gleason's theorem).
+
+    The enumerator is sum_j a_j g1^(n/8 - 3j) g2^j with
+    g1 = x^8 + 14 x^4 y^4 + y^8 and g2 = x^4 y^4 (x^4 - y^4)^4.  In t = y^4
+    (x = 1) the j-th basis polynomial starts at t^j with coefficient 1, so
+    the a_j follow from the A_4j by forward substitution, exactly in
+    integers.
+    """
+    basis = _gleason_basis(n, len(low))
     coeffs: list[int] = []
     for j, a in enumerate(low):
         coeffs.append(a - sum(c * b[j] for c, b in zip(coeffs, basis)))
-    dist = {4 * i: sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(size)}
+    dist = {4 * i: sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n // 4 + 1)}
     return {w: c for w, c in dist.items() if c}
 
 

@@ -20,7 +20,7 @@ import random
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 from .code import (
     LinearCode,
@@ -138,20 +138,30 @@ class SearchRecord:
         return cls(**values)
 
 
-def write_records(path: str, records: Iterable[SearchRecord],
+def write_records(path: str | TextIO, records: Iterable[SearchRecord],
                   header: Mapping | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(json.dumps({"kind": "header", **dict(header)}, sort_keys=True) + "\n")
-        for rec in records:
-            fh.write(rec.to_json_line() + "\n")
+    """Write the header line, if any, and one line per record to the file at
+    ``path``, or to ``path`` itself when it is a text file already open."""
+    if not hasattr(path, "write"):
+        with open(path, "w", encoding="utf-8") as fh:
+            write_records(fh, records, header)
+        return
+    if header is not None:
+        path.write(json.dumps({"kind": "header", **dict(header)}, sort_keys=True) + "\n")
+    for rec in records:
+        path.write(rec.to_json_line() + "\n")
 
 
 def read_records(path: str) -> tuple[dict | None, list[SearchRecord]]:
     header = None
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes read as lone surrogates, refused with their line below
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for i, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise IntegrityError(f"{path}:{i}: not UTF-8 text") from None
             line = line.strip()
             if not line:
                 continue

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 from hullkit import (GF2, FieldVector, exhaustive_isotropic_pairs, format_code, lcd_improve,
                      sampled_x, sd_search)
+from hullkit import cli
 from hullkit.cli import main
 from hullkit.search import read_records
 
@@ -526,3 +528,42 @@ def test_search_sd_y_count_takes_only_ascii_digits(capsys, tmp_path, spec):
                              "--rng-seed", "1", "--d-target", "12", "--out", str(tmp_path / "r"))
     assert (code, out) == (1, "")
     assert err.startswith(f"hullkit: error: cannot parse y spec {spec!r}")
+
+
+def test_a_code_file_that_is_not_utf8_is_named(capsys, tmp_path):
+    path = tmp_path / "code.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"hullkit: error: {path}: not UTF-8 text")
+
+
+def test_stdin_that_is_not_utf8_is_named(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+    code, out, err = run_cli(capsys, "info", "-")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("hullkit: error: <stdin>: not UTF-8 text")
+
+
+def test_replay_names_the_line_that_is_not_utf8(capsys, tmp_path):
+    records = _lcd_records(capsys, tmp_path)
+    header, record, _ = records.read_bytes().splitlines()
+    records.write_bytes(header + b"\n" + record.replace(b'"x"', b'"\xff"') + b"\n")
+    code, out, err = run_cli(capsys, "replay", "--records", str(records))
+    assert (code, out, err) == (1, "", f"hullkit: error: {records}:2: not UTF-8 text\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["search-sd", "--seed", "D11", "--y", "y4", "--sample", "3", "--rng-seed", "1", "--d-target", "12"],
+    ["search-lcd", "--seed", "a381310", "--sample", "3", "--rng-seed", "1", "--d-target", "8"],
+], ids=lambda argv: argv[0])
+def test_search_refuses_an_unwritable_out_before_it_searches(capsys, monkeypatch, tmp_path, argv):
+    # the output file was opened only after the whole search had run
+    def searched(*args, **kwargs):
+        raise AssertionError("the search ran before --out was opened")
+
+    monkeypatch.setattr(cli, "sd_search", searched)
+    monkeypatch.setattr(cli, "lcd_improve", searched)
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("hullkit: error: ")

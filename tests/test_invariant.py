@@ -18,10 +18,11 @@ from hullkit import (
     is_equivalent,
     nt_sequence,
     same_code,
+    transform_code,
 )
-from hullkit.artifacts import CIRCULANT_SEED_NAMES, load_a_block_code, load_seed
+from hullkit.artifacts import CIRCULANT_SEED_NAMES, PAIR_SEED, load_a_block_code, load_pair, load_seed, seed_store
 from hullkit import invariant
-from hullkit.invariant import _cover, _incidence, _key_dtype, _slice, nt_from_masks
+from hullkit.invariant import _cover, _incidence, _key_dtype, _pair_counts, _relabel, _through, nt_from_masks
 from hullkit.minweight import _packed_rows, codeword_masks_of_weight
 from hullkit.search import SEARCH_NODE_BUDGET
 
@@ -37,6 +38,13 @@ from conftest import (
     subset_cover_count,
     tied_pairs,
 )
+
+
+def _slice(cover, a, n):
+    """(n, C(n,2)) int32 array: entry [j, {i < h}] is the cover count of
+    {a, j, i, h}, or -1 when the four columns are not distinct: the counts
+    ``invariant._through`` gathers, read through its table."""
+    return _through(cover, a, n).take(invariant._slice_tables(n)[0])
 
 
 def random_perm(rng, n):
@@ -528,3 +536,108 @@ def test_permuted_seeds_refine_three_times(monkeypatch, name):
     results, calls = _decisions(monkeypatch, [_permuted_seed(name)])
     assert calls == [3]
     assert results[0][1] == PERMUTED_SEED_PATHS[name][0]
+
+
+def _relabel_by_sorted_bytes(rows):
+    """``invariant._relabel`` as a Python sort over each row's ``tobytes()``."""
+    keys = [r.tobytes() for r in rows.reshape(rows.shape[0] * rows.shape[1], -1)]
+    ids, label, last = [0] * len(keys), -1, None
+    for r in sorted(range(len(keys)), key=keys.__getitem__):
+        if keys[r] != last:
+            label, last = label + 1, keys[r]
+        ids[r] = label
+    return np.array(ids).reshape(rows.shape[:2])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+def test_relabel_orders_rows_by_their_bytes(dtype):
+    # byte order is not numeric order (-1 sorts last, 256 before 1 in int32):
+    # the ids must follow the bytes, as the search's labels always have
+    rng = np.random.default_rng(173)
+    for trial in range(60):
+        m, width = int(rng.integers(1, 40)), int(rng.integers(1, 6)) if trial % 3 else 1
+        pool = rng.integers(-1, 300, size=(int(rng.integers(1, 2 * m)), width)).astype(dtype)
+        if dtype is np.float64:
+            pool[pool > 0] /= 7
+        rows = pool[rng.integers(0, len(pool), size=(2, m))]  # rows shared within and across both codes
+        ids = _relabel(rows)
+        assert ids.shape == (2, m) and ids.dtype == np.intp
+        assert np.array_equal(ids, _relabel_by_sorted_bytes(rows))
+    # a non-contiguous input is read by its values' bytes
+    rows = rng.integers(-1, 5, size=(2, 9, 4)).astype(dtype)
+    assert np.array_equal(_relabel(rows[:, :, ::2]), _relabel_by_sorted_bytes(rows[:, :, ::2]))
+
+
+def test_float32_pair_counts_equal_float64_ones_on_bundled_codes():
+    outputs = {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
+    for name, code in {**seed_store(), **outputs}.items():
+        bits = _incidence(invariant._Certificate.of(code).words, code.n)
+        f = bits.astype(np.float64)
+        counts = _pair_counts(bits)
+        assert counts.dtype == np.float64, name
+        assert counts.tobytes() == (f.T @ f).tobytes(), name  # so the pair classes are the same ids
+
+
+def _refine_with_every_pair_signature(self, cols, slices):
+    """``_Search.refine`` with the pair signature in every pass, whatever
+    the pair classes."""
+    if self.static:
+        return cols
+    n = cols.shape[1]
+    i, h = np.triu_indices(n, 1)
+    width = int(self.pairs.max()) + 1
+    while True:
+        c = int(cols.max()) + 1
+        parts = [cols, _relabel(np.sort(cols[:, None, :] * width + self.pairs, axis=2))]
+        lo, hi = np.minimum(cols[:, i], cols[:, h]), np.maximum(cols[:, i], cols[:, h])
+        base = ((lo * c + hi) * self.reach).astype(_key_dtype(c, self.reach))[:, None, :]
+        for s in slices:
+            parts.append(_relabel(np.sort(base + s, axis=2)))
+        new = _relabel(np.stack(parts, axis=-1))
+        if not np.array_equal(*(np.bincount(side, minlength=n) for side in new)):
+            return None
+        if new.max() == cols.max():
+            return new
+        cols = new
+
+
+def _refinements(monkeypatch, pairs, refine):
+    """Per decision at the search budget: its (verdict, nodes, witness), every
+    answer ``refine`` gave it, and whether its search left the pair signature out."""
+    out = []
+
+    def recorded(self, cols, slices):
+        refined = refine(self, cols, slices)
+        out[-1][1].append(None if refined is None else refined.tolist())
+        out[-1][2] = not self.pair_signature
+        return refined
+
+    with monkeypatch.context() as m:
+        m.setattr(invariant._Search, "refine", recorded)
+        for c1, c2 in pairs:
+            out.append([None, [], None])
+            res = is_equivalent(c1, c2, node_budget=SEARCH_NODE_BUDGET)
+            out[-1][0] = (res.verdict, res.nodes, res.witness)
+    return out
+
+
+def test_leaving_out_a_flat_pair_signature_changes_no_label(monkeypatch):
+    # the seeds' weight-12 words and the [8,4] code's words of weights 4 and 8
+    # form 2-designs: one pair class on the diagonal, one off it
+    pairs = [_permuted_seed(name) for name in CIRCULANT_SEED_NAMES]
+    rng = random.Random(179)
+    ham = extended_hamming()
+    pairs += [(ham, apply_column_permutation(ham, random_perm(rng, 8))) for _ in range(3)]
+    flat = len(pairs)
+    for n in range(8, 15):
+        code = random_code(rng, GF2, n, rng.randint(3, n - 3))
+        pairs.append((code, apply_column_permutation(code, random_perm(rng, n))))
+    sizes = [(9, 3), (9, 4), (10, 3), (10, 4)]  # an inequivalent [10,4] tie, searched in 164 nodes
+    pairs.append(next((c1, c2) for c1, c2, res in tied_pairs(random.Random(6), 400, sizes) if res.nodes))
+    got = _refinements(monkeypatch, pairs, invariant._Search.refine)
+    oracle = _refinements(monkeypatch, pairs, _refine_with_every_pair_signature)
+    assert [(result, answers) for result, answers, _ in got] == [(result, answers) for result, answers, _ in oracle]
+    for (result, _, _), name in zip(got, CIRCULANT_SEED_NAMES):
+        assert (result[1], hashlib.sha256(bytes(result[2])).hexdigest()) == PERMUTED_SEED_PATHS[name]
+    left_out = [skipped for _, _, skipped in got]
+    assert all(left_out[:flat]) and not any(left_out[flat:])

@@ -877,6 +877,43 @@ def test_gleason_solver_matches_the_table_and_walked_distributions(monkeypatch):
     assert dict(walked_distribution(direct_sum(_E8, _E8)).counts)[4] == 28
 
 
+def _gleason_distribution_uncached(n, low):
+    """The solver as it was before its basis polynomials were cached: each
+    call builds them again."""
+    size = n // 4 + 1
+
+    def mul(p, q):
+        out = [0] * size
+        for i, a in enumerate(p):
+            for j, b in enumerate(q[:size - i]):
+                out[i + j] += a * b
+        return out
+
+    def power(p, e):
+        out = [1]
+        for _ in range(e):
+            out = mul(out, p)
+        return out
+
+    basis = [mul(power([1, 14, 1], n // 8 - 3 * j), power([0, 1, -4, 6, -4, 1], j)) for j in range(len(low))]
+    coeffs = []
+    for j, a in enumerate(low):
+        coeffs.append(a - sum(c * b[j] for c, b in zip(coeffs, basis)))
+    dist = {4 * i: sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(size)}
+    return {w: c for w, c in dist.items() if c}
+
+
+def test_gleason_solver_is_unchanged_by_its_basis_cache():
+    rng = random.Random(167)
+    for n in range(8, 65, 8):
+        terms = n // 24 + 1
+        # a one-term prefix first: a longer one at the same n needs its own basis
+        lows = [[1], [1] + [0] * (terms - 1)] + [[1] + [rng.randrange(2000) for _ in range(terms - 1)]
+                                                 for _ in range(3)]
+        for low in lows + lows:  # the second pass reads every basis from the cache
+            assert _gleason_distribution(n, low) == _gleason_distribution_uncached(n, low)
+
+
 def _walk_mutant(monkeypatch, change):
     """Patch _scan_range so that a counting walk's result goes through ``change``."""
     scan_range = hullkit.minweight._scan_range

@@ -379,6 +379,28 @@ def test_read_records_names_a_missing_field(tmp_path, name):
         read_records(str(path))
 
 
+def test_read_records_names_the_line_that_is_not_utf8(tmp_path):
+    rec = SearchRecord(seed_id="ham8", x="1111", y="1111", n=8, k=4, d=4,
+                       self_dual=True, doubly_even=True, lcd=False,
+                       fingerprint={"distribution": "a", "nt": "b"})
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(rec.to_json_line().encode() + b"\n" + b'{"kind": "\xff"}\n')
+    with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}:2: not UTF-8 text$"):
+        read_records(str(path))
+
+
+def test_write_records_writes_the_same_bytes_to_a_path_and_to_an_open_file(tmp_path):
+    rec = SearchRecord(seed_id="ham8", x="1111", y="1111", n=8, k=4, d=4,
+                       self_dual=True, doubly_even=True, lcd=False,
+                       fingerprint={"distribution": "a", "nt": "b"})
+    write_records(str(tmp_path / "a"), [rec, rec], header={"search": "sd"})
+    write_records(tmp_path / "p", [rec, rec], header={"search": "sd"})  # a path object, as open() takes
+    with open(tmp_path / "b", "w", encoding="utf-8") as fh:
+        write_records(fh, [rec, rec], header={"search": "sd"})
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "p").read_bytes() == (tmp_path / "b").read_bytes()
+    assert read_records(str(tmp_path / "b")) == ({"search": "sd"}, [rec, rec])
+
+
 # one field of a valid record set to a value of the wrong JSON type, or an
 # unknown field, and the refusal read_records names
 MISTYPED_RECORD_FIELDS = [
