@@ -38,11 +38,18 @@ class LinearCode:
     input to the transform.  ``provenance`` is free-form metadata (e.g. the
     column permutation applied by standard_form); it never affects identity.
 
-    ``_reduced`` is the generator's reduced row-echelon form and ``_pivots``
-    its pivot columns, 0-based (``rref`` reports them 1-based).
+    Immutable to callers.  ``_reduced`` is the generator's reduced
+    row-echelon form and ``_pivots`` its pivot columns, 0-based (``rref``
+    reports them 1-based).  One private slot, ``_facts``, is written after
+    construction: ``invariant._Certificate`` keeps there what the first full
+    certificate of this object found (d, distribution, read-only weight-d
+    words, and their read-only N_t histogram once a cover has been built), so
+    that later certificates of the object derive nothing again.  It starts
+    None and holds no cover; facts follow the object, so an equal code built
+    anew starts empty.
     """
 
-    __slots__ = ("field", "n", "k", "generator", "provenance", "_reduced", "_pivots")
+    __slots__ = ("field", "n", "k", "generator", "provenance", "_reduced", "_pivots", "_facts")
 
     def __init__(self, generator: FieldMatrix, provenance: Mapping | None = None):
         if generator.rows > generator.cols:  # else the rank check below would fire first
@@ -58,6 +65,7 @@ class LinearCode:
         object.__setattr__(self, "provenance", dict(provenance) if provenance else {})
         object.__setattr__(self, "_reduced", reduced)
         object.__setattr__(self, "_pivots", tuple(c - 1 for c in pivots))
+        object.__setattr__(self, "_facts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
@@ -278,26 +286,31 @@ def shorten(code: LinearCode, coords: Iterable[int]) -> LinearCode:
 # line 1: "q n k"; lines 2..k+1: n concatenated symbol digits in [0, q).
 
 def parse_code(text: str, source: str = "<string>") -> LinearCode:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    """The code in ``text``; a ``CodeParseError`` names ``source`` and the
+    line of the text, blank lines counted."""
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise CodeParseError(f"{source}:1: empty code file")
-    head = lines[0].split()
+    (at, header), body = lines[0], lines[1:]
+    head = header.split()
     if len(head) != 3:
-        raise CodeParseError(f"{source}:1: expected 'q n k', got {lines[0]!r}")
+        raise CodeParseError(f"{source}:{at}: expected 'q n k', got {header!r}")
     try:
         q, n, k = (int(h) for h in head)
     except ValueError:
-        raise CodeParseError(f"{source}:1: non-integer header field in {lines[0]!r}") from None
+        raise CodeParseError(f"{source}:{at}: non-integer header field in {header!r}") from None
     try:
         field = PrimeField(q)
     except ValueError as e:
-        raise CodeParseError(f"{source}:1: {e}") from None
+        raise CodeParseError(f"{source}:{at}: {e}") from None
     if q > 7:
-        raise CodeParseError(f"{source}:1: digit format supports q <= 7, got q={q}")
-    if len(lines) - 1 != k:
-        raise CodeParseError(f"{source}: expected {k} generator rows, found {len(lines) - 1}")
+        raise CodeParseError(f"{source}:{at}: digit format supports q <= 7, got q={q}")
+    if n < 0 or k < 0:
+        raise CodeParseError(f"{source}:{at}: n and k must be non-negative, got n={n}, k={k}")
+    if len(body) != k:
+        raise CodeParseError(f"{source}: expected {k} generator rows, found {len(body)}")
     rows = []
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in body:
         if len(ln) != n:
             raise CodeParseError(f"{source}:{i}: row has {len(ln)} symbols, expected {n}")
         try:
@@ -310,7 +323,7 @@ def parse_code(text: str, source: str = "<string>") -> LinearCode:
     except (DimensionError, ValueError):  # k > n, or rank below k
         dep = _first_dependent_row(mat)
         raise CodeParseError(
-            f"{source}:{dep + 1}: row {dep} is linearly dependent on rows 1..{dep - 1}"
+            f"{source}:{body[dep - 1][0]}: row {dep} is linearly dependent on rows 1..{dep - 1}"
         ) from None
 
 

@@ -28,8 +28,10 @@ a witness permutation verified by generator membership, and every
 exhausting a search pruned only by permutation invariants.  A blown node
 budget yields verdict "unknown", never a wrong answer.  Its distribution
 and minimum-weight words come from a code's certificate, built by
-``_Certificate.of`` on the gate ``minweight._scan``, which a search's dedup
-reuses; the heavier words it compares come from one walk per code,
+``_Certificate.of`` on the gate ``minweight._scan`` and kept on the code
+object with the N_t counts of its first cover, so that :func:`nt_sequence`,
+:func:`is_equivalent` and a search's dedup derive neither again for that
+object; the heavier words it compares come from one walk per code,
 ``minweight._words``.
 """
 from __future__ import annotations
@@ -140,51 +142,83 @@ def _cover(bits: np.ndarray) -> np.ndarray:
     return cover
 
 
-def _nt_counts(cover: np.ndarray) -> dict[int, int]:
-    """Raw N_t counts: N_t is the number of column 4-subsets whose cover count is t."""
-    return {t: int(c) for t, c in enumerate(np.bincount(cover)) if t and c}
+def _nt_counts(hist: np.ndarray) -> dict[int, int]:
+    """Raw N_t counts from a cover's histogram, whose entry t is N_t."""
+    return {t: int(c) for t, c in enumerate(hist) if t and c}
 
 
 def nt_from_masks(words: np.ndarray, n: int) -> dict[int, int]:
     """Raw N_t counts from codewords of any weights, packed as ``minweight._packed_rows``."""
-    return _nt_counts(_cover(_incidence(words, n)))
+    return _nt_counts(np.bincount(_cover(_incidence(words, n))))
 
 
 class _Certificate(NamedTuple):
-    """A binary code's d, distribution, weight-d words and, once built, their cover."""
+    """A binary code's d, distribution and weight-d words, the histogram of
+    their cover (entry t is N_t) once counted, and the cover itself while
+    the call that built it holds it.
+
+    A code object's first full certificate is kept on it, in
+    ``LinearCode._facts``, as (d, distribution, words, histogram) with the
+    words and histogram read-only; the histogram joins once a cover of that
+    code is built.  Covers are never kept there.  Two threads certifying one
+    object at once may both do the work; what either keeps is the same."""
 
     code: LinearCode
     d: int
     distribution: WeightDistribution
     words: np.ndarray
+    nt: np.ndarray | None = None
     cover: np.ndarray | None = None
 
     @classmethod
     def of(cls, code: LinearCode, abort_below: int | None = None, threads: int = 1) -> _Certificate | None:
-        """The only call of ``minweight._scan`` outside it; None if the screen aborts."""
-        d, dist, words, aborted = _scan(code, abort_below, threads)
-        return None if aborted else cls(code, d, dist, words)
+        """The certificate kept on ``code``, else the only call of
+        ``minweight._scan`` outside it, kept unless the screen aborts.  None
+        exactly when the screen aborts: when d < abort_below for a code with
+        a nonzero word."""
+        if code._facts is None:
+            d, dist, words, aborted = _scan(code, abort_below, threads)
+            if aborted:
+                return None
+            words.flags.writeable = False
+            object.__setattr__(code, "_facts", (d, dist, words, None))
+        cert = cls(code, *code._facts)
+        return None if abort_below is not None and cert.d < min(abort_below, code.n + 1) else cert
 
-    def covered(self) -> _Certificate:
-        cover = _cover(_incidence(self.words, self.code.n)) if self.cover is None else self.cover
-        return self._replace(cover=cover)
+    def counted(self) -> _Certificate:
+        """This certificate with its N_t histogram.  A code whose facts hold
+        none gets its cover built and counted here, once; the cover rides on
+        the certificate returned, for its caller only."""
+        d, dist, words, nt = self.code._facts
+        if nt is not None:
+            return self._replace(nt=nt)
+        cover = _cover(_incidence(words, self.code.n))
+        nt = np.bincount(cover)
+        nt.flags.writeable = False
+        object.__setattr__(self.code, "_facts", (d, dist, words, nt))
+        return self._replace(nt=nt, cover=cover)
 
 
 def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtSequence:
     """The N_t invariant of ``code`` at codeword weight w, 1 <= w <= n, by
     default the minimum weight d; its ``sequence`` runs to max(n, largest
-    t).  The certificate's weight-d words serve w = d; a code the gate would
-    walk is walked once, for its weight-w words."""
+    t).  The certificate serves w = d, and its N_t counts, once counted, are
+    kept on the code object, so a second call on that object builds no
+    cover; ``counts`` is a new dict on every call.  Any other w, on a code
+    that is not certified and that the gate would walk, walks it once for
+    its weight-w words, which are not kept."""
     if not code.field.binary:
         raise UnsupportedFieldError("N_t invariant is defined for binary codes")
     if w is None and code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     if w is not None and not 1 <= w <= code.n:
         raise ValueError(f"codeword weight must be in 1..{code.n}, got {w}")
-    cert = _Certificate.of(code, threads=threads) if w is None or _two_set_rows(code) is not None else None
+    certify = w is None or code._facts is not None or _two_set_rows(code) is not None
+    cert = _Certificate.of(code, threads=threads) if certify else None
     w = cert.d if w is None else w
-    words = cert.words if cert is not None and w == cert.d else _words(code, (w,), threads)[0]
-    return NtSequence(code.n, code.k, w, nt_from_masks(words, code.n))
+    if cert is not None and w == cert.d:
+        return NtSequence(code.n, code.k, w, _nt_counts(cert.counted().nt))
+    return NtSequence(code.n, code.k, w, nt_from_masks(_words(code, (w,), threads)[0], code.n))
 
 
 def inequivalent_by_invariant(c1: LinearCode, c2: LinearCode, w: int,
@@ -420,6 +454,13 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     Codes whose counts are flat at every order (the [24,12,8] code, whose
     weight-8 words form a 5-design) give the search nothing to prune; those
     runs exhaust the budget.  Dedup makes the same :func:`_decide`.
+
+    Each code object is certified once: its scan, and its N_t counts once a
+    cover of it was built, are kept on it (see ``_Certificate``), so a
+    repeated decision scans nothing, and one whose kept counts differ
+    answers at once, with no cover.  Covers are not kept, so two codes with
+    equal counts (a code and a permuted copy) build both covers again on
+    every call.
     """
     if not c1.field.binary or not c2.field.binary:
         raise UnsupportedFieldError("equivalence test implemented for binary codes")
@@ -439,17 +480,19 @@ def _pair_counts(bits: np.ndarray) -> np.ndarray:
 
 
 def _decide(p1: _Certificate, p2: _Certificate, node_budget: int, threads: int) -> EquivalenceResult:
-    """:func:`is_equivalent` on two certificates; a missing cover is built for this call only."""
+    """:func:`is_equivalent` on two certificates.  N_t counts are counted at
+    most once per code object; a cover the search needs and no certificate
+    carries is built for this call only."""
     (c1, c2), n = (p1.code, p2.code), p1.code.n
     if same_code(c1, c2):  # also every pair of zero codes
         return EquivalenceResult("equivalent", tuple(range(1, n + 1)), 0)
     if p1.distribution.counts != p2.distribution.counts:
         return EquivalenceResult("inequivalent", None, 0)
+    p1, p2 = p1.counted(), p2.counted()
+    if not np.array_equal(p1.nt, p2.nt):
+        return EquivalenceResult("inequivalent", None, 0)
     bits = [_incidence(p.words, n) for p in (p1, p2)]
     covers = [_cover(b) if p.cover is None else p.cover for p, b in zip((p1, p2), bits)]
-    hist = np.bincount(covers[0])
-    if not np.array_equal(hist, np.bincount(covers[1])):
-        return EquivalenceResult("inequivalent", None, 0)
 
     heavier = _signature_weights(p1.distribution)[1:]
     pair_counts = []  # per code: (n, n, weights) counts of words covering both columns
@@ -457,7 +500,7 @@ def _decide(p1: _Certificate, p2: _Certificate, node_budget: int, threads: int) 
         sets = [b] + [_incidence(words, n) for words in _words(code, heavier, threads)]
         pair_counts.append(np.stack([_pair_counts(m) for m in sets], axis=-1))
     pairs = _relabel(np.reshape(pair_counts, (2, n * n, -1))).reshape(2, n, n)
-    search = _Search((c1, c2), covers, hist, pairs, node_budget)
+    search = _Search((c1, c2), covers, p1.nt, pairs, node_budget)
     try:
         root = search.refine(np.zeros((2, n), dtype=np.intp), [])
         images = None if root is None else search.extend(root, [])

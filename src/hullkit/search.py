@@ -57,15 +57,16 @@ def _digest(counts: Mapping[int, int]) -> str:
 def _certify(code: LinearCode, abort_below: int | None = None, threads: int = 1
              ) -> tuple[_Certificate, tuple[bool, bool, bool], dict[str, str]] | None:
     """None when the screen at ``abort_below`` aborts, else (certificate
-    with its cover, (self_dual, doubly_even, lcd), fingerprint): hashes of
-    the distribution and of the weight-d words' N_t counts, which do not
-    depend on the words' order."""
+    with its N_t counts, and with its cover when this call built it,
+    (self_dual, doubly_even, lcd), fingerprint): hashes of the distribution
+    and of the weight-d words' N_t counts, which do not depend on the words'
+    order.  The certificate stays on ``code`` (``_Certificate.of``)."""
     cert = _Certificate.of(code, abort_below, threads)
     if cert is None:
         return None
-    cert = cert.covered()
+    cert = cert.counted()
     flags = is_self_dual(code), is_doubly_even(code), is_lcd(code)
-    fp = {"distribution": _digest(cert.distribution.counts), "nt": _digest(_nt_counts(cert.cover))}
+    fp = {"distribution": _digest(cert.distribution.counts), "nt": _digest(_nt_counts(cert.nt))}
     return cert, flags, fp
 
 
@@ -427,6 +428,7 @@ def _record_vector(record: SearchRecord, name: str, seed: LinearCode) -> FieldVe
 def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
            threads: int = 1) -> LinearCode:
     """Reconstruct a record's code and verify parameters and fingerprint.
+    The code returned is certified: its scan and N_t counts stay on it.
 
     ``threads`` splits the certify step's full walk, when it takes one."""
     seed = seed_store.get(record.seed_id)

@@ -103,11 +103,13 @@ class TransformPair:
     # text format: two lines, "x=..." and "y=...", whitespace-free symbols
     @classmethod
     def parse(cls, text: str, source: str = "<string>") -> "TransformPair":
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+        """The pair in ``text``; a ``CodeParseError`` names ``source`` and the
+        line of the text, blank lines counted."""
+        lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
         if len(lines) != 2:
             raise CodeParseError(f"{source}: expected two lines 'x=...' and 'y=...'")
         vals = {}
-        for i, ln in enumerate(lines, start=1):
+        for i, ln in lines:
             if "=" not in ln:
                 raise CodeParseError(f"{source}:{i}: missing '=' in {ln!r}")
             name, _, body = ln.partition("=")
@@ -119,8 +121,14 @@ class TransformPair:
                 vals[name] = FieldVector(GF2, parse_symbols(GF2, body))
             except ValueError as e:
                 raise CodeParseError(f"{source}:{i}: {e}") from None
+            if vals[name].is_zero():  # also an empty vector
+                raise CodeParseError(f"{source}:{i}: {name} is {'a zero' if body else 'an empty'} vector, "
+                                     "which makes the transform trivial")
         if set(vals) != {"x", "y"}:
             raise CodeParseError(f"{source}: need exactly one x= line and one y= line")
+        if len(vals["x"]) != len(vals["y"]):
+            raise CodeParseError(f"{source}:{lines[1][0]}: x has length {len(vals['x'])}, "
+                                 f"y has length {len(vals['y'])}")
         return cls(vals["x"], vals["y"])
 
     def to_text(self) -> str:

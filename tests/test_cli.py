@@ -374,6 +374,21 @@ def test_domain_error_exit_1(capsys, tmp_path):
     assert "dependent" in err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("info", "2 -1 0\n", "{path}:1: n and k must be non-negative, got n=-1, k=0"),
+    ("info", "2 2 -1\n", "{path}:1: n and k must be non-negative, got n=2, k=-1"),
+    ("transform", "x=0000000000000000\ny=1111000000000000\n",
+     "{path}:1: x is a zero vector, which makes the transform trivial"),
+    ("transform", "x=\ny=1111000000000000\n", "{path}:1: x is an empty vector, which makes the transform trivial"),
+    ("transform", "x=1111000000000000\ny=11110000\n", "{path}:2: x has length 16, y has length 8"),
+], ids=["negative-n", "negative-k", "zero-x", "empty-x", "short-y"])
+def test_a_malformed_input_file_names_its_line(capsys, tmp_path, command, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    argv = ["info", str(path)] if command == "info" else ["transform", "--seed", "a381310", "--pair", str(path)]
+    assert run_cli(capsys, *argv) == (1, "", f"hullkit: error: {message.format(path=path)}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["replay", "--records", "{dir}"],
     ["dual", "a37225", "-o", "{dir}"],

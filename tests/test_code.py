@@ -282,6 +282,16 @@ def test_code_file_diagnostics():
         parse_code("2 4 1\n1121")
     with pytest.raises(CodeParseError, match="row 2 is linearly dependent"):
         parse_code("2 4 2\n1100\n1100")
+    # a negative n or k once surfaced as a dependent row 1 or as "expected -1 generator rows"
+    with pytest.raises(CodeParseError, match=r"^<string>:1: n and k must be non-negative, got n=-1, k=0$"):
+        parse_code("2 -1 0")
+    with pytest.raises(CodeParseError, match=r"^<string>:1: n and k must be non-negative, got n=2, k=-1$"):
+        parse_code("2 2 -1")
+    # lines are those of the text, blank lines counted
+    with pytest.raises(CodeParseError, match=r"^<string>:3: n and k must be non-negative"):
+        parse_code("\n\n2 2 -1")
+    with pytest.raises(CodeParseError, match=r"^<string>:6: row 2 is linearly dependent on rows 1\.\.1$"):
+        parse_code("\n\n2 4 2\n1100\n\n1100\n")
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])

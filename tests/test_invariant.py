@@ -641,3 +641,104 @@ def test_leaving_out_a_flat_pair_signature_changes_no_label(monkeypatch):
         assert (result[1], hashlib.sha256(bytes(result[2])).hexdigest()) == PERMUTED_SEED_PATHS[name]
     left_out = [skipped for _, _, skipped in got]
     assert all(left_out[:flat]) and not any(left_out[flat:])
+
+
+def _count_scans_and_covers(monkeypatch) -> dict[str, int]:
+    """Counts of ``invariant._scan`` and ``invariant._cover`` calls from now on."""
+    calls = {"scan": 0, "cover": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(invariant, "_scan", counting("scan", invariant._scan))
+    monkeypatch.setattr(invariant, "_cover", counting("cover", invariant._cover))
+    return calls
+
+
+def test_a_repeated_decision_reuses_each_codes_scan_and_counts(monkeypatch):
+    calls = _count_scans_and_covers(monkeypatch)
+    d11, c561 = load_seed("D11"), load_seed("C56.1")
+    first = is_equivalent(d11, c561)
+    assert calls == {"scan": 2, "cover": 2}
+    calls.update(scan=0, cover=0)
+    # the kept N_t counts differ: no scan and no cover
+    assert is_equivalent(d11, c561) == first == invariant.EquivalenceResult("inequivalent", None, 0)
+    assert calls == {"scan": 0, "cover": 0}
+    permuted = apply_column_permutation(d11, random_perm(random.Random("D11"), d11.n))
+    first = is_equivalent(d11, permuted)
+    assert calls == {"scan": 1, "cover": 2}
+    calls.update(scan=0, cover=0)
+    # equal counts: both covers are built again, and the search takes the same path
+    assert is_equivalent(d11, permuted) == first
+    assert calls == {"scan": 0, "cover": 2}
+    assert (first.nodes, hashlib.sha256(bytes(first.witness)).hexdigest()) == PERMUTED_SEED_PATHS["D11"]
+
+
+def test_nt_sequences_then_their_comparison_build_one_cover_per_code(monkeypatch):
+    # the order of demos/04_inequivalence_search.py
+    calls = _count_scans_and_covers(monkeypatch)
+    d11, c561 = load_seed("D11"), load_seed("C56.1")
+    s1, s2 = nt_sequence(d11, 12), nt_sequence(c561, 12)
+    assert inequivalent_by_invariant(d11, c561, 12) is not None
+    assert calls == {"scan": 2, "cover": 2}
+    assert nt_sequence(d11, 12) == s1 and nt_sequence(c561) == s2
+    assert calls == {"scan": 2, "cover": 2}
+
+
+def test_facts_follow_the_code_object_not_its_content(monkeypatch):
+    calls = _count_scans_and_covers(monkeypatch)
+    d11 = load_seed("D11")
+    assert d11._facts is None
+    # an aborted screen keeps nothing
+    assert invariant._Certificate.of(d11, abort_below=13) is None and d11._facts is None
+    assert calls["scan"] == 1
+    assert invariant._Certificate.of(d11).d == 12 and d11._facts is not None
+    assert invariant._Certificate.of(d11, abort_below=13) is None and calls["scan"] == 2
+    # the same generator in a new object is certified anew
+    twin = LinearCode(d11.generator)
+    assert twin._facts is None and same_code(twin, d11)
+    assert invariant._Certificate.of(twin).d == 12 and calls["scan"] == 3
+
+
+def test_a_kept_certificate_answers_the_screen_as_the_scan_does():
+    # the six seeds and three LCD codes, the LCD codes' bundled outputs, and a code with no nonzero word
+    codes = {**seed_store(), "zero": LinearCode(FieldMatrix.from_bit_rows([], 6))}
+    codes |= {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
+    for name, code in codes.items():
+        fresh = invariant._Certificate.of(code)
+        assert fresh is not None and code._facts is not None, name
+        for abort_below in (None, 1, 4, fresh.d - 1, fresh.d, fresh.d + 1, code.n + 1, code.n + 2):
+            kept = invariant._Certificate.of(code, abort_below)
+            d, dist, words, aborted = invariant._scan(LinearCode(code.generator), abort_below)
+            assert (kept is None) == aborted, (name, abort_below)
+            if kept is not None:
+                assert (kept.d, kept.distribution) == (d, dist), (name, abort_below)
+                assert np.array_equal(kept.words, words), (name, abort_below)
+
+
+def test_nothing_kept_is_handed_out_mutable():
+    d11, c561 = load_seed("D11"), load_seed("C56.1")
+    seq = nt_sequence(d11)
+    expected = dict(seq.counts)
+    seq.counts[1] = seq.counts.get(1, 0) + 1
+    seq.counts.clear()
+    assert nt_sequence(d11).counts == expected
+    assert is_equivalent(d11, c561).verdict == "inequivalent"
+    d, dist, words, nt = d11._facts
+    for array in (words, nt):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert nt.tolist() == [comb(56, 4) - sum(expected.values())] + [expected.get(t, 0) for t in range(1, len(nt))]
+
+
+def test_a_certified_code_holds_no_cover():
+    d11, permuted = _permuted_seed("D11")
+    assert is_equivalent(d11, permuted)
+    for code in (d11, permuted):
+        d, dist, words, nt = code._facts
+        assert (d, len(words)) == (12, 8190) and words.nbytes == 65_520
+        assert len(nt) < 100 and all(not isinstance(f, np.ndarray) or len(f) < comb(56, 4) for f in code._facts)

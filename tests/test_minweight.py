@@ -539,11 +539,17 @@ def test_nt_sequence_walks_a_walked_code_once(monkeypatch, capsys):
         return _scan_binary(code, **kwargs)
 
     monkeypatch.setattr(hullkit.minweight, "_scan_binary", counting)
-    seed = load_a_block_code("a40226")  # d = 6
     for w in (None, 6, 7):
+        seed = load_a_block_code("a40226")  # d = 6; a new object, so nothing is kept on it yet
         walked.clear()
         assert nt_sequence(seed, w).weight == (6 if w is None else w)
         assert walked == [seed]
+    # a certified code keeps its weight-6 words and counts, and walks again only for other weights
+    seed = load_a_block_code("a40226")
+    nt_sequence(seed)
+    walked.clear()
+    assert nt_sequence(seed, 6).weight == 6 and walked == []
+    assert nt_sequence(seed, 7).weight == 7 and walked == [seed]
     walked.clear()
     assert main(["invariant", "a40226", "--format", "json"]) == 0
     assert len(walked) == 1

@@ -543,6 +543,26 @@ def test_dedup_decides_over_certificates_without_a_scan(monkeypatch):
     assert rep.words is first.words and rep.distribution == first.distribution
 
 
+def test_replay_certifies_the_code_it_rebuilds_with_one_scan(monkeypatch):
+    scans = []
+
+    def counting(*args, **kwargs):
+        scans.append(args[0])
+        return gate(*args, **kwargs)
+
+    gate = hullkit.invariant._scan
+    monkeypatch.setattr(hullkit.invariant, "_scan", counting)
+    d11, y4 = load_seed("D11"), make_yi(28, 4)
+    (rec,) = sd_search(d11, y4, [y4], d_target=12, seed_id="D11")
+    assert len(scans) == 1
+    out = replay(rec, {"D11": d11})
+    assert scans[1:] == [out] and out._facts is not None and out._facts[3] is not None
+    assert nt_sequence(out).counts and len(scans) == 2  # the replayed code keeps its certificate
+    # facts follow the object: replaying again rebuilds and certifies a new code
+    again = replay(rec, {"D11": d11})
+    assert again is not out and scans[2:] == [again]
+
+
 def test_fingerprint_stability():
     ham = extended_hamming()
     fp1 = fingerprint_code(ham)

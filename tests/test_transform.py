@@ -73,6 +73,17 @@ def test_pair_text_round_trip():
         TransformPair.parse("x=01\nz=10")
     with pytest.raises(CodeParseError):
         TransformPair.parse("x=01")
+    # these once raised ValueError or DimensionError from the constructor, naming no line
+    with pytest.raises(CodeParseError, match=r"^<string>:1: x is a zero vector, which makes the transform trivial$"):
+        TransformPair.parse("x=0000\ny=1111")
+    with pytest.raises(CodeParseError, match=r"^<string>:2: y is an empty vector"):
+        TransformPair.parse("x=1111\ny=")
+    with pytest.raises(CodeParseError, match=r"^<string>:2: x has length 4, y has length 3$"):
+        TransformPair.parse("x=1111\ny=111")
+    with pytest.raises(CodeParseError, match=r"^<string>:4: invalid literal"):
+        TransformPair.parse("\nx=1100\n\ny=11a0")
+    with pytest.raises(CodeParseError, match=r"^<string>:5: x has length 4, y has length 3$"):
+        TransformPair.parse("x=1111\n\n\n\ny=111\n\n")
 
 
 def test_transform_rows_fixes_orthogonal_rows():
