@@ -46,7 +46,6 @@ from .code import (
 from .transform import (
     TransformPair,
     m_matrix,
-    sign_variants,
     transform_code,
     transform_rows,
 )

@@ -203,6 +203,19 @@ def _cmd_dual(args) -> int:
     return 0
 
 
+def _write_search(args, header: dict, search, *params, **options) -> int:
+    """Run ``search`` (``sd_search`` or ``lcd_improve``) on ``params`` and
+    write its records to ``--out``.  The file is opened before the search, so an unwritable path
+    fails first, and emptied only once the search has returned, so a
+    refused search leaves it as it was."""
+    with open(args.out, "a", encoding="utf-8") as out:
+        records = search(*params, seed_id=args.seed, stamp=True, **options)
+        out.truncate(0)
+        write_records(out, records, header=header)
+    print(f"{len(records)} record(s) written to {args.out}")
+    return 0
+
+
 def _cmd_search_sd(args) -> int:
     seed = _load_code_arg(args.seed)
     m = seed.n - seed.k
@@ -220,11 +233,7 @@ def _cmd_search_sd(args) -> int:
                   "rng": RNG_NAME, "rng_seed": args.rng_seed}
     header = {"search": "sd", "seed": args.seed, "y": y.to_string(),
               "d_target": args.d_target, "rule": args.rule, **source}
-    with open(args.out, "w", encoding="utf-8") as out:  # an unwritable --out fails before the search
-        records = sd_search(seed, y, xs, args.d_target, rule=args.rule, seed_id=args.seed, stamp=True)
-        write_records(out, records, header=header)
-    print(f"{len(records)} record(s) written to {args.out}")
-    return 0
+    return _write_search(args, header, sd_search, seed, y, xs, args.d_target, rule=args.rule)
 
 
 def _cmd_search_lcd(args) -> int:
@@ -241,11 +250,7 @@ def _cmd_search_lcd(args) -> int:
         source = {"pair_source": "sample", "count": args.sample,
                   "rng": RNG_NAME, "rng_seed": args.rng_seed}
     header = {"search": "lcd", "seed": args.seed, "d_target": args.d_target, **source}
-    with open(args.out, "w", encoding="utf-8") as out:  # an unwritable --out fails before the search
-        records = lcd_improve(seed, pairs, args.d_target, seed_id=args.seed, stamp=True)
-        write_records(out, records, header=header)
-    print(f"{len(records)} record(s) written to {args.out}")
-    return 0
+    return _write_search(args, header, lcd_improve, seed, pairs, args.d_target)
 
 
 def _cmd_replay(args) -> int:

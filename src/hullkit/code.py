@@ -41,12 +41,12 @@ class LinearCode:
     Immutable to callers.  ``_reduced`` is the generator's reduced
     row-echelon form and ``_pivots`` its pivot columns, 0-based (``rref``
     reports them 1-based).  One private slot, ``_facts``, is written after
-    construction: ``invariant._Certificate`` keeps there what the first full
-    certificate of this object found (d, distribution, read-only weight-d
-    words, and their read-only N_t histogram once a cover has been built), so
-    that later certificates of the object derive nothing again.  It starts
-    None and holds no cover; facts follow the object, so an equal code built
-    anew starts empty.
+    construction: it starts None and then holds the first full certificate
+    of this object, an ``invariant._Certificate`` (d, distribution, read-only
+    weight-d words, and their read-only N_t histogram once a cover has been
+    built), so that later certificates of the object derive nothing again.
+    It holds no cover; facts follow the object, so an equal code built anew
+    starts empty.
     """
 
     __slots__ = ("field", "n", "k", "generator", "provenance", "_reduced", "_pivots", "_facts")
@@ -307,8 +307,9 @@ def parse_code(text: str, source: str = "<string>") -> LinearCode:
         raise CodeParseError(f"{source}:{at}: digit format supports q <= 7, got q={q}")
     if n < 0 or k < 0:
         raise CodeParseError(f"{source}:{at}: n and k must be non-negative, got n={n}, k={k}")
-    if len(body) != k:
-        raise CodeParseError(f"{source}: expected {k} generator rows, found {len(body)}")
+    if len(body) != k:  # named at the header when rows are missing, else at the first extra row
+        raise CodeParseError(f"{source}:{body[k][0] if len(body) > k else at}: "
+                             f"expected {k} generator rows, found {len(body)}")
     rows = []
     for i, ln in body:
         if len(ln) != n:

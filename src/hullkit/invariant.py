@@ -28,7 +28,7 @@ a witness permutation verified by generator membership, and every
 exhausting a search pruned only by permutation invariants.  A blown node
 budget yields verdict "unknown", never a wrong answer.  Its distribution
 and minimum-weight words come from a code's certificate, built by
-``_Certificate.of`` on the gate ``minweight._scan`` and kept on the code
+``_certificate`` on the gate ``minweight._scan`` and kept on the code
 object with the N_t counts of its first cover, so that :func:`nt_sequence`,
 :func:`is_equivalent` and a search's dedup derive neither again for that
 object; the heavier words it compares come from one walk per code,
@@ -153,50 +153,49 @@ def nt_from_masks(words: np.ndarray, n: int) -> dict[int, int]:
 
 
 class _Certificate(NamedTuple):
-    """A binary code's d, distribution and weight-d words, the histogram of
-    their cover (entry t is N_t) once counted, and the cover itself while
-    the call that built it holds it.
+    """A binary code's d, distribution and read-only weight-d words, and the
+    read-only histogram of their cover (entry t is N_t) once a cover of the
+    code has been built.  A code object's first full certificate is kept on
+    it, in ``LinearCode._facts``; covers are never kept.  Two threads
+    certifying one object at once may both do the work; what either keeps
+    is the same."""
 
-    A code object's first full certificate is kept on it, in
-    ``LinearCode._facts``, as (d, distribution, words, histogram) with the
-    words and histogram read-only; the histogram joins once a cover of that
-    code is built.  Covers are never kept there.  Two threads certifying one
-    object at once may both do the work; what either keeps is the same."""
-
-    code: LinearCode
     d: int
     distribution: WeightDistribution
     words: np.ndarray
     nt: np.ndarray | None = None
-    cover: np.ndarray | None = None
 
-    @classmethod
-    def of(cls, code: LinearCode, abort_below: int | None = None, threads: int = 1) -> _Certificate | None:
-        """The certificate kept on ``code``, else the only call of
-        ``minweight._scan`` outside it, kept unless the screen aborts.  None
-        exactly when the screen aborts: when d < abort_below for a code with
-        a nonzero word."""
-        if code._facts is None:
-            d, dist, words, aborted = _scan(code, abort_below, threads)
-            if aborted:
-                return None
-            words.flags.writeable = False
-            object.__setattr__(code, "_facts", (d, dist, words, None))
-        cert = cls(code, *code._facts)
-        return None if abort_below is not None and cert.d < min(abort_below, code.n + 1) else cert
 
-    def counted(self) -> _Certificate:
-        """This certificate with its N_t histogram.  A code whose facts hold
-        none gets its cover built and counted here, once; the cover rides on
-        the certificate returned, for its caller only."""
-        d, dist, words, nt = self.code._facts
-        if nt is not None:
-            return self._replace(nt=nt)
-        cover = _cover(_incidence(words, self.code.n))
-        nt = np.bincount(cover)
-        nt.flags.writeable = False
-        object.__setattr__(self.code, "_facts", (d, dist, words, nt))
-        return self._replace(nt=nt, cover=cover)
+def _certificate(code: LinearCode, abort_below: int | None = None, threads: int = 1) -> _Certificate | None:
+    """The certificate kept on ``code``, else the only call of
+    ``minweight._scan`` outside it, kept unless the screen aborts.  None
+    exactly when the screen aborts: when d < abort_below for a code with a
+    nonzero word."""
+    cert = code._facts
+    if cert is None:
+        d, dist, words, aborted = _scan(code, abort_below, threads)
+        if aborted:
+            return None
+        words.flags.writeable = False
+        cert = _Certificate(d, dist, words)
+        object.__setattr__(code, "_facts", cert)
+    return None if abort_below is not None and cert.d < min(abort_below, code.n + 1) else cert
+
+
+def _counted(code: LinearCode) -> tuple[_Certificate, np.ndarray | None]:
+    """The certificate of a certified ``code`` with its N_t histogram, and
+    the cover of its words when this call built it, else None.  A code
+    whose certificate holds no histogram gets its cover built and counted
+    here, once; the cover goes to the caller only."""
+    cert = code._facts
+    if cert.nt is not None:
+        return cert, None
+    cover = _cover(_incidence(cert.words, code.n))
+    nt = np.bincount(cover)
+    nt.flags.writeable = False
+    cert = cert._replace(nt=nt)
+    object.__setattr__(code, "_facts", cert)
+    return cert, cover
 
 
 def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtSequence:
@@ -214,10 +213,10 @@ def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtS
     if w is not None and not 1 <= w <= code.n:
         raise ValueError(f"codeword weight must be in 1..{code.n}, got {w}")
     certify = w is None or code._facts is not None or _two_set_rows(code) is not None
-    cert = _Certificate.of(code, threads=threads) if certify else None
+    cert = _certificate(code, threads=threads) if certify else None
     w = cert.d if w is None else w
     if cert is not None and w == cert.d:
-        return NtSequence(code.n, code.k, w, _nt_counts(cert.counted().nt))
+        return NtSequence(code.n, code.k, w, _nt_counts(_counted(code)[0].nt))
     return NtSequence(code.n, code.k, w, nt_from_masks(_words(code, (w,), threads)[0], code.n))
 
 
@@ -466,9 +465,7 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
         raise UnsupportedFieldError("equivalence test implemented for binary codes")
     if (c1.n, c1.k) != (c2.n, c2.k):
         raise DimensionError("codes must share (n, k)")
-    if same_code(c1, c2):  # _decide's first check, made before either code is scanned
-        return EquivalenceResult("equivalent", tuple(range(1, c1.n + 1)), 0)
-    return _decide(*(_Certificate.of(c, threads=threads) for c in (c1, c2)), node_budget, threads)
+    return _decide(c1, c2, node_budget, threads)
 
 
 def _pair_counts(bits: np.ndarray) -> np.ndarray:
@@ -479,20 +476,23 @@ def _pair_counts(bits: np.ndarray) -> np.ndarray:
     return (f.T @ f).astype(np.float64)
 
 
-def _decide(p1: _Certificate, p2: _Certificate, node_budget: int, threads: int) -> EquivalenceResult:
-    """:func:`is_equivalent` on two certificates.  N_t counts are counted at
-    most once per code object; a cover the search needs and no certificate
-    carries is built for this call only."""
-    (c1, c2), n = (p1.code, p2.code), p1.code.n
+def _decide(c1: LinearCode, c2: LinearCode, node_budget: int, threads: int,
+            cover2: np.ndarray | None = None) -> EquivalenceResult:
+    """:func:`is_equivalent` on two binary codes of equal (n, k).  Equal
+    codes are decided before either is certified.  ``cover2`` is a cover of
+    c2's weight-d words that the caller just built, if any; a cover the
+    search needs and no one hands over is built for this call only."""
+    n = c1.n
     if same_code(c1, c2):  # also every pair of zero codes
         return EquivalenceResult("equivalent", tuple(range(1, n + 1)), 0)
-    if p1.distribution.counts != p2.distribution.counts:
+    if _certificate(c1, threads=threads).distribution != _certificate(c2, threads=threads).distribution:
         return EquivalenceResult("inequivalent", None, 0)
-    p1, p2 = p1.counted(), p2.counted()
+    (p1, cover1), (p2, built) = _counted(c1), _counted(c2)
     if not np.array_equal(p1.nt, p2.nt):
         return EquivalenceResult("inequivalent", None, 0)
     bits = [_incidence(p.words, n) for p in (p1, p2)]
-    covers = [_cover(b) if p.cover is None else p.cover for p, b in zip((p1, p2), bits)]
+    given = (cover1, built if cover2 is None else cover2)
+    covers = [_cover(b) if c is None else c for c, b in zip(given, bits)]
 
     heavier = _signature_weights(p1.distribution)[1:]
     pair_counts = []  # per code: (n, n, weights) counts of words covering both columns

@@ -9,8 +9,9 @@ predicate at emission time, and records are reproducible: replaying
 (seed, x, y) must give back identical parameters and fingerprint.
 
 One certify step, ``_certify``, gives the loop, ``replay`` and
-``fingerprint_code`` a code's certificate (``invariant._Certificate``), flags
-and fingerprint; dedup decides over certificates, as ``is_equivalent`` does.
+``fingerprint_code`` a code's certificate (``invariant._Certificate``, kept
+on the code), the cover it built, flags and fingerprint; dedup decides over
+codes, as ``is_equivalent`` does.
 """
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ from datetime import datetime, timezone
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
+import numpy as np
+
 from .code import (
     LinearCode,
     StandardForm,
@@ -32,7 +35,7 @@ from .code import (
 )
 from .errors import CapacityError, IntegrityError, PostconditionError, PredicateError
 from .field import GF2, FieldVector, parse_symbols
-from .invariant import _Certificate, _decide, _nt_counts
+from .invariant import _Certificate, _certificate, _counted, _decide, _nt_counts
 # tracer-only: perfbench/tracing.py wraps these names, and search calls none of them
 from .invariant import is_equivalent, nt_from_masks  # noqa: F401
 from .minweight import _scan_binary, codeword_masks_of_weight, min_weight  # noqa: F401
@@ -55,24 +58,23 @@ def _digest(counts: Mapping[int, int]) -> str:
 
 
 def _certify(code: LinearCode, abort_below: int | None = None, threads: int = 1
-             ) -> tuple[_Certificate, tuple[bool, bool, bool], dict[str, str]] | None:
+             ) -> tuple[_Certificate, np.ndarray | None, tuple[bool, bool, bool], dict[str, str]] | None:
     """None when the screen at ``abort_below`` aborts, else (certificate
-    with its N_t counts, and with its cover when this call built it,
-    (self_dual, doubly_even, lcd), fingerprint): hashes of the distribution
-    and of the weight-d words' N_t counts, which do not depend on the words'
-    order.  The certificate stays on ``code`` (``_Certificate.of``)."""
-    cert = _Certificate.of(code, abort_below, threads)
-    if cert is None:
+    with its N_t counts, the cover of its words when this call built it or
+    else None, (self_dual, doubly_even, lcd), fingerprint): hashes of the
+    distribution and of the weight-d words' N_t counts, which do not depend
+    on the words' order.  The certificate stays on ``code``."""
+    if _certificate(code, abort_below, threads) is None:
         return None
-    cert = cert.counted()
+    cert, cover = _counted(code)
     flags = is_self_dual(code), is_doubly_even(code), is_lcd(code)
     fp = {"distribution": _digest(cert.distribution.counts), "nt": _digest(_nt_counts(cert.nt))}
-    return cert, flags, fp
+    return cert, cover, flags, fp
 
 
 def fingerprint_code(code: LinearCode) -> dict[str, str]:
     """Dedup key: (weight-distribution hash, minimum-weight N_t hash)."""
-    return _certify(code)[2]
+    return _certify(code)[3]
 
 
 # the JSON type of each record field, as ``json`` decodes it
@@ -291,29 +293,29 @@ def sampled_isotropic_pairs(m: int, count: int, rng_seed: int) -> list[Transform
 
 # --- drivers ------------------------------------------------------------------
 
-def _emit(records: list[SearchRecord], dedup: dict, rec: SearchRecord,
-          cert: _Certificate, node_budget: int, threads: int) -> None:
-    """Append ``rec`` unless the code of ``cert`` is proved equivalent to an earlier one.
+def _emit(records: list[SearchRecord], dedup: dict, rec: SearchRecord, code: LinearCode,
+          cover: np.ndarray | None, node_budget: int, threads: int) -> None:
+    """Append ``rec`` unless ``code`` is proved equivalent to an earlier one.
 
     ``dedup`` maps a fingerprint key to its class representatives, as (record
-    index, certificate without its cover) in emission order; at n = 56 a
-    kept certificate holds 65,520 bytes of weight-12 words and drops a
-    734,580-byte cover.  A new code is merged into the first found
-    equivalent, or else kept as one more, its ``collision`` note naming
-    every record compared.
+    index, code) in emission order; each keeps its certificate (at n = 56,
+    65,520 bytes of weight-12 words) and no 734,580-byte cover.  ``cover``,
+    the one certifying ``code`` built or None, serves this call's decisions
+    only.  A new code is merged into the first found equivalent, or else
+    kept as one more, its ``collision`` note naming every record compared.
     """
     key = (rec.fingerprint["distribution"], rec.fingerprint["nt"])
     reps = dedup.setdefault(key, [])
     verdicts = []
     for index, prior in reps:
-        res = _decide(prior, cert, node_budget, threads)
+        res = _decide(prior, code, node_budget, threads, cover)
         if res.verdict == "equivalent":
             return  # merged into the earlier record
         verdicts.append(f"{index} (equivalence: {res.verdict})")
     if verdicts:
         rec.collision = (f"fingerprint collision with record{'s' if len(verdicts) > 1 else ''} "
                          + ", ".join(verdicts))
-    reps.append((len(records), cert._replace(cover=None)))
+    reps.append((len(records), code))
     records.append(rec)
 
 
@@ -334,7 +336,7 @@ def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
         certified = _certify(out, d_target)
         if certified is None:
             continue
-        cert, flags, fp = certified
+        cert, cover, flags, fp = certified
         if not target(*flags):
             if mode == "checked":
                 raise PostconditionError(violation)
@@ -346,7 +348,7 @@ def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
             fingerprint=fp,
             created=datetime.now(timezone.utc).isoformat(timespec="seconds") if stamp else None,
         )
-        _emit(records, dedup, rec, cert, SEARCH_NODE_BUDGET, threads)
+        _emit(records, dedup, rec, out, cover, SEARCH_NODE_BUDGET, threads)
     return records
 
 
@@ -444,7 +446,7 @@ def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
     out = transform_code(form, pair, mode=mode)
     if (out.n, out.k) != (record.n, record.k):
         raise IntegrityError(f"replayed parameters [{out.n},{out.k}] != recorded [{record.n},{record.k}]")
-    cert, certs, fp = _certify(out, threads=threads)
+    cert, _, certs, fp = _certify(out, threads=threads)
     if cert.d != record.d:
         raise IntegrityError(f"replayed d={cert.d} != recorded d={record.d}")
     if certs != (record.self_dual, record.doubly_even, record.lcd):

@@ -116,6 +116,9 @@ class TransformPair:
             name = name.strip()
             if name not in ("x", "y"):
                 raise CodeParseError(f"{source}:{i}: expected 'x' or 'y', got {name!r}")
+            if name in vals:
+                raise CodeParseError(f"{source}:{i}: a second {name}= line; need exactly one x= line "
+                                     "and one y= line")
             body = "".join(body.split())
             try:
                 vals[name] = FieldVector(GF2, parse_symbols(GF2, body))
@@ -124,8 +127,6 @@ class TransformPair:
             if vals[name].is_zero():  # also an empty vector
                 raise CodeParseError(f"{source}:{i}: {name} is {'a zero' if body else 'an empty'} vector, "
                                      "which makes the transform trivial")
-        if set(vals) != {"x", "y"}:
-            raise CodeParseError(f"{source}: need exactly one x= line and one y= line")
         if len(vals["x"]) != len(vals["y"]):
             raise CodeParseError(f"{source}:{lines[1][0]}: x has length {len(vals['x'])}, "
                                  f"y has length {len(vals['y'])}")
@@ -236,22 +237,3 @@ def transform_code(code: LinearCode | StandardForm, pair: TransformPair,
                 "double evenness lost under a de_safe pair; arithmetic bug"
             )
     return out
-
-
-def sign_variants(pair: TransformPair) -> list[TransformPair]:
-    """The sign/swap orbit of an isotropic pair, for q >= 3 search dedup.
-
-    Returns [(x,y), (-x,-y), (y,x), (x,-y), (-x,y)].  The first two always
-    produce equal codes, and the last three produce equal codes.  Over GF(2),
-    where -v = v and M(x,y) = M(y,x), all five produce one code.
-    """
-    if not pair.isotropic:
-        raise HypothesisError("sign identities hold for isotropic pairs")
-    x, y = pair.x, pair.y
-    return [
-        TransformPair(x, y),
-        TransformPair(-x, -y),
-        TransformPair(y, x),
-        TransformPair(x, -y),
-        TransformPair(-x, y),
-    ]

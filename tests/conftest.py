@@ -149,6 +149,18 @@ def random_de_safe_pair(rng: random.Random, m: int) -> TransformPair:
                 )
 
 
+def sign_variants(pair: TransformPair) -> list[TransformPair]:
+    """The sign/swap orbit of an isotropic pair: [(x,y), (-x,-y), (y,x),
+    (x,-y), (-x,y)].  The first two always produce equal codes, and the last
+    three produce equal codes.  Over GF(2), where -v = v and M(x,y) = M(y,x),
+    all five produce one code."""
+    if not pair.isotropic:
+        raise HypothesisError("sign identities hold for isotropic pairs")
+    x, y = pair.x, pair.y
+    return [TransformPair(x, y), TransformPair(-x, -y), TransformPair(y, x),
+            TransformPair(x, -y), TransformPair(-x, y)]
+
+
 def tied_pairs(rng, draws, sizes):
     """(earlier code, later code, is_equivalent result) for each random
     binary code, of a size (n, k) drawn from ``sizes``, that ties with an

@@ -30,7 +30,6 @@ from hullkit import (
     replay,
     sampled_x,
     sd_search,
-    sign_variants,
     transform_code,
     transform_rows,
     transpose,
@@ -60,6 +59,7 @@ from conftest import (
     random_matrix,
     random_standard_code,
     random_vector,
+    sign_variants,
     subset_cover_count,
     walked_distribution,
     weight_identity_check,

@@ -582,3 +582,20 @@ def test_search_refuses_an_unwritable_out_before_it_searches(capsys, monkeypatch
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("hullkit: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["search-lcd", "--seed", "a381310", "--exhaustive", "--d-target", "11"],  # m = 25 > 14
+    ["search-lcd", "--seed", "D11", "--sample", "3", "--rng-seed", "1", "--d-target", "12"],  # not LCD
+    ["search-sd", "--seed", "a37225", "--y", "y4", "--sample", "3", "--rng-seed", "1",
+     "--d-target", "6"],  # not self-dual
+], ids=["exhaustive-m25", "lcd-not-lcd", "sd-not-self-dual"])
+def test_a_refused_search_leaves_out_as_it_was(capsys, tmp_path, argv):
+    # --out was once opened with mode "w" before the search checked its input, which emptied it
+    target = tmp_path / "records.jsonl"
+    before = b'{"kind": "header", "search": "lcd"}\nearlier content\n'
+    target.write_bytes(before)
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("hullkit: error: ")
+    assert target.read_bytes() == before

@@ -292,6 +292,15 @@ def test_code_file_diagnostics():
         parse_code("\n\n2 2 -1")
     with pytest.raises(CodeParseError, match=r"^<string>:6: row 2 is linearly dependent on rows 1\.\.1$"):
         parse_code("\n\n2 4 2\n1100\n\n1100\n")
+    # a wrong row count once named no line: missing rows name the header, extra ones the first extra row
+    with pytest.raises(CodeParseError, match=r"^<string>:1: expected 2 generator rows, found 1$"):
+        parse_code("2 4 2\n1100")
+    with pytest.raises(CodeParseError, match=r"^<string>:2: expected 2 generator rows, found 0$"):
+        parse_code("\n2 4 2\n\n")
+    with pytest.raises(CodeParseError, match=r"^<string>:4: expected 2 generator rows, found 3$"):
+        parse_code("2 4 2\n1100\n0011\n1111")
+    with pytest.raises(CodeParseError, match=r"^<string>:6: expected 2 generator rows, found 4$"):
+        parse_code("2 4 2\n1100\n\n0011\n\n1111\n1010")
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])

@@ -571,7 +571,7 @@ def test_relabel_orders_rows_by_their_bytes(dtype):
 def test_float32_pair_counts_equal_float64_ones_on_bundled_codes():
     outputs = {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
     for name, code in {**seed_store(), **outputs}.items():
-        bits = _incidence(invariant._Certificate.of(code).words, code.n)
+        bits = _incidence(invariant._certificate(code).words, code.n)
         f = bits.astype(np.float64)
         counts = _pair_counts(bits)
         assert counts.dtype == np.float64, name
@@ -693,14 +693,24 @@ def test_facts_follow_the_code_object_not_its_content(monkeypatch):
     d11 = load_seed("D11")
     assert d11._facts is None
     # an aborted screen keeps nothing
-    assert invariant._Certificate.of(d11, abort_below=13) is None and d11._facts is None
+    assert invariant._certificate(d11, abort_below=13) is None and d11._facts is None
     assert calls["scan"] == 1
-    assert invariant._Certificate.of(d11).d == 12 and d11._facts is not None
-    assert invariant._Certificate.of(d11, abort_below=13) is None and calls["scan"] == 2
+    assert invariant._certificate(d11).d == 12 and d11._facts is not None
+    assert invariant._certificate(d11, abort_below=13) is None and calls["scan"] == 2
     # the same generator in a new object is certified anew
     twin = LinearCode(d11.generator)
     assert twin._facts is None and same_code(twin, d11)
-    assert invariant._Certificate.of(twin).d == 12 and calls["scan"] == 3
+    assert invariant._certificate(twin).d == 12 and calls["scan"] == 3
+
+
+def test_equal_codes_are_decided_before_either_is_scanned(monkeypatch):
+    calls = _count_scans_and_covers(monkeypatch)
+    c = load_seed("C56.1")
+    twin = LinearCode(c.generator)
+    assert twin is not c and c._facts is None and twin._facts is None
+    assert is_equivalent(c, twin) == invariant.EquivalenceResult("equivalent", tuple(range(1, 57)), 0)
+    assert calls == {"scan": 0, "cover": 0}
+    assert c._facts is None and twin._facts is None
 
 
 def test_a_kept_certificate_answers_the_screen_as_the_scan_does():
@@ -708,10 +718,10 @@ def test_a_kept_certificate_answers_the_screen_as_the_scan_does():
     codes = {**seed_store(), "zero": LinearCode(FieldMatrix.from_bit_rows([], 6))}
     codes |= {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
     for name, code in codes.items():
-        fresh = invariant._Certificate.of(code)
+        fresh = invariant._certificate(code)
         assert fresh is not None and code._facts is not None, name
         for abort_below in (None, 1, 4, fresh.d - 1, fresh.d, fresh.d + 1, code.n + 1, code.n + 2):
-            kept = invariant._Certificate.of(code, abort_below)
+            kept = invariant._certificate(code, abort_below)
             d, dist, words, aborted = invariant._scan(LinearCode(code.generator), abort_below)
             assert (kept is None) == aborted, (name, abort_below)
             if kept is not None:

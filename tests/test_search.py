@@ -509,13 +509,13 @@ def test_dedup_merges_a_permuted_d11_at_the_search_budget():
     for code in (d11, permuted):
         rec = SearchRecord(seed_id="D11", x="0" * 28, y="0" * 28, n=56, k=28, d=12,
                            self_dual=True, doubly_even=True, lcd=False, fingerprint=dict(fp))
-        _emit(records, dedup, rec, _certify(code)[0], node_budget=SEARCH_NODE_BUDGET, threads=1)
+        _emit(records, dedup, rec, code, _certify(code)[1], node_budget=SEARCH_NODE_BUDGET, threads=1)
     assert len(records) == 1 and records[0].collision is None
 
 
 def test_dedup_decides_over_certificates_without_a_scan(monkeypatch):
     # the merge reuses what certifying both codes computed: no gate call, and
-    # the representative keeps its words but not its 0.73 MB cover
+    # the representative is the code, which keeps its words but not its 0.73 MB cover
     scans = []
 
     def counting(*args, **kwargs):
@@ -528,19 +528,19 @@ def test_dedup_decides_over_certificates_without_a_scan(monkeypatch):
     perm = list(range(1, d11.n + 1))
     random.Random(13).shuffle(perm)
     permuted = apply_column_permutation(d11, perm)
-    (first, _, fp), (second, _, fp2) = _certify(d11), _certify(permuted)
+    (first, cover1, _, fp), (second, cover2, _, fp2) = _certify(d11), _certify(permuted)
     assert scans == [d11, permuted] and fp == fp2
-    assert first.cover is not None and second.cover is not None
+    assert cover1 is not None and cover2 is not None
     records, dedup = [], {}
-    for cert in (first, second):
+    for code, cover in ((d11, cover1), (permuted, cover2)):
         rec = SearchRecord(seed_id="D11", x="0" * 28, y="0" * 28, n=56, k=28, d=12,
                            self_dual=True, doubly_even=True, lcd=False, fingerprint=dict(fp))
-        _emit(records, dedup, rec, cert, node_budget=SEARCH_NODE_BUDGET, threads=1)
+        _emit(records, dedup, rec, code, cover, node_budget=SEARCH_NODE_BUDGET, threads=1)
     assert scans == [d11, permuted]  # the merge itself scanned nothing
     assert len(records) == 1
     ((index, rep),) = dedup[(fp["distribution"], fp["nt"])]
-    assert index == 0 and rep.code is d11 and rep.cover is None
-    assert rep.words is first.words and rep.distribution == first.distribution
+    assert index == 0 and rep is d11 and rep._facts is first
+    assert first._fields == ("d", "distribution", "words", "nt")  # no cover kept
 
 
 def test_replay_certifies_the_code_it_rebuilds_with_one_scan(monkeypatch):
@@ -590,16 +590,16 @@ def test_dedup_keeps_annotated_collision_when_equivalence_unresolved():
         )
 
     records, dedup = [], {}
-    _emit(records, dedup, rec(), _certify(ham)[0], node_budget=0, threads=1)
-    _emit(records, dedup, rec(), _certify(permuted)[0], node_budget=0, threads=1)
+    _emit(records, dedup, rec(), ham, _certify(ham)[1], node_budget=0, threads=1)
+    _emit(records, dedup, rec(), permuted, _certify(permuted)[1], node_budget=0, threads=1)
     assert len(records) == 2
     assert records[0].collision is None
     assert "unknown" in records[1].collision
 
     # with budget, the same pair of codes merges
     records, dedup = [], {}
-    _emit(records, dedup, rec(), _certify(ham)[0], node_budget=10_000, threads=1)
-    _emit(records, dedup, rec(), _certify(permuted)[0], node_budget=10_000, threads=1)
+    _emit(records, dedup, rec(), ham, _certify(ham)[1], node_budget=10_000, threads=1)
+    _emit(records, dedup, rec(), permuted, _certify(permuted)[1], node_budget=10_000, threads=1)
     assert len(records) == 1
 
 
@@ -609,7 +609,7 @@ def _emit_all(codes, node_budget=SEARCH_NODE_BUDGET):
         rec = SearchRecord(seed_id="s", x="1", y="1", n=code.n, k=code.k, d=min_weight(code),
                            self_dual=False, doubly_even=False, lcd=False,
                            fingerprint=fingerprint_code(code))
-        _emit(records, dedup, rec, _certify(code)[0], node_budget=node_budget, threads=1)
+        _emit(records, dedup, rec, code, _certify(code)[1], node_budget=node_budget, threads=1)
     return records
 
 

@@ -23,7 +23,6 @@ from hullkit import (
     matmul,
     min_weight,
     sd_search,
-    sign_variants,
     standard_form,
     transform_code,
     transform_rows,
@@ -45,6 +44,7 @@ from conftest import (
     random_matrix,
     random_standard_code,
     random_vector,
+    sign_variants,
     weight_identity_check,
 )
 
@@ -84,6 +84,11 @@ def test_pair_text_round_trip():
         TransformPair.parse("\nx=1100\n\ny=11a0")
     with pytest.raises(CodeParseError, match=r"^<string>:5: x has length 4, y has length 3$"):
         TransformPair.parse("x=1111\n\n\n\ny=111\n\n")
+    # a repeated name once raised "<string>: need exactly one x= line and one y= line", naming no line
+    with pytest.raises(CodeParseError, match=r"^<string>:2: a second x= line; need exactly one x= line and one y= line$"):
+        TransformPair.parse("x=1100\nx=0011")
+    with pytest.raises(CodeParseError, match=r"^<string>:4: a second y= line"):
+        TransformPair.parse("y=1100\n\n\ny=0011")
 
 
 def test_transform_rows_fixes_orthogonal_rows():
