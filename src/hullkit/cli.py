@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import artifacts
@@ -207,9 +208,19 @@ def _write_search(args, header: dict, search, *params, **options) -> int:
     """Run ``search`` (``sd_search`` or ``lcd_improve``) on ``params`` and
     write its records to ``--out``.  The file is opened before the search, so an unwritable path
     fails first, and emptied only once the search has returned, so a
-    refused search leaves it as it was."""
-    with open(args.out, "a", encoding="utf-8") as out:
-        records = search(*params, seed_id=args.seed, stamp=True, **options)
+    refused search leaves an existing file as it was and removes one it created."""
+    try:
+        out, created = open(args.out, "x", encoding="utf-8"), True
+    except FileExistsError:
+        out, created = open(args.out, "a", encoding="utf-8"), False
+    with out:
+        try:
+            records = search(*params, seed_id=args.seed, stamp=True, **options)
+        except BaseException:
+            out.close()
+            if created:
+                os.remove(args.out)
+            raise
         out.truncate(0)
         write_records(out, records, header=header)
     print(f"{len(records)} record(s) written to {args.out}")

@@ -12,9 +12,11 @@ of its weight-12 words.  Equal sequences prove nothing, which is why
 minimum-weight words, then colours the columns of both codes jointly, by
 pair counts and, along each branch of an individualization-refinement
 search, by the cover counts of the 4-subsets through each individualized
-column (the same cover arrays, read a slice at a time: the counts of
-{a} + T for every 3-subset T, gathered once, then read through a cached
-table of the 3-subset ranks of {j, i, h}).  Before it refines a tried pair
+column, a slice at a time: the counts of {a} + T for every 3-subset T,
+read through a cached table of the 3-subset ranks of {j, i, h}.  The
+second code's slices are gathered from its cover array, one per node;
+the first code's come from the words that hold a, once per column, and
+it needs no cover.  Before it refines a tried pair
 (a, b), the search compares the histogram of the cover counts of the
 C(n-1,3) 4-subsets through a in the first code with that through b in the
 second, read off the gathered counts, and drops b when they differ: the
@@ -314,6 +316,43 @@ def _through(cover: np.ndarray, a: int, n: int) -> np.ndarray:
     return vals
 
 
+@lru_cache(maxsize=None)
+def _place_triples(w: int) -> np.ndarray:
+    """(3, C(w,3)) places of the 3-subsets of a sorted w-column support."""
+    triples = np.array(list(combinations(range(w), 3)), dtype=np.intp).reshape(-1, 3).T
+    triples.flags.writeable = False
+    return triples
+
+
+def _through_words(bits: np.ndarray, a: int) -> np.ndarray:
+    """``_through(_cover(bits), a, n)``, counted from the words of ``bits``
+    that hold column a, with no cover: each of them, a left out, adds one to
+    the entry of every 3-subset T of the rest of its support, the colex rank
+    of T summed from C(x,1) + C(y,2) + C(z,3).  D11's slice takes 1755 of its
+    8190 weight-12 words and 165 triples each, against a cover's 495
+    4-subsets of every word.  Words go in chunks of about 2^16 ranks."""
+    n = bits.shape[1]
+    terms = _colex_terms(n)
+    rows = bits[bits[:, a] != 0]
+    rows[:, a] = 0
+    weights = rows.sum(axis=1)
+    counts = np.zeros(comb(n, 3) + 1, dtype=np.intp)
+    for w in np.unique(weights[weights >= 3]).tolist():
+        group = rows[weights == w]
+        supports = np.flatnonzero(group.view(bool)).reshape(-1, w) - n * np.arange(len(group))[:, None]
+        x, y, z = _place_triples(w)
+        step = max(1, (1 << 16) // len(x))
+        for start in range(0, len(supports), step):
+            t = terms[:3, supports[start:start + step]]
+            ranks = t[0][:, x]
+            ranks += t[1][:, y]
+            ranks += t[2][:, z]
+            counts += np.bincount(ranks.ravel(), minlength=len(counts))
+    vals = counts.astype(np.int32)
+    vals[_slice_tables(n)[0][a]] = -1  # every T through a, and the sentinel
+    return vals
+
+
 def _relabel(rows: np.ndarray) -> np.ndarray:
     """(2, m) ids of the rows of a (2, m, ...) array, one id per distinct
     row across both codes, in the order of the rows' bytes: one argsort of
@@ -340,10 +379,16 @@ class _BudgetSpent(Exception):
 
 class _Search:
     """Individualization-refinement over the joint column colourings of two
-    codes, from each code's cover and the pair classes of both."""
+    codes, from the pair classes of both, the first code's weight-d words
+    (their incidence ``bits``) and the second code's cover.  A column a of
+    the first code gets its slice from the words that hold a, once per
+    search, so a search that runs to its budget counts at most n of them;
+    the second code's slices are read from its cover, one per node."""
 
-    def __init__(self, codes, covers, hist, pairs, node_budget):
-        self.codes, self.covers, self.pairs, self.node_budget = codes, covers, pairs, node_budget
+    def __init__(self, codes, bits, cover, hist, pairs, node_budget):
+        self.codes, self.pairs, self.node_budget = codes, pairs, node_budget
+        self.bits, self.cover = bits, cover
+        self.leads = {}  # column a of the first code: _through_words(bits, a)
         # a constant cover gives slices that split nothing; with constant pair
         # counts too (the [24,12,8] code), no refinement can split a colour class
         self.flat = np.count_nonzero(hist) <= 1
@@ -404,7 +449,9 @@ class _Search:
         a = int(np.argmax(cols[0] == cell))
         if not self.flat:
             table = _slice_tables(n)[0]
-            through_a = _through(self.covers[0], a, n)
+            if a not in self.leads:
+                self.leads[a] = _through_words(self.bits, a)
+            through_a = self.leads[a]
             hist_a = np.bincount(through_a + 1, minlength=self.reach)  # -1 entries count at 0
             lead = through_a.take(table)
         for b in np.flatnonzero(cols[1] == cell).tolist():
@@ -415,7 +462,7 @@ class _Search:
             if not self.flat:
                 # refine's first pass turns b down unless the 4-subsets through
                 # it have a's cover counts: each lies three times in a slice
-                through_b = _through(self.covers[1], b, n)
+                through_b = _through(self.cover, b, n)
                 if not np.array_equal(np.bincount(through_b + 1, minlength=self.reach), hist_a):
                     continue
                 deeper = slices + [np.stack([lead, through_b.take(table)])]
@@ -458,8 +505,10 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     cover of it was built, are kept on it (see ``_Certificate``), so a
     repeated decision scans nothing, and one whose kept counts differ
     answers at once, with no cover.  Covers are not kept, so two codes with
-    equal counts (a code and a permuted copy) build both covers again on
-    every call.
+    equal counts (a code and a permuted copy) build the second code's
+    cover again on every call; the search counts the few slices it reads
+    of the first code (two on a permuted extremal seed) from that code's
+    weight-d words, and builds no cover of it.
     """
     if not c1.field.binary or not c2.field.binary:
         raise UnsupportedFieldError("equivalence test implemented for binary codes")
@@ -480,19 +529,22 @@ def _decide(c1: LinearCode, c2: LinearCode, node_budget: int, threads: int,
             cover2: np.ndarray | None = None) -> EquivalenceResult:
     """:func:`is_equivalent` on two binary codes of equal (n, k).  Equal
     codes are decided before either is certified.  ``cover2`` is a cover of
-    c2's weight-d words that the caller just built, if any; a cover the
-    search needs and no one hands over is built for this call only."""
+    c2's weight-d words that the caller just built, if any.  The search
+    reads c1's slices from its words and c2's from a cover: at most one is
+    built, c2's, for this call only, when neither ``_counted`` nor the
+    caller hands one over."""
     n = c1.n
     if same_code(c1, c2):  # also every pair of zero codes
         return EquivalenceResult("equivalent", tuple(range(1, n + 1)), 0)
     if _certificate(c1, threads=threads).distribution != _certificate(c2, threads=threads).distribution:
         return EquivalenceResult("inequivalent", None, 0)
-    (p1, cover1), (p2, built) = _counted(c1), _counted(c2)
+    p1 = _counted(c1)[0]  # a cover built for c1's counts is dropped here
+    p2, built = _counted(c2)
     if not np.array_equal(p1.nt, p2.nt):
         return EquivalenceResult("inequivalent", None, 0)
     bits = [_incidence(p.words, n) for p in (p1, p2)]
-    given = (cover1, built if cover2 is None else cover2)
-    covers = [_cover(b) if c is None else c for c, b in zip(given, bits)]
+    if cover2 is None:
+        cover2 = _cover(bits[1]) if built is None else built
 
     heavier = _signature_weights(p1.distribution)[1:]
     pair_counts = []  # per code: (n, n, weights) counts of words covering both columns
@@ -500,7 +552,7 @@ def _decide(c1: LinearCode, c2: LinearCode, node_budget: int, threads: int,
         sets = [b] + [_incidence(words, n) for words in _words(code, heavier, threads)]
         pair_counts.append(np.stack([_pair_counts(m) for m in sets], axis=-1))
     pairs = _relabel(np.reshape(pair_counts, (2, n * n, -1))).reshape(2, n, n)
-    search = _Search((c1, c2), covers, p1.nt, pairs, node_budget)
+    search = _Search((c1, c2), bits[0], cover2, p1.nt, pairs, node_budget)
     try:
         root = search.refine(np.zeros((2, n), dtype=np.intp), [])
         images = None if root is None else search.extend(root, [])

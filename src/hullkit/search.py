@@ -301,8 +301,10 @@ def _emit(records: list[SearchRecord], dedup: dict, rec: SearchRecord, code: Lin
     index, code) in emission order; each keeps its certificate (at n = 56,
     65,520 bytes of weight-12 words) and no 734,580-byte cover.  ``cover``,
     the one certifying ``code`` built or None, serves this call's decisions
-    only.  A new code is merged into the first found equivalent, or else
-    kept as one more, its ``collision`` note naming every record compared.
+    only; a decision reads the representative's slices from its words, so
+    with ``cover`` handed over it builds no cover.  A new code is merged
+    into the first found equivalent, or else kept as one more, its
+    ``collision`` note naming every record compared.
     """
     key = (rec.fingerprint["distribution"], rec.fingerprint["nt"])
     reps = dedup.setdefault(key, [])

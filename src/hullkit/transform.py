@@ -106,8 +106,9 @@ class TransformPair:
         """The pair in ``text``; a ``CodeParseError`` names ``source`` and the
         line of the text, blank lines counted."""
         lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-        if len(lines) != 2:
-            raise CodeParseError(f"{source}: expected two lines 'x=...' and 'y=...'")
+        if len(lines) != 2:  # name the first extra line, or else the last one read
+            at = lines[2][0] if len(lines) > 2 else lines[-1][0] if lines else 1
+            raise CodeParseError(f"{source}:{at}: expected two lines 'x=...' and 'y=...'")
         vals = {}
         for i, ln in lines:
             if "=" not in ln:

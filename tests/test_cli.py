@@ -599,3 +599,13 @@ def test_a_refused_search_leaves_out_as_it_was(capsys, tmp_path, argv):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("hullkit: error: ")
     assert target.read_bytes() == before
+
+
+def test_a_refused_search_leaves_no_new_out(capsys, tmp_path):
+    # --out was once created before the search checked its input, and left empty
+    target = tmp_path / "records.jsonl"
+    argv = ["search-lcd", "--seed", "D11", "--sample", "3", "--rng-seed", "1", "--d-target", "12"]  # not LCD
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("hullkit: error: ")
+    assert not target.exists()

@@ -22,7 +22,16 @@ from hullkit import (
 )
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, PAIR_SEED, load_a_block_code, load_pair, load_seed, seed_store
 from hullkit import invariant
-from hullkit.invariant import _cover, _incidence, _key_dtype, _pair_counts, _relabel, _through, nt_from_masks
+from hullkit.invariant import (
+    _cover,
+    _incidence,
+    _key_dtype,
+    _pair_counts,
+    _relabel,
+    _through,
+    _through_words,
+    nt_from_masks,
+)
 from hullkit.minweight import _packed_rows, codeword_masks_of_weight
 from hullkit.search import SEARCH_NODE_BUDGET
 
@@ -186,6 +195,65 @@ def test_slice_counts_every_entry_directly(data):
         s = _slice(cover, a, n)
         assert s.dtype == np.int32 and s.shape == (n, len(i))
         assert np.array_equal(s, np.where(repeated, -1, want))
+
+
+def _assert_slices_from_words_match_the_cover(bits):
+    n = bits.shape[1]
+    cover = _cover(bits)
+    for a in range(n):
+        got, want = _through_words(bits, a), _through(cover, a, n)
+        assert got.dtype == np.int32 and got.shape == want.shape == (comb(n, 3) + 1,)
+        assert np.array_equal(got, want), a
+        # -1 marks each of the C(n-1,2) 3-subsets through a, and the sentinel
+        assert np.count_nonzero(got == -1) == comb(n - 1, 2) + 1
+
+
+def test_slices_from_words_match_the_cover_on_bundled_codes():
+    # every column of the six extremal seeds and the three bundled LCD outputs
+    outputs = {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
+    codes = {name: load_seed(name) for name in CIRCULANT_SEED_NAMES} | outputs
+    for name, code in codes.items():
+        _assert_slices_from_words_match_the_cover(_incidence(invariant._certificate(code).words, code.n))
+    # past one 64-bit word, with four columns that no word holds
+    rng = random.Random(181)
+    masks = [sum(1 << j for j in rng.sample(range(66), 7)) for _ in range(40)]
+    _assert_slices_from_words_match_the_cover(_incidence(_packed_rows(masks, 70), 70))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_slices_from_words_match_the_cover_on_one_weight_words(data):
+    # lengths past one 64-bit word, weights below 4, repeated masks, and
+    # columns that no word holds (all of them when there is no word)
+    n = data.draw(st.integers(4, 80))
+    w = data.draw(st.integers(1, min(n, 12)))
+    supports = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=w, max_size=w, unique=True),
+                                  max_size=25))
+    masks = [sum(1 << j for j in support) for support in supports]
+    bits = _incidence(_packed_rows(masks, n), n)
+    _assert_slices_from_words_match_the_cover(bits)
+
+
+def test_each_first_code_slice_is_counted_once_per_decision(monkeypatch):
+    rng = random.Random(35)
+    code = random_code(rng, GF2, 18, 5)
+    # this [18,5] code backtracks over 401 nodes and asks for the slices of
+    # 9 first-code columns 182 times; a permuted D11 asks twice
+    pairs = [_permuted_seed("D11"), (code, apply_column_permutation(code, random_perm(rng, 18)))]
+    seen, results = [], []
+
+    def counted(bits, a):
+        seen[-1].append(a)
+        return _through_words(bits, a)
+
+    monkeypatch.setattr(invariant, "_through_words", counted)
+    for c1, c2 in pairs:
+        seen.append([])
+        results.append(is_equivalent(c1, c2, node_budget=SEARCH_NODE_BUDGET))
+    assert (results[0].nodes, hashlib.sha256(bytes(results[0].witness)).hexdigest()) == PERMUTED_SEED_PATHS["D11"]
+    assert results[1].verdict == "equivalent" and results[1].nodes == 401
+    assert [len(cols) for cols in seen] == [2, 9]
+    assert all(len(cols) == len(set(cols)) for cols in seen)
 
 
 def test_nt_sequence_needs_a_weight_from_1_to_n():
@@ -445,14 +513,14 @@ def _extend_refining_every_try(turned_down):
             return images if invariant._witness_ok(*self.codes, images.tolist()) else None
         cell = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
         a = int(np.argmax(cols[0] == cell))
-        lead = None if self.flat else _slice(self.covers[0], a, n)
+        lead = None if self.flat else _through_words(self.bits, a).take(invariant._slice_tables(n)[0])
         for b in np.flatnonzero(cols[1] == cell).tolist():
             self.nodes += 1
             if self.nodes > self.node_budget:
                 raise invariant._BudgetSpent
             tried = cols.copy()
             tried[0, a] = tried[1, b] = len(sizes)
-            deeper = slices if self.flat else slices + [np.stack([lead, _slice(self.covers[1], b, n)])]
+            deeper = slices if self.flat else slices + [np.stack([lead, _slice(self.cover, b, n)])]
             refined = self.refine(tried, deeper)
             if not self.flat:
                 through = [np.bincount(s[s >= 0], minlength=self.reach) for s in deeper[-1]]
@@ -669,11 +737,12 @@ def test_a_repeated_decision_reuses_each_codes_scan_and_counts(monkeypatch):
     assert calls == {"scan": 0, "cover": 0}
     permuted = apply_column_permutation(d11, random_perm(random.Random("D11"), d11.n))
     first = is_equivalent(d11, permuted)
-    assert calls == {"scan": 1, "cover": 2}
+    assert calls == {"scan": 1, "cover": 1}
     calls.update(scan=0, cover=0)
-    # equal counts: both covers are built again, and the search takes the same path
+    # equal counts: the second code's cover is built again, the first code's
+    # slices come from its words, and the search takes the same path
     assert is_equivalent(d11, permuted) == first
-    assert calls == {"scan": 0, "cover": 2}
+    assert calls == {"scan": 0, "cover": 1}
     assert (first.nodes, hashlib.sha256(bytes(first.witness)).hexdigest()) == PERMUTED_SEED_PATHS["D11"]
 
 

@@ -13,8 +13,10 @@ from hullkit import (
     GF2,
     CapacityError,
     DimensionError,
+    FieldMatrix,
     FieldVector,
     IntegrityError,
+    LinearCode,
     PostconditionError,
     PredicateError,
     TransformPair,
@@ -23,7 +25,9 @@ from hullkit import (
     apply_column_permutation,
     fingerprint_code,
     inner_product,
+    is_doubly_even,
     is_equivalent,
+    is_self_dual,
     lcd_improve,
     make_yi,
     min_weight,
@@ -52,6 +56,7 @@ from hullkit.search import (
 from conftest import (
     GF3,
     GLEASON_56_EXTREMAL,
+    direct_sum,
     equivalent_brute_force,
     extended_hamming,
     hull_dim_naive,
@@ -698,6 +703,26 @@ def test_sd_search_keeps_one_record_per_equivalence_class(rule):
         assert all(r.collision is None for r in records)
         assert sorted(class_of(replay(r, {"ham8": ham})) for r in records) \
             == list(range(len(reps)))
+
+
+@pytest.mark.parametrize("y", ["11110000", "00001111", "10011001"])
+def test_sd_search_from_e8_e8_finds_both_doubly_even_self_dual_16_codes(y):
+    # e8 + e8 and d16+ are the only doubly even self-dual [16,8] codes (Pless
+    # 1972); they share the weight enumerator and the whole fingerprint, so
+    # each sweep's dedup decides every output by the equivalence search
+    seed = direct_sum(extended_hamming(), extended_hamming())
+    rows = [0b1111 << 2 * i for i in range(7)] + [sum(1 << j for j in range(1, 16, 2))]  # glue 0101...01
+    d16 = LinearCode(FieldMatrix.from_bit_rows(rows, 16))
+    assert is_self_dual(d16) and is_doubly_even(d16) and weight_distribution(d16)[4] == 28
+    assert is_equivalent(seed, d16).verdict == "inequivalent"
+    yv = FieldVector(GF2, [int(c) for c in y])
+    records = sd_search(seed, yv, exhaustive_x(8, yv), d_target=4, seed_id="e8e8")
+    assert len(records) == 2
+    assert records[0].collision is None
+    assert records[1].collision == "fingerprint collision with record 0 (equivalence: inequivalent)"
+    codes = [replay(rec, {"e8e8": seed}) for rec in records]
+    found = [[is_equivalent(code, known).verdict for known in (seed, d16)] for code in codes]
+    assert sorted(found) == [["equivalent", "inequivalent"], ["inequivalent", "equivalent"]]
 
 
 def test_exhaustive_pairs_small_m():

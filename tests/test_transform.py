@@ -89,6 +89,15 @@ def test_pair_text_round_trip():
         TransformPair.parse("x=1100\nx=0011")
     with pytest.raises(CodeParseError, match=r"^<string>:4: a second y= line"):
         TransformPair.parse("y=1100\n\n\ny=0011")
+    # a wrong line count once raised "<string>: expected two lines ...", naming no line
+    with pytest.raises(CodeParseError, match=r"^<string>:3: expected two lines 'x=\.\.\.' and 'y=\.\.\.'$"):
+        TransformPair.parse("x=1100\ny=0011\nx=1111")
+    with pytest.raises(CodeParseError, match=r"^<string>:1: expected two lines"):
+        TransformPair.parse("x=1100")
+    with pytest.raises(CodeParseError, match=r"^<string>:3: expected two lines"):
+        TransformPair.parse("\n\nx=1100\n\n")
+    with pytest.raises(CodeParseError, match=r"^<string>:1: expected two lines"):
+        TransformPair.parse("")
 
 
 def test_transform_rows_fixes_orthogonal_rows():
