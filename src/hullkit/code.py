@@ -41,10 +41,10 @@ class LinearCode:
     Immutable to callers.  ``_reduced`` is the generator's reduced
     row-echelon form and ``_pivots`` its pivot columns, 0-based (``rref``
     reports them 1-based).  One private slot, ``_facts``, is written after
-    construction: it starts None and then holds the first full certificate
-    of this object, an ``invariant._Certificate`` (d, distribution, read-only
-    weight-d words, and their read-only N_t histogram once a cover has been
-    built), so that later certificates of the object derive nothing again.
+    construction: it starts None and then holds the certificate of this
+    object, an ``invariant._Certificate`` (d, distribution, read-only
+    weight-d words and their read-only N_t histogram), whole when it is
+    made, so that later certificates of the object derive nothing again.
     It holds no cover; facts follow the object, so an equal code built anew
     starts empty.
     """

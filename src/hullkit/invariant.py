@@ -28,13 +28,13 @@ the witness.  The test is exact because every "equivalent" answer carries
 a witness permutation verified by generator membership, and every
 "inequivalent" answer comes from a permutation invariant or from
 exhausting a search pruned only by permutation invariants.  A blown node
-budget yields verdict "unknown", never a wrong answer.  Its distribution
-and minimum-weight words come from a code's certificate, built by
-``_certificate`` on the gate ``minweight._scan`` and kept on the code
-object with the N_t counts of its first cover, so that :func:`nt_sequence`,
-:func:`is_equivalent` and a search's dedup derive neither again for that
-object; the heavier words it compares come from one walk per code,
-``minweight._words``.
+budget yields verdict "unknown", never a wrong answer.  Its distribution,
+minimum-weight words and their N_t counts come from a code's certificate,
+made whole by ``_certificate`` from the gate ``minweight._scan`` and one
+cover of those words, and kept on the code object, so that
+:func:`nt_sequence`, :func:`is_equivalent` and a search's dedup derive none
+of them again for that object; the heavier words it compares come from one
+walk per code, ``minweight._words``.
 """
 from __future__ import annotations
 
@@ -156,58 +156,47 @@ def nt_from_masks(words: np.ndarray, n: int) -> dict[int, int]:
 
 class _Certificate(NamedTuple):
     """A binary code's d, distribution and read-only weight-d words, and the
-    read-only histogram of their cover (entry t is N_t) once a cover of the
-    code has been built.  A code object's first full certificate is kept on
-    it, in ``LinearCode._facts``; covers are never kept.  Two threads
-    certifying one object at once may both do the work; what either keeps
-    is the same."""
+    read-only histogram of their cover (entry t is N_t).  A code object's
+    certificate is whole when it is made and kept on it, in
+    ``LinearCode._facts``; covers are never kept.  Two threads certifying
+    one object at once may both do the work; what either keeps is the
+    same."""
 
     d: int
     distribution: WeightDistribution
     words: np.ndarray
-    nt: np.ndarray | None = None
+    nt: np.ndarray
 
 
-def _certificate(code: LinearCode, abort_below: int | None = None, threads: int = 1) -> _Certificate | None:
-    """The certificate kept on ``code``, else the only call of
-    ``minweight._scan`` outside it, kept unless the screen aborts.  None
-    exactly when the screen aborts: when d < abort_below for a code with a
-    nonzero word."""
-    cert = code._facts
+def _certificate(code: LinearCode, abort_below: int | None = None, threads: int = 1
+                 ) -> tuple[_Certificate, np.ndarray | None] | None:
+    """The certificate kept on ``code``, else one made by the only call of
+    ``minweight._scan`` outside it and a cover of its weight-d words, and
+    kept unless the screen aborts; with the cover when this call built it,
+    else None.  None exactly when the screen aborts: when d < abort_below
+    for a code with a nonzero word."""
+    cert, cover = code._facts, None
     if cert is None:
         d, dist, words, aborted = _scan(code, abort_below, threads)
         if aborted:
             return None
         words.flags.writeable = False
-        cert = _Certificate(d, dist, words)
+        cover = _cover(_incidence(words, code.n))
+        nt = np.bincount(cover)
+        nt.flags.writeable = False
+        cert = _Certificate(d, dist, words, nt)
         object.__setattr__(code, "_facts", cert)
-    return None if abort_below is not None and cert.d < min(abort_below, code.n + 1) else cert
-
-
-def _counted(code: LinearCode) -> tuple[_Certificate, np.ndarray | None]:
-    """The certificate of a certified ``code`` with its N_t histogram, and
-    the cover of its words when this call built it, else None.  A code
-    whose certificate holds no histogram gets its cover built and counted
-    here, once; the cover goes to the caller only."""
-    cert = code._facts
-    if cert.nt is not None:
-        return cert, None
-    cover = _cover(_incidence(cert.words, code.n))
-    nt = np.bincount(cover)
-    nt.flags.writeable = False
-    cert = cert._replace(nt=nt)
-    object.__setattr__(code, "_facts", cert)
-    return cert, cover
+    return None if abort_below is not None and cert.d < min(abort_below, code.n + 1) else (cert, cover)
 
 
 def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtSequence:
     """The N_t invariant of ``code`` at codeword weight w, 1 <= w <= n, by
     default the minimum weight d; its ``sequence`` runs to max(n, largest
-    t).  The certificate serves w = d, and its N_t counts, once counted, are
-    kept on the code object, so a second call on that object builds no
-    cover; ``counts`` is a new dict on every call.  Any other w, on a code
-    that is not certified and that the gate would walk, walks it once for
-    its weight-w words, which are not kept."""
+    t).  The certificate serves w = d: it holds the N_t counts and is kept
+    on the code object, so a second call on that object builds no cover;
+    ``counts`` is a new dict on every call.  Any other w, on a code that is
+    not certified and that the gate would walk, walks it once for its
+    weight-w words, which are not kept."""
     if not code.field.binary:
         raise UnsupportedFieldError("N_t invariant is defined for binary codes")
     if w is None and code.k == 0:
@@ -215,10 +204,10 @@ def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtS
     if w is not None and not 1 <= w <= code.n:
         raise ValueError(f"codeword weight must be in 1..{code.n}, got {w}")
     certify = w is None or code._facts is not None or _two_set_rows(code) is not None
-    cert = _certificate(code, threads=threads) if certify else None
+    cert = _certificate(code, threads=threads)[0] if certify else None
     w = cert.d if w is None else w
     if cert is not None and w == cert.d:
-        return NtSequence(code.n, code.k, w, _nt_counts(_counted(code)[0].nt))
+        return NtSequence(code.n, code.k, w, _nt_counts(cert.nt))
     return NtSequence(code.n, code.k, w, nt_from_masks(_words(code, (w,), threads)[0], code.n))
 
 
@@ -380,18 +369,21 @@ class _BudgetSpent(Exception):
 class _Search:
     """Individualization-refinement over the joint column colourings of two
     codes, from the pair classes of both, the first code's weight-d words
-    (their incidence ``bits``) and the second code's cover.  A column a of
-    the first code gets its slice from the words that hold a, once per
+    and the second code's cover (from their incidence ``bits``).  A column
+    a of the first code gets its slice from the words that hold a, once per
     search, so a search that runs to its budget counts at most n of them;
-    the second code's slices are read from its cover, one per node."""
+    the second code's slices are read from its cover, one per node, built
+    here unless handed over, and only when the search reads slices."""
 
     def __init__(self, codes, bits, cover, hist, pairs, node_budget):
         self.codes, self.pairs, self.node_budget = codes, pairs, node_budget
-        self.bits, self.cover = bits, cover
         self.leads = {}  # column a of the first code: _through_words(bits, a)
         # a constant cover gives slices that split nothing; with constant pair
         # counts too (the [24,12,8] code), no refinement can split a colour class
         self.flat = np.count_nonzero(hist) <= 1
+        if cover is None and not self.flat:
+            cover = _cover(bits[1])
+        self.bits, self.cover = bits[0], cover
         diagonal = np.eye(pairs.shape[1], dtype=bool)
         self.static = self.flat and all(np.ptp(pairs[0][m]) == 0 for m in (diagonal, ~diagonal))
         # with one pair class on both codes' diagonals and one off them (every
@@ -501,14 +493,15 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     weight-8 words form a 5-design) give the search nothing to prune; those
     runs exhaust the budget.  Dedup makes the same :func:`_decide`.
 
-    Each code object is certified once: its scan, and its N_t counts once a
-    cover of it was built, are kept on it (see ``_Certificate``), so a
-    repeated decision scans nothing, and one whose kept counts differ
-    answers at once, with no cover.  Covers are not kept, so two codes with
-    equal counts (a code and a permuted copy) build the second code's
-    cover again on every call; the search counts the few slices it reads
-    of the first code (two on a permuted extremal seed) from that code's
-    weight-d words, and builds no cover of it.
+    Each code object is certified once, whole: its scan and the N_t counts
+    of its weight-d words are kept on it (see ``_Certificate``), so a
+    repeated decision scans nothing, and one whose kept distributions or
+    counts differ answers at once, with no cover.  Covers are not kept, so
+    two codes with equal counts (a code and a permuted copy) build the
+    second code's cover again on every call whose search reads slices (a
+    flat one reads none); the search counts the few slices it reads of the
+    first code (two on a permuted extremal seed) from that code's weight-d
+    words, and builds no cover of it.
     """
     if not c1.field.binary or not c2.field.binary:
         raise UnsupportedFieldError("equivalence test implemented for binary codes")
@@ -530,21 +523,17 @@ def _decide(c1: LinearCode, c2: LinearCode, node_budget: int, threads: int,
     """:func:`is_equivalent` on two binary codes of equal (n, k).  Equal
     codes are decided before either is certified.  ``cover2`` is a cover of
     c2's weight-d words that the caller just built, if any.  The search
-    reads c1's slices from its words and c2's from a cover: at most one is
-    built, c2's, for this call only, when neither ``_counted`` nor the
-    caller hands one over."""
+    reads c1's slices from its words and c2's from a cover, which the
+    search builds, for this call only, when it reads slices and neither
+    certifying c2 nor the caller hands one over."""
     n = c1.n
     if same_code(c1, c2):  # also every pair of zero codes
         return EquivalenceResult("equivalent", tuple(range(1, n + 1)), 0)
-    if _certificate(c1, threads=threads).distribution != _certificate(c2, threads=threads).distribution:
-        return EquivalenceResult("inequivalent", None, 0)
-    p1 = _counted(c1)[0]  # a cover built for c1's counts is dropped here
-    p2, built = _counted(c2)
-    if not np.array_equal(p1.nt, p2.nt):
+    p1 = _certificate(c1, threads=threads)[0]  # a cover built for c1's counts is dropped here
+    p2, built = _certificate(c2, threads=threads)
+    if p1.distribution != p2.distribution or not np.array_equal(p1.nt, p2.nt):
         return EquivalenceResult("inequivalent", None, 0)
     bits = [_incidence(p.words, n) for p in (p1, p2)]
-    if cover2 is None:
-        cover2 = _cover(bits[1]) if built is None else built
 
     heavier = _signature_weights(p1.distribution)[1:]
     pair_counts = []  # per code: (n, n, weights) counts of words covering both columns
@@ -552,7 +541,7 @@ def _decide(c1: LinearCode, c2: LinearCode, node_budget: int, threads: int,
         sets = [b] + [_incidence(words, n) for words in _words(code, heavier, threads)]
         pair_counts.append(np.stack([_pair_counts(m) for m in sets], axis=-1))
     pairs = _relabel(np.reshape(pair_counts, (2, n * n, -1))).reshape(2, n, n)
-    search = _Search((c1, c2), bits[0], cover2, p1.nt, pairs, node_budget)
+    search = _Search((c1, c2), bits, built if cover2 is None else cover2, p1.nt, pairs, node_budget)
     try:
         root = search.refine(np.zeros((2, n), dtype=np.intp), [])
         images = None if root is None else search.extend(root, [])

@@ -35,7 +35,7 @@ from .code import (
 )
 from .errors import CapacityError, IntegrityError, PostconditionError, PredicateError
 from .field import GF2, FieldVector, parse_symbols
-from .invariant import _Certificate, _certificate, _counted, _decide, _nt_counts
+from .invariant import _Certificate, _certificate, _decide, _nt_counts
 # tracer-only: perfbench/tracing.py wraps these names, and search calls none of them
 from .invariant import is_equivalent, nt_from_masks  # noqa: F401
 from .minweight import _scan_binary, codeword_masks_of_weight, min_weight  # noqa: F401
@@ -59,14 +59,14 @@ def _digest(counts: Mapping[int, int]) -> str:
 
 def _certify(code: LinearCode, abort_below: int | None = None, threads: int = 1
              ) -> tuple[_Certificate, np.ndarray | None, tuple[bool, bool, bool], dict[str, str]] | None:
-    """None when the screen at ``abort_below`` aborts, else (certificate
-    with its N_t counts, the cover of its words when this call built it or
-    else None, (self_dual, doubly_even, lcd), fingerprint): hashes of the
-    distribution and of the weight-d words' N_t counts, which do not depend
-    on the words' order.  The certificate stays on ``code``."""
-    if _certificate(code, abort_below, threads) is None:
+    """None when the screen at ``abort_below`` aborts, else (certificate,
+    the cover of its words when this call built it or else None,
+    (self_dual, doubly_even, lcd), fingerprint): hashes of the distribution
+    and of the weight-d words' N_t counts, which do not depend on the
+    words' order.  The certificate stays on ``code``."""
+    if (certified := _certificate(code, abort_below, threads)) is None:
         return None
-    cert, cover = _counted(code)
+    cert, cover = certified
     flags = is_self_dual(code), is_doubly_even(code), is_lcd(code)
     fp = {"distribution": _digest(cert.distribution.counts), "nt": _digest(_nt_counts(cert.nt))}
     return cert, cover, flags, fp

@@ -8,6 +8,7 @@ computed by these, then check the production kernels against them.
 """
 from __future__ import annotations
 
+import ast
 import importlib.util
 import random
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import hullkit
 from hullkit import (
     GF2,
     DimensionError,
@@ -55,6 +57,38 @@ def load_perfbench(name: str, monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def _functions_where(found) -> list[str]:
+    """module.function (module.Class.method for a method) for every
+    function of hullkit that holds an AST node for which ``found`` holds."""
+    source = Path(hullkit.__file__).resolve().parent
+    names = []
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {fn: f"{cls.name}." for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(found, ast.walk(fn))):
+                names.append(f"{path.stem}.{owners.get(fn, '')}{fn.name}")
+    return names
+
+
+def _callers(name: str) -> list[str]:
+    """Every function of hullkit that calls ``name``, as ``_functions_where`` names it."""
+    return _functions_where(lambda node: isinstance(node, ast.Call) and name in
+                            (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def _writers(attr: str) -> list[str]:
+    """Every function of hullkit that assigns ``attr`` of an object, or sets
+    it through ``setattr`` or ``__setattr__`` by its name."""
+    def writes(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == attr and isinstance(node.ctx, ast.Store)
+        return (isinstance(node, ast.Call)
+                and "setattr" in (getattr(node.func, "id", None), getattr(node.func, "attr", "").strip("_"))
+                and any(isinstance(a, ast.Constant) and a.value == attr for a in node.args))
+    return _functions_where(writes)
 
 
 # Weight enumerator of ANY extremal doubly even self-dual [56,28,12] code,

@@ -36,6 +36,8 @@ from hullkit.minweight import _packed_rows, codeword_masks_of_weight
 from hullkit.search import SEARCH_NODE_BUDGET
 
 from conftest import (
+    _callers,
+    _writers,
     bordered_golay,
     column_masks,
     equivalent_brute_force,
@@ -213,7 +215,7 @@ def test_slices_from_words_match_the_cover_on_bundled_codes():
     outputs = {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
     codes = {name: load_seed(name) for name in CIRCULANT_SEED_NAMES} | outputs
     for name, code in codes.items():
-        _assert_slices_from_words_match_the_cover(_incidence(invariant._certificate(code).words, code.n))
+        _assert_slices_from_words_match_the_cover(_incidence(invariant._certificate(code)[0].words, code.n))
     # past one 64-bit word, with four columns that no word holds
     rng = random.Random(181)
     masks = [sum(1 << j for j in rng.sample(range(66), 7)) for _ in range(40)]
@@ -416,6 +418,20 @@ def test_equivalence_design_structured_code_exhausts_budget():
     res = is_equivalent(golay, permuted, node_budget=50_000)
     assert res.verdict == "unknown"
     assert res.nodes > 50_000
+
+
+def test_a_flat_search_builds_no_cover(monkeypatch):
+    # the [24,12,8] code's cover is constant, so its search reads no slice:
+    # a decision on certified objects builds no cover of the second code
+    golay = bordered_golay()
+    permuted = apply_column_permutation(golay, random_perm(random.Random(151), 24))
+    calls = _count_scans_and_covers(monkeypatch)
+    first = is_equivalent(golay, permuted, node_budget=10)
+    assert calls == {"scan": 2, "cover": 2}  # one per certificate
+    calls.update(scan=0, cover=0)
+    again = is_equivalent(golay, permuted, node_budget=10)
+    assert (again.verdict, again.nodes) == (first.verdict, first.nodes) == ("unknown", 11)
+    assert calls == {"scan": 0, "cover": 0}
 
 
 def test_equivalence_separates_d11_from_c56_1_by_nt():
@@ -639,7 +655,7 @@ def test_relabel_orders_rows_by_their_bytes(dtype):
 def test_float32_pair_counts_equal_float64_ones_on_bundled_codes():
     outputs = {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
     for name, code in {**seed_store(), **outputs}.items():
-        bits = _incidence(invariant._certificate(code).words, code.n)
+        bits = _incidence(invariant._certificate(code)[0].words, code.n)
         f = bits.astype(np.float64)
         counts = _pair_counts(bits)
         assert counts.dtype == np.float64, name
@@ -764,12 +780,12 @@ def test_facts_follow_the_code_object_not_its_content(monkeypatch):
     # an aborted screen keeps nothing
     assert invariant._certificate(d11, abort_below=13) is None and d11._facts is None
     assert calls["scan"] == 1
-    assert invariant._certificate(d11).d == 12 and d11._facts is not None
+    assert invariant._certificate(d11)[0].d == 12 and d11._facts is not None
     assert invariant._certificate(d11, abort_below=13) is None and calls["scan"] == 2
     # the same generator in a new object is certified anew
     twin = LinearCode(d11.generator)
     assert twin._facts is None and same_code(twin, d11)
-    assert invariant._certificate(twin).d == 12 and calls["scan"] == 3
+    assert invariant._certificate(twin)[0].d == 12 and calls["scan"] == 3
 
 
 def test_equal_codes_are_decided_before_either_is_scanned(monkeypatch):
@@ -782,20 +798,33 @@ def test_equal_codes_are_decided_before_either_is_scanned(monkeypatch):
     assert c._facts is None and twin._facts is None
 
 
+def test_only_the_certificate_scans_and_keeps_facts():
+    # one writer of LinearCode._facts, so every kept certificate has one shape
+    assert [c for c in _callers("_scan") if not c.startswith("minweight.")] == ["invariant._certificate"]
+    assert _writers("_facts") == ["code.LinearCode.__init__", "invariant._certificate"]
+
+
 def test_a_kept_certificate_answers_the_screen_as_the_scan_does():
     # the six seeds and three LCD codes, the LCD codes' bundled outputs, and a code with no nonzero word
     codes = {**seed_store(), "zero": LinearCode(FieldMatrix.from_bit_rows([], 6))}
     codes |= {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
     for name, code in codes.items():
-        fresh = invariant._certificate(code)
-        assert fresh is not None and code._facts is not None, name
+        fresh, cover = invariant._certificate(code)
+        assert fresh is code._facts, name
+        # whole when it is made: the counts of a cover built anew from its words
+        want = _cover(_incidence(fresh.words, code.n))
+        assert np.array_equal(cover, want) and np.array_equal(fresh.nt, np.bincount(want)), name
+        assert not fresh.nt.flags.writeable, name
         for abort_below in (None, 1, 4, fresh.d - 1, fresh.d, fresh.d + 1, code.n + 1, code.n + 2):
             kept = invariant._certificate(code, abort_below)
-            d, dist, words, aborted = invariant._scan(LinearCode(code.generator), abort_below)
+            twin = LinearCode(code.generator)
+            d, dist, words, aborted = invariant._scan(twin, abort_below)
             assert (kept is None) == aborted, (name, abort_below)
             if kept is not None:
-                assert (kept.d, kept.distribution) == (d, dist), (name, abort_below)
-                assert np.array_equal(kept.words, words), (name, abort_below)
+                assert kept[1] is None and (kept[0].d, kept[0].distribution) == (d, dist), (name, abort_below)
+                assert np.array_equal(kept[0].words, words), (name, abort_below)
+            else:  # an aborted screen keeps nothing
+                assert invariant._certificate(twin, abort_below) is None and twin._facts is None, (name, abort_below)
 
 
 def test_nothing_kept_is_handed_out_mutable():

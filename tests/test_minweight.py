@@ -1,4 +1,3 @@
-import ast
 import os
 import random
 import tracemalloc
@@ -6,7 +5,6 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +57,7 @@ from conftest import (
     GF3,
     GF5,
     GLEASON_56_EXTREMAL,
+    _callers,
     bordered_golay,
     direct_sum,
     enumerate_codewords_naive,
@@ -826,20 +825,6 @@ def test_gate_continuing_the_screen_matches_a_fresh_two_set_listing():
         else:
             assert (d, dict(dist.counts)) == (fresh[0], dict(fresh[1].counts))
             assert sorted(words.tolist()) == sorted(fresh[2].tolist())
-
-
-def _callers(name):
-    """module.function for every function of hullkit that calls ``name``."""
-    source = Path(hullkit.__file__).resolve().parent
-    callers = []
-    for path in sorted(source.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                    isinstance(node, ast.Call) and name in
-                    (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-                    for node in ast.walk(fn)):
-                callers.append(f"{path.stem}.{fn.name}")
-    return callers
 
 
 def test_one_function_calls_next_level():
