@@ -299,12 +299,12 @@ def parse_code(text: str, source: str = "<string>") -> LinearCode:
         q, n, k = (int(h) for h in head)
     except ValueError:
         raise CodeParseError(f"{source}:{at}: non-integer header field in {header!r}") from None
+    if q > 7:  # before the primality test, which would trial-divide a huge q
+        raise CodeParseError(f"{source}:{at}: digit format supports q <= 7, got q={q}")
     try:
         field = PrimeField(q)
     except ValueError as e:
         raise CodeParseError(f"{source}:{at}: {e}") from None
-    if q > 7:
-        raise CodeParseError(f"{source}:{at}: digit format supports q <= 7, got q={q}")
     if n < 0 or k < 0:
         raise CodeParseError(f"{source}:{at}: n and k must be non-negative, got n={n}, k={k}")
     if len(body) != k:  # named at the header when rows are missing, else at the first extra row

@@ -435,6 +435,8 @@ def _rref_gf2(row_bits: list[int], cols: int) -> tuple[list[int], list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(cols):
+        if r == len(work):  # also no rows at all, however many columns
+            break
         bit = 1 << c
         piv = next((i for i in range(r, len(work)) if work[i] & bit), None)
         if piv is None:
@@ -446,8 +448,6 @@ def _rref_gf2(row_bits: list[int], cols: int) -> tuple[list[int], list[int]]:
                 work[i] ^= pr
         pivots.append(c)
         r += 1
-        if r == len(work):
-            break
     return work, pivots
 
 
@@ -457,6 +457,8 @@ def _rref_generic(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(n):
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if work[i, c] % p), None)
         if piv is None:
             continue
@@ -469,8 +471,6 @@ def _rref_generic(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                 work[i] = (work[i] - work[i, c] * work[r]) % p
         pivots.append(c)
         r += 1
-        if r == m:
-            break
     return work, pivots
 
 

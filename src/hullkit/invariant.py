@@ -34,7 +34,7 @@ made whole by ``_certificate`` from the gate ``minweight._scan`` and one
 cover of those words, and kept on the code object, so that
 :func:`nt_sequence`, :func:`is_equivalent` and a search's dedup derive none
 of them again for that object; the heavier words it compares come from one
-walk per code, ``minweight._words``.
+walk per code, ``minweight._words``.  No cover leaves this module.
 """
 from __future__ import annotations
 
@@ -168,25 +168,22 @@ class _Certificate(NamedTuple):
     nt: np.ndarray
 
 
-def _certificate(code: LinearCode, abort_below: int | None = None, threads: int = 1
-                 ) -> tuple[_Certificate, np.ndarray | None] | None:
+def _certificate(code: LinearCode, abort_below: int | None = None, threads: int = 1) -> _Certificate | None:
     """The certificate kept on ``code``, else one made by the only call of
-    ``minweight._scan`` outside it and a cover of its weight-d words, and
-    kept unless the screen aborts; with the cover when this call built it,
-    else None.  None exactly when the screen aborts: when d < abort_below
-    for a code with a nonzero word."""
-    cert, cover = code._facts, None
+    ``minweight._scan`` outside it and kept unless the screen aborts; the
+    cover its N_t counts come from is dropped here.  None exactly when the
+    screen aborts: when d < abort_below for a code with a nonzero word."""
+    cert = code._facts
     if cert is None:
         d, dist, words, aborted = _scan(code, abort_below, threads)
         if aborted:
             return None
         words.flags.writeable = False
-        cover = _cover(_incidence(words, code.n))
-        nt = np.bincount(cover)
+        nt = np.bincount(_cover(_incidence(words, code.n)))
         nt.flags.writeable = False
         cert = _Certificate(d, dist, words, nt)
         object.__setattr__(code, "_facts", cert)
-    return None if abort_below is not None and cert.d < min(abort_below, code.n + 1) else (cert, cover)
+    return None if abort_below is not None and cert.d < min(abort_below, code.n + 1) else cert
 
 
 def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtSequence:
@@ -204,7 +201,7 @@ def nt_sequence(code: LinearCode, w: int | None = None, threads: int = 1) -> NtS
     if w is not None and not 1 <= w <= code.n:
         raise ValueError(f"codeword weight must be in 1..{code.n}, got {w}")
     certify = w is None or code._facts is not None or _two_set_rows(code) is not None
-    cert = _certificate(code, threads=threads)[0] if certify else None
+    cert = _certificate(code, threads=threads) if certify else None
     w = cert.d if w is None else w
     if cert is not None and w == cert.d:
         return NtSequence(code.n, code.k, w, _nt_counts(cert.nt))
@@ -368,22 +365,20 @@ class _BudgetSpent(Exception):
 
 class _Search:
     """Individualization-refinement over the joint column colourings of two
-    codes, from the pair classes of both, the first code's weight-d words
-    and the second code's cover (from their incidence ``bits``).  A column
-    a of the first code gets its slice from the words that hold a, once per
-    search, so a search that runs to its budget counts at most n of them;
-    the second code's slices are read from its cover, one per node, built
-    here unless handed over, and only when the search reads slices."""
+    codes, from the pair classes of both and the incidence ``bits`` of their
+    weight-d words.  A column a of the first code gets its slice from the
+    words that hold a, once per search, so a search that runs to its budget
+    counts at most n of them; the second code's slices are read from its
+    cover, one per node, which the search builds, and only when it reads
+    slices."""
 
-    def __init__(self, codes, bits, cover, hist, pairs, node_budget):
+    def __init__(self, codes, bits, hist, pairs, node_budget):
         self.codes, self.pairs, self.node_budget = codes, pairs, node_budget
         self.leads = {}  # column a of the first code: _through_words(bits, a)
         # a constant cover gives slices that split nothing; with constant pair
         # counts too (the [24,12,8] code), no refinement can split a colour class
         self.flat = np.count_nonzero(hist) <= 1
-        if cover is None and not self.flat:
-            cover = _cover(bits[1])
-        self.bits, self.cover = bits[0], cover
+        self.bits, self.cover = bits[0], None if self.flat else _cover(bits[1])
         diagonal = np.eye(pairs.shape[1], dtype=bool)
         self.static = self.flat and all(np.ptp(pairs[0][m]) == 0 for m in (diagonal, ~diagonal))
         # with one pair class on both codes' diagonals and one off them (every
@@ -491,46 +486,26 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     More than ``node_budget`` nodes yields "unknown", never a wrong answer.
     Codes whose counts are flat at every order (the [24,12,8] code, whose
     weight-8 words form a 5-design) give the search nothing to prune; those
-    runs exhaust the budget.  Dedup makes the same :func:`_decide`.
+    runs exhaust the budget.  Search dedup decides through this function.
 
-    Each code object is certified once, whole: its scan and the N_t counts
-    of its weight-d words are kept on it (see ``_Certificate``), so a
-    repeated decision scans nothing, and one whose kept distributions or
-    counts differ answers at once, with no cover.  Covers are not kept, so
-    two codes with equal counts (a code and a permuted copy) build the
-    second code's cover again on every call whose search reads slices (a
-    flat one reads none); the search counts the few slices it reads of the
-    first code (two on a permuted extremal seed) from that code's weight-d
-    words, and builds no cover of it.
+    Equal codes are decided before either is certified.  Each code object
+    is certified once, whole: its scan and the N_t counts of its weight-d
+    words are kept on it (see ``_Certificate``), so a repeated decision
+    scans nothing, and one whose kept distributions or counts differ
+    answers at once, with no cover.  Covers stay inside this module and are
+    not kept: a search that reads slices (a flat one reads none) builds the
+    second code's cover on every call, and counts the few slices it reads of
+    the first code (two on a permuted extremal seed) from that code's
+    weight-d words, with no cover of it.
     """
     if not c1.field.binary or not c2.field.binary:
         raise UnsupportedFieldError("equivalence test implemented for binary codes")
     if (c1.n, c1.k) != (c2.n, c2.k):
         raise DimensionError("codes must share (n, k)")
-    return _decide(c1, c2, node_budget, threads)
-
-
-def _pair_counts(bits: np.ndarray) -> np.ndarray:
-    """(n, n) float64 counts of the words of ``bits`` that cover both
-    columns, from one float32 product while every count is exact in it
-    (fewer than 2^24 words), else from a float64 one."""
-    f = bits.astype(np.float32 if len(bits) < 1 << 24 else np.float64)
-    return (f.T @ f).astype(np.float64)
-
-
-def _decide(c1: LinearCode, c2: LinearCode, node_budget: int, threads: int,
-            cover2: np.ndarray | None = None) -> EquivalenceResult:
-    """:func:`is_equivalent` on two binary codes of equal (n, k).  Equal
-    codes are decided before either is certified.  ``cover2`` is a cover of
-    c2's weight-d words that the caller just built, if any.  The search
-    reads c1's slices from its words and c2's from a cover, which the
-    search builds, for this call only, when it reads slices and neither
-    certifying c2 nor the caller hands one over."""
     n = c1.n
     if same_code(c1, c2):  # also every pair of zero codes
         return EquivalenceResult("equivalent", tuple(range(1, n + 1)), 0)
-    p1 = _certificate(c1, threads=threads)[0]  # a cover built for c1's counts is dropped here
-    p2, built = _certificate(c2, threads=threads)
+    p1, p2 = _certificate(c1, threads=threads), _certificate(c2, threads=threads)
     if p1.distribution != p2.distribution or not np.array_equal(p1.nt, p2.nt):
         return EquivalenceResult("inequivalent", None, 0)
     bits = [_incidence(p.words, n) for p in (p1, p2)]
@@ -541,7 +516,7 @@ def _decide(c1: LinearCode, c2: LinearCode, node_budget: int, threads: int,
         sets = [b] + [_incidence(words, n) for words in _words(code, heavier, threads)]
         pair_counts.append(np.stack([_pair_counts(m) for m in sets], axis=-1))
     pairs = _relabel(np.reshape(pair_counts, (2, n * n, -1))).reshape(2, n, n)
-    search = _Search((c1, c2), bits, built if cover2 is None else cover2, p1.nt, pairs, node_budget)
+    search = _Search((c1, c2), bits, p1.nt, pairs, node_budget)
     try:
         root = search.refine(np.zeros((2, n), dtype=np.intp), [])
         images = None if root is None else search.extend(root, [])
@@ -551,3 +526,11 @@ def _decide(c1: LinearCode, c2: LinearCode, node_budget: int, threads: int,
         return EquivalenceResult("inequivalent", None, search.nodes)
     # source order: column h of the second code is column witness[h] of the first
     return EquivalenceResult("equivalent", tuple((np.argsort(images) + 1).tolist()), search.nodes)
+
+
+def _pair_counts(bits: np.ndarray) -> np.ndarray:
+    """(n, n) float64 counts of the words of ``bits`` that cover both
+    columns, from one float32 product while every count is exact in it
+    (fewer than 2^24 words), else from a float64 one."""
+    f = bits.astype(np.float32 if len(bits) < 1 << 24 else np.float64)
+    return (f.T @ f).astype(np.float64)

@@ -10,8 +10,8 @@ predicate at emission time, and records are reproducible: replaying
 
 One certify step, ``_certify``, gives the loop, ``replay`` and
 ``fingerprint_code`` a code's certificate (``invariant._Certificate``, kept
-on the code), the cover it built, flags and fingerprint; dedup decides over
-codes, as ``is_equivalent`` does.
+on the code), flags and fingerprint; dedup decides over codes through
+``is_equivalent``, and no cover leaves ``invariant``.
 """
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ from datetime import datetime, timezone
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
-import numpy as np
-
 from .code import (
     LinearCode,
     StandardForm,
@@ -35,9 +33,9 @@ from .code import (
 )
 from .errors import CapacityError, IntegrityError, PostconditionError, PredicateError
 from .field import GF2, FieldVector, parse_symbols
-from .invariant import _Certificate, _certificate, _decide, _nt_counts
+from .invariant import _Certificate, _certificate, _nt_counts, is_equivalent
 # tracer-only: perfbench/tracing.py wraps these names, and search calls none of them
-from .invariant import is_equivalent, nt_from_masks  # noqa: F401
+from .invariant import nt_from_masks  # noqa: F401
 from .minweight import _scan_binary, codeword_masks_of_weight, min_weight  # noqa: F401
 from .transform import TransformPair, transform_code
 
@@ -58,23 +56,21 @@ def _digest(counts: Mapping[int, int]) -> str:
 
 
 def _certify(code: LinearCode, abort_below: int | None = None, threads: int = 1
-             ) -> tuple[_Certificate, np.ndarray | None, tuple[bool, bool, bool], dict[str, str]] | None:
+             ) -> tuple[_Certificate, tuple[bool, bool, bool], dict[str, str]] | None:
     """None when the screen at ``abort_below`` aborts, else (certificate,
-    the cover of its words when this call built it or else None,
     (self_dual, doubly_even, lcd), fingerprint): hashes of the distribution
     and of the weight-d words' N_t counts, which do not depend on the
     words' order.  The certificate stays on ``code``."""
-    if (certified := _certificate(code, abort_below, threads)) is None:
+    if (cert := _certificate(code, abort_below, threads)) is None:
         return None
-    cert, cover = certified
     flags = is_self_dual(code), is_doubly_even(code), is_lcd(code)
     fp = {"distribution": _digest(cert.distribution.counts), "nt": _digest(_nt_counts(cert.nt))}
-    return cert, cover, flags, fp
+    return cert, flags, fp
 
 
 def fingerprint_code(code: LinearCode) -> dict[str, str]:
     """Dedup key: (weight-distribution hash, minimum-weight N_t hash)."""
-    return _certify(code)[3]
+    return _certify(code)[2]
 
 
 # the JSON type of each record field, as ``json`` decodes it
@@ -294,23 +290,21 @@ def sampled_isotropic_pairs(m: int, count: int, rng_seed: int) -> list[Transform
 # --- drivers ------------------------------------------------------------------
 
 def _emit(records: list[SearchRecord], dedup: dict, rec: SearchRecord, code: LinearCode,
-          cover: np.ndarray | None, node_budget: int, threads: int) -> None:
+          node_budget: int, threads: int) -> None:
     """Append ``rec`` unless ``code`` is proved equivalent to an earlier one.
 
     ``dedup`` maps a fingerprint key to its class representatives, as (record
     index, code) in emission order; each keeps its certificate (at n = 56,
-    65,520 bytes of weight-12 words) and no 734,580-byte cover.  ``cover``,
-    the one certifying ``code`` built or None, serves this call's decisions
-    only; a decision reads the representative's slices from its words, so
-    with ``cover`` handed over it builds no cover.  A new code is merged
-    into the first found equivalent, or else kept as one more, its
-    ``collision`` note naming every record compared.
+    65,520 bytes of weight-12 words).  Each decision is ``is_equivalent``
+    of a representative and ``code``.  A new code is merged into the first
+    found equivalent, or else kept as one more, its ``collision`` note
+    naming every record compared.
     """
     key = (rec.fingerprint["distribution"], rec.fingerprint["nt"])
     reps = dedup.setdefault(key, [])
     verdicts = []
     for index, prior in reps:
-        res = _decide(prior, code, node_budget, threads, cover)
+        res = is_equivalent(prior, code, node_budget=node_budget, threads=threads)
         if res.verdict == "equivalent":
             return  # merged into the earlier record
         verdicts.append(f"{index} (equivalence: {res.verdict})")
@@ -338,7 +332,7 @@ def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
         certified = _certify(out, d_target)
         if certified is None:
             continue
-        cert, cover, flags, fp = certified
+        cert, flags, fp = certified
         if not target(*flags):
             if mode == "checked":
                 raise PostconditionError(violation)
@@ -350,7 +344,7 @@ def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
             fingerprint=fp,
             created=datetime.now(timezone.utc).isoformat(timespec="seconds") if stamp else None,
         )
-        _emit(records, dedup, rec, out, cover, SEARCH_NODE_BUDGET, threads)
+        _emit(records, dedup, rec, out, SEARCH_NODE_BUDGET, threads)
     return records
 
 
@@ -448,7 +442,7 @@ def replay(record: SearchRecord, seed_store: Mapping[str, LinearCode],
     out = transform_code(form, pair, mode=mode)
     if (out.n, out.k) != (record.n, record.k):
         raise IntegrityError(f"replayed parameters [{out.n},{out.k}] != recorded [{record.n},{record.k}]")
-    cert, _, certs, fp = _certify(out, threads=threads)
+    cert, certs, fp = _certify(out, threads=threads)
     if cert.d != record.d:
         raise IntegrityError(f"replayed d={cert.d} != recorded d={record.d}")
     if certs != (record.self_dual, record.doubly_even, record.lcd):

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import random
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hullkit import (
     same_code,
     transform_code,
 )
+import hullkit.search
 from hullkit.artifacts import CIRCULANT_SEED_NAMES, PAIR_SEED, load_a_block_code, load_pair, load_seed, seed_store
 from hullkit import invariant
 from hullkit.invariant import (
@@ -215,7 +218,7 @@ def test_slices_from_words_match_the_cover_on_bundled_codes():
     outputs = {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
     codes = {name: load_seed(name) for name in CIRCULANT_SEED_NAMES} | outputs
     for name, code in codes.items():
-        _assert_slices_from_words_match_the_cover(_incidence(invariant._certificate(code)[0].words, code.n))
+        _assert_slices_from_words_match_the_cover(_incidence(invariant._certificate(code).words, code.n))
     # past one 64-bit word, with four columns that no word holds
     rng = random.Random(181)
     masks = [sum(1 << j for j in rng.sample(range(66), 7)) for _ in range(40)]
@@ -655,7 +658,7 @@ def test_relabel_orders_rows_by_their_bytes(dtype):
 def test_float32_pair_counts_equal_float64_ones_on_bundled_codes():
     outputs = {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
     for name, code in {**seed_store(), **outputs}.items():
-        bits = _incidence(invariant._certificate(code)[0].words, code.n)
+        bits = _incidence(invariant._certificate(code).words, code.n)
         f = bits.astype(np.float64)
         counts = _pair_counts(bits)
         assert counts.dtype == np.float64, name
@@ -753,7 +756,7 @@ def test_a_repeated_decision_reuses_each_codes_scan_and_counts(monkeypatch):
     assert calls == {"scan": 0, "cover": 0}
     permuted = apply_column_permutation(d11, random_perm(random.Random("D11"), d11.n))
     first = is_equivalent(d11, permuted)
-    assert calls == {"scan": 1, "cover": 1}
+    assert calls == {"scan": 1, "cover": 2}  # the certificate's, then the search's
     calls.update(scan=0, cover=0)
     # equal counts: the second code's cover is built again, the first code's
     # slices come from its words, and the search takes the same path
@@ -780,12 +783,12 @@ def test_facts_follow_the_code_object_not_its_content(monkeypatch):
     # an aborted screen keeps nothing
     assert invariant._certificate(d11, abort_below=13) is None and d11._facts is None
     assert calls["scan"] == 1
-    assert invariant._certificate(d11)[0].d == 12 and d11._facts is not None
+    assert invariant._certificate(d11).d == 12 and d11._facts is not None
     assert invariant._certificate(d11, abort_below=13) is None and calls["scan"] == 2
     # the same generator in a new object is certified anew
     twin = LinearCode(d11.generator)
     assert twin._facts is None and same_code(twin, d11)
-    assert invariant._certificate(twin)[0].d == 12 and calls["scan"] == 3
+    assert invariant._certificate(twin).d == 12 and calls["scan"] == 3
 
 
 def test_equal_codes_are_decided_before_either_is_scanned(monkeypatch):
@@ -804,16 +807,34 @@ def test_only_the_certificate_scans_and_keeps_facts():
     assert _writers("_facts") == ["code.LinearCode.__init__", "invariant._certificate"]
 
 
+def test_covers_stay_inside_invariant():
+    # search names no cover and decides only through is_equivalent, the one
+    # function that makes an EquivalenceResult
+    tree = ast.parse(Path(hullkit.search.__file__).read_text(encoding="utf-8"))
+    names = {value for node in ast.walk(tree) for field in ("id", "arg", "attr", "name")
+             if isinstance(value := getattr(node, field, None), str)}
+    assert not [name for name in names if "cover" in name.lower()]
+    from_invariant = {alias.asname or alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.module == "invariant" for alias in node.names}
+    called = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called & from_invariant == {"_certificate", "_nt_counts", "is_equivalent"}
+    assert _callers("EquivalenceResult") == ["invariant.is_equivalent"]
+    # _certificate hands out its certificate alone, or None, on every path
+    ham = extended_hamming()
+    for abort_below in (5, None, 4, 5):  # aborted fresh, made, kept, aborted kept
+        got = invariant._certificate(ham, abort_below)
+        assert got is None if abort_below == 5 else isinstance(got, invariant._Certificate) and got is ham._facts
+
+
 def test_a_kept_certificate_answers_the_screen_as_the_scan_does():
     # the six seeds and three LCD codes, the LCD codes' bundled outputs, and a code with no nonzero word
     codes = {**seed_store(), "zero": LinearCode(FieldMatrix.from_bit_rows([], 6))}
     codes |= {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
     for name, code in codes.items():
-        fresh, cover = invariant._certificate(code)
+        fresh = invariant._certificate(code)
         assert fresh is code._facts, name
         # whole when it is made: the counts of a cover built anew from its words
-        want = _cover(_incidence(fresh.words, code.n))
-        assert np.array_equal(cover, want) and np.array_equal(fresh.nt, np.bincount(want)), name
+        assert np.array_equal(fresh.nt, np.bincount(_cover(_incidence(fresh.words, code.n)))), name
         assert not fresh.nt.flags.writeable, name
         for abort_below in (None, 1, 4, fresh.d - 1, fresh.d, fresh.d + 1, code.n + 1, code.n + 2):
             kept = invariant._certificate(code, abort_below)
@@ -821,8 +842,8 @@ def test_a_kept_certificate_answers_the_screen_as_the_scan_does():
             d, dist, words, aborted = invariant._scan(twin, abort_below)
             assert (kept is None) == aborted, (name, abort_below)
             if kept is not None:
-                assert kept[1] is None and (kept[0].d, kept[0].distribution) == (d, dist), (name, abort_below)
-                assert np.array_equal(kept[0].words, words), (name, abort_below)
+                assert kept is fresh and (kept.d, kept.distribution) == (d, dist), (name, abort_below)
+                assert np.array_equal(kept.words, words), (name, abort_below)
             else:  # an aborted screen keeps nothing
                 assert invariant._certificate(twin, abort_below) is None and twin._facts is None, (name, abort_below)
 

@@ -514,7 +514,7 @@ def test_dedup_merges_a_permuted_d11_at_the_search_budget():
     for code in (d11, permuted):
         rec = SearchRecord(seed_id="D11", x="0" * 28, y="0" * 28, n=56, k=28, d=12,
                            self_dual=True, doubly_even=True, lcd=False, fingerprint=dict(fp))
-        _emit(records, dedup, rec, code, _certify(code)[1], node_budget=SEARCH_NODE_BUDGET, threads=1)
+        _emit(records, dedup, rec, code, node_budget=SEARCH_NODE_BUDGET, threads=1)
     assert len(records) == 1 and records[0].collision is None
 
 
@@ -533,14 +533,13 @@ def test_dedup_decides_over_certificates_without_a_scan(monkeypatch):
     perm = list(range(1, d11.n + 1))
     random.Random(13).shuffle(perm)
     permuted = apply_column_permutation(d11, perm)
-    (first, cover1, _, fp), (second, cover2, _, fp2) = _certify(d11), _certify(permuted)
+    (first, _, fp), (second, _, fp2) = _certify(d11), _certify(permuted)
     assert scans == [d11, permuted] and fp == fp2
-    assert cover1 is not None and cover2 is not None
     records, dedup = [], {}
-    for code, cover in ((d11, cover1), (permuted, cover2)):
+    for code in (d11, permuted):
         rec = SearchRecord(seed_id="D11", x="0" * 28, y="0" * 28, n=56, k=28, d=12,
                            self_dual=True, doubly_even=True, lcd=False, fingerprint=dict(fp))
-        _emit(records, dedup, rec, code, cover, node_budget=SEARCH_NODE_BUDGET, threads=1)
+        _emit(records, dedup, rec, code, node_budget=SEARCH_NODE_BUDGET, threads=1)
     assert scans == [d11, permuted]  # the merge itself scanned nothing
     assert len(records) == 1
     ((index, rep),) = dedup[(fp["distribution"], fp["nt"])]
@@ -595,16 +594,16 @@ def test_dedup_keeps_annotated_collision_when_equivalence_unresolved():
         )
 
     records, dedup = [], {}
-    _emit(records, dedup, rec(), ham, _certify(ham)[1], node_budget=0, threads=1)
-    _emit(records, dedup, rec(), permuted, _certify(permuted)[1], node_budget=0, threads=1)
+    _emit(records, dedup, rec(), ham, node_budget=0, threads=1)
+    _emit(records, dedup, rec(), permuted, node_budget=0, threads=1)
     assert len(records) == 2
     assert records[0].collision is None
     assert "unknown" in records[1].collision
 
     # with budget, the same pair of codes merges
     records, dedup = [], {}
-    _emit(records, dedup, rec(), ham, _certify(ham)[1], node_budget=10_000, threads=1)
-    _emit(records, dedup, rec(), permuted, _certify(permuted)[1], node_budget=10_000, threads=1)
+    _emit(records, dedup, rec(), ham, node_budget=10_000, threads=1)
+    _emit(records, dedup, rec(), permuted, node_budget=10_000, threads=1)
     assert len(records) == 1
 
 
@@ -614,7 +613,7 @@ def _emit_all(codes, node_budget=SEARCH_NODE_BUDGET):
         rec = SearchRecord(seed_id="s", x="1", y="1", n=code.n, k=code.k, d=min_weight(code),
                            self_dual=False, doubly_even=False, lcd=False,
                            fingerprint=fingerprint_code(code))
-        _emit(records, dedup, rec, code, _certify(code)[1], node_budget=node_budget, threads=1)
+        _emit(records, dedup, rec, code, node_budget=node_budget, threads=1)
     return records
 
 
@@ -723,6 +722,48 @@ def test_sd_search_from_e8_e8_finds_both_doubly_even_self_dual_16_codes(y):
     codes = [replay(rec, {"e8e8": seed}) for rec in records]
     found = [[is_equivalent(code, known).verdict for known in (seed, d16)] for code in codes]
     assert sorted(found) == [["equivalent", "inequivalent"], ["inequivalent", "equivalent"]]
+
+
+def _e8_cubed() -> LinearCode:
+    """e8 + e8 + e8 on columns 0-7, 8-15 and 16-23, where e8 is the span of
+    11110000, 00111100, 00001111 and 01010101."""
+    e8 = LinearCode(FieldMatrix(GF2, [[int(c) for c in r] for r in ("11110000", "00111100", "00001111", "01010101")],
+                                cols=8))
+    return direct_sum(e8, e8, e8)
+
+
+def _bits(text: str) -> FieldVector:
+    return FieldVector(GF2, [int(c) for c in text])
+
+
+# two x whose outputs of e8 + e8 + e8 at y = y4 are equivalent, and
+# (nodes, SHA-256 of the witness's bytes) of their decision at the search budget
+E8_CUBED_Y4, E8_CUBED_XS = "000000001111", ("100011100000", "010011100000")
+E8_CUBED_PATH = (11, "460b341597faded1df3adc872a0e7aa5f5a2c197c11d5f453d3461cb1130b053")
+
+
+def test_equivalence_decides_a_pair_of_e8_cubed_outputs():
+    # both outputs have large automorphism groups, in which a search can retrace symmetric subtrees
+    form = standard_form(_e8_cubed())
+    a, b = (transform_code(form, TransformPair(_bits(x), _bits(E8_CUBED_Y4))) for x in E8_CUBED_XS)
+    assert not same_code(a, b)
+    res = is_equivalent(a, b, node_budget=SEARCH_NODE_BUDGET)
+    assert res.verdict == "equivalent" and same_code(apply_column_permutation(a, res.witness), b)
+    assert (res.nodes, hashlib.sha256(bytes(res.witness)).hexdigest()) == E8_CUBED_PATH
+
+
+def test_sd_search_merges_the_e8_cubed_pair_through_is_equivalent(monkeypatch):
+    decisions = []
+
+    def deciding(*args, **kwargs):
+        decisions.append(decide(*args, **kwargs))
+        return decisions[-1]
+
+    decide = hullkit.search.is_equivalent
+    monkeypatch.setattr(hullkit.search, "is_equivalent", deciding)
+    records = sd_search(_e8_cubed(), _bits(E8_CUBED_Y4), [_bits(x) for x in E8_CUBED_XS], d_target=4)
+    assert len(records) == 1 and records[0].collision is None and records[0].x == E8_CUBED_XS[0]
+    assert [(r.verdict, r.nodes) for r in decisions] == [("equivalent", E8_CUBED_PATH[0])]
 
 
 def test_exhaustive_pairs_small_m():
