@@ -43,10 +43,10 @@ class LinearCode:
     reports them 1-based).  One private slot, ``_facts``, is written after
     construction: it starts None and then holds the certificate of this
     object, an ``invariant._Certificate`` (d, distribution, read-only
-    weight-d words and their read-only N_t histogram), whole when it is
-    made, so that later certificates of the object derive nothing again.
-    It holds no cover; facts follow the object, so an equal code built anew
-    starts empty.
+    weight-d words, their read-only N_t histogram and its per-column
+    profile), whole when it is made, so that later certificates of the
+    object derive nothing again.  It holds no cover; facts follow the
+    object, so an equal code built anew starts empty.
     """
 
     __slots__ = ("field", "n", "k", "generator", "provenance", "_reduced", "_pivots", "_facts")

@@ -3,38 +3,44 @@ exact permutation-equivalence test by budgeted individualization-refinement.
 
 N_t counts the 4-subsets of columns covered by exactly t of the weight-w
 codewords; the sequence is invariant under column permutation, so distinct
-sequences certify inequivalence.  N_t is the histogram of a cover array:
-the cover count of every 4-subset, indexed by its colex rank and summed
-from rank terms tabulated per column pair.  The sequence runs to
+sequences certify inequivalence.  It is counted from a cover array: the
+cover count of every 4-subset, indexed by its colex rank and summed from
+rank terms tabulated per column pair.  The sequence runs to
 t = max(n, largest count): each 4-subset of the [24,12,8] code lies in 120
-of its weight-12 words.  Equal sequences prove nothing, which is why
-:func:`is_equivalent` exists: it compares the N_t counts of both codes'
-minimum-weight words, then colours the columns of both codes jointly, by
-pair counts and, along each branch of an individualization-refinement
-search, by the cover counts of the 4-subsets through each individualized
-column, a slice at a time: the counts of {a} + T for every 3-subset T,
-read through a cached table of the 3-subset ranks of {j, i, h}.  The
-second code's slices are gathered from its cover array, one per node;
-the first code's come from the words that hold a, once per column, and
-it needs no cover.  Before it refines a tried pair
-(a, b), the search compares the histogram of the cover counts of the
-C(n-1,3) 4-subsets through a in the first code with that through b in the
-second, read off the gathered counts, and drops b when they differ: the
-refinement would turn it down on its first pass, as each of those 4-subsets
-lies three times in a's slice.  Only searches whose cover is not constant
-use slices, so only they use the check; on each permuted extremal
-[56,28,12] seed tried, it turned down every try but the two that lead to
-the witness.  The test is exact because every "equivalent" answer carries
-a witness permutation verified by generator membership, and every
+of its weight-12 words.  A certificate also keeps its code's profile: row b
+is the histogram of the cover counts of the C(n-1,3) 4-subsets through
+column b, and N_t is the profile's column sums over four, as each 4-subset
+lies in four rows.
+
+Equal sequences prove nothing, which is why :func:`is_equivalent` exists:
+it compares the N_t counts of both codes' minimum-weight words, then
+colours the columns of both codes jointly, by pair counts and, along each
+branch of an individualization-refinement search, by the cover counts of
+the 4-subsets through each individualized column, a slice at a time: the
+counts of {a} + T for every 3-subset T, read through a cached table of the
+3-subset ranks of {j, i, h}.  A slice is counted from the weight-d words
+that hold its column, at most once per column and code in a search.  Before
+it refines a tried pair (a, b), the search compares row a of the first
+code's profile with row b of the second's, and drops b when they differ:
+the refinement would turn it down on its first pass, as each of those
+4-subsets lies three times in a's slice.  So a search counts the slices of
+the tries that pass only; on each permuted extremal [56,28,12] seed tried,
+the check turned down every try but the two that lead to the witness.  Only
+searches whose cover is not constant use slices, so only they use the
+check.  The test is exact because every "equivalent" answer carries a
+witness permutation verified by generator membership, and every
 "inequivalent" answer comes from a permutation invariant or from
 exhausting a search pruned only by permutation invariants.  A blown node
-budget yields verdict "unknown", never a wrong answer.  Its distribution,
-minimum-weight words and their N_t counts come from a code's certificate,
-made whole by ``_certificate`` from the gate ``minweight._scan`` and one
-cover of those words, and kept on the code object, so that
-:func:`nt_sequence`, :func:`is_equivalent` and a search's dedup derive none
-of them again for that object; the heavier words it compares come from one
-walk per code, ``minweight._words``.  No cover leaves this module.
+budget yields verdict "unknown", never a wrong answer.
+
+A code's distribution, minimum-weight words, N_t counts and profile come
+from its certificate, made whole by ``_certificate`` from the gate
+``minweight._scan`` and one cover of those words, and kept on the code
+object, so that :func:`nt_sequence`, :func:`is_equivalent` and a search's
+dedup derive none of them again for that object; the heavier words it
+compares come from one walk per code, ``minweight._words``.  A cover is
+built only to certify (``_certificate``, :func:`nt_from_masks`), never to
+decide, and none leaves this module.
 """
 from __future__ import annotations
 
@@ -112,9 +118,10 @@ def _incidence(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
-def _cover(bits: np.ndarray) -> np.ndarray:
-    """Cover counts of every column 4-subset by the words of ``bits``, indexed
-    by colex rank, in the least unsigned dtype that holds len(bits).
+def _cover(words: np.ndarray, n: int) -> np.ndarray:
+    """Cover counts of every column 4-subset by the length-n ``words``, packed
+    as ``minweight._packed_rows``, indexed by colex rank, in the least
+    unsigned dtype that holds len(words).
 
     The 4-subset {a < b < c < e} of a word's support has rank
     low[a*n + b] + high[c*n + e], where low = C(a,1) + C(b,2) and
@@ -124,8 +131,10 @@ def _cover(bits: np.ndarray) -> np.ndarray:
     A word's support is its row's flat nonzero positions less the row's
     offset; words of one weight are read in place, without a copy.
     """
-    n = bits.shape[1]
-    weights = bits.sum(axis=1)
+    bits = _incidence(words, n)
+    weights = np.bitwise_count(words)
+    if weights.ndim == 2:  # lanes of a word, n > 64
+        weights = weights.sum(axis=1)
     terms = _colex_terms(n)
     low, high = ((terms[q][:, None] + terms[q + 1]).ravel() for q in (0, 2))
     cover = np.zeros(comb(n, 4), dtype=np.min_scalar_type(len(bits)))
@@ -144,6 +153,61 @@ def _cover(bits: np.ndarray) -> np.ndarray:
     return cover
 
 
+def _unrank(ranks: np.ndarray, n: int, size: int) -> np.ndarray:
+    """(size, len(ranks)) intp members of the size-subsets of n columns with
+    these colex ranks, the least member first."""
+    terms = _colex_terms(n)
+    members = np.empty((size, len(ranks)), dtype=np.intp)
+    for q in range(size - 1, 0, -1):
+        members[q] = np.searchsorted(terms[q], ranks, side="right") - 1
+        ranks = ranks - terms[q][members[q]]
+    members[0] = ranks
+    return members
+
+
+@lru_cache(maxsize=None)
+def _triple_members(n: int) -> np.ndarray:
+    """Read-only (3, C(n-1,3)) members of the 3-subsets of the first n - 1
+    columns in colex order, 79 KB at n = 56: the 3-subsets below the top
+    column of each colex run of 4-subsets."""
+    members = _unrank(np.arange(comb(n - 1, 3)), n, 3).astype(np.min_scalar_type(n))
+    members.flags.writeable = False
+    return members
+
+
+def _profile(cover: np.ndarray, n: int) -> np.ndarray:
+    """(n, len(np.bincount(cover))) intp array: row b is the histogram of the
+    cover counts of the C(n-1,3) 4-subsets through column b.
+
+    Each 4-subset adds one to the entry of its count in each of its four
+    rows, keyed count * n + column.  A sparse cover (the LCD codes', under a
+    quarter nonzero) is read by its nonzero entries, unranked, and column 0
+    follows by subtraction.  A dense one (the extremal seeds') is read run
+    by run: the 4-subsets of top column e are the C(e,3) ranks from C(e,4),
+    whose other members are the first C(e,3) columns of ``_triple_members``.
+    """
+    width = int(cover.max()) + 1 if len(cover) else 0
+    if 4 * np.count_nonzero(cover) < len(cover):
+        nonzero = np.flatnonzero(cover)
+        keys = cover[nonzero].astype(np.intp) * n + _unrank(nonzero, n, 4)
+        counts = np.bincount(keys.ravel(), minlength=width * n).reshape(width, n)
+        counts[0] = comb(n - 1, 3) - counts[1:].sum(axis=0)
+    else:
+        members = _triple_members(n)
+        buffer = np.empty(4 * comb(n - 1, 3), dtype=np.int32)  # int32 keys: less to read than intp
+        counts = np.zeros(width * n, dtype=np.intp)
+        for e in range(3, n):
+            run = cover[comb(e, 4):comb(e + 1, 4)]
+            keys = buffer[:4 * len(run)].reshape(4, len(run))
+            keys[3] = run
+            keys[3] *= n
+            np.add(members[:, :len(run)], keys[3], out=keys[:3])
+            keys[3] += e
+            counts += np.bincount(keys.ravel(), minlength=len(counts))
+        counts = counts.reshape(width, n)
+    return np.ascontiguousarray(counts.T)
+
+
 def _nt_counts(hist: np.ndarray) -> dict[int, int]:
     """Raw N_t counts from a cover's histogram, whose entry t is N_t."""
     return {t: int(c) for t, c in enumerate(hist) if t and c}
@@ -151,37 +215,45 @@ def _nt_counts(hist: np.ndarray) -> dict[int, int]:
 
 def nt_from_masks(words: np.ndarray, n: int) -> dict[int, int]:
     """Raw N_t counts from codewords of any weights, packed as ``minweight._packed_rows``."""
-    return _nt_counts(np.bincount(_cover(_incidence(words, n))))
+    return _nt_counts(np.bincount(_cover(words, n)))
 
 
 class _Certificate(NamedTuple):
-    """A binary code's d, distribution and read-only weight-d words, and the
-    read-only histogram of their cover (entry t is N_t).  A code object's
-    certificate is whole when it is made and kept on it, in
-    ``LinearCode._facts``; covers are never kept.  Two threads certifying
-    one object at once may both do the work; what either keeps is the
-    same."""
+    """A binary code's d, distribution and read-only weight-d words, the
+    read-only histogram of their cover (entry t is N_t), and its read-only
+    ``profile``: row b is the histogram of the cover counts of the 4-subsets
+    through column b, which a decision compares column by column.  A code
+    object's certificate is whole when it is made and kept on it, in
+    ``LinearCode._facts``; covers are never kept (D11's profile is 11.6 KB,
+    its cover 0.73 MB).  Two threads certifying one object at once may both
+    do the work; what either keeps is the same."""
 
     d: int
     distribution: WeightDistribution
     words: np.ndarray
     nt: np.ndarray
+    profile: np.ndarray
 
 
 def _certificate(code: LinearCode, abort_below: int | None = None, threads: int = 1) -> _Certificate | None:
     """The certificate kept on ``code``, else one made by the only call of
-    ``minweight._scan`` outside it and kept unless the screen aborts; the
-    cover its N_t counts come from is dropped here.  None exactly when the
-    screen aborts: when d < abort_below for a code with a nonzero word."""
+    ``minweight._scan`` outside it and kept unless the screen aborts.  Its
+    profile is counted from one cover of the weight-d words, which is
+    dropped here, and its N_t counts are the profile's column sums over
+    four, equal to the cover's histogram in value and length.  None exactly
+    when the screen aborts: when d < abort_below for a code with a nonzero
+    word."""
     cert = code._facts
     if cert is None:
         d, dist, words, aborted = _scan(code, abort_below, threads)
         if aborted:
             return None
         words.flags.writeable = False
-        nt = np.bincount(_cover(_incidence(words, code.n)))
-        nt.flags.writeable = False
-        cert = _Certificate(d, dist, words, nt)
+        profile = _profile(_cover(words, code.n), code.n)
+        nt = profile.sum(axis=0) // 4
+        for array in (nt, profile):
+            array.flags.writeable = False
+        cert = _Certificate(d, dist, words, nt, profile)
         object.__setattr__(code, "_facts", cert)
     return None if abort_below is not None and cert.d < min(abort_below, code.n + 1) else cert
 
@@ -264,42 +336,17 @@ def _signature_weights(dist) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _slice_tables(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only tables of :func:`_through`, under 1 MB at n = 56: per slice
-    entry (j, {i < h}), the colex rank of {j, i, h}, or the sentinel C(n,3)
-    when j is i or h; and per 3-subset {x < y < z} in colex order, the slice
-    column of {x, y} and C(z, 4)."""
+def _slice_table(n: int) -> np.ndarray:
+    """Read-only (n, C(n,2)) table, under 1 MB at n = 56: per slice entry
+    (j, {i < h}), the colex rank of the 3-subset {j, i, h}, or the sentinel
+    C(n,3) when j is i or h.  Row a marks every 3-subset through a."""
     terms = _colex_terms(n)
     i, h = np.triu_indices(n, 1)
     j = np.arange(n)[:, None]
     s = np.sort(np.broadcast_arrays(j, i, h), axis=0)
     table = np.where((j == i) | (j == h), comb(n, 3), terms[0][s[0]] + terms[1][s[1]] + terms[2][s[2]])
-    y, x = np.tril_indices(n, -1)  # pairs in colex order; those below z come first
-    column = (x * (2 * n - x - 1) // 2 + y - x - 1).astype(terms.dtype)  # index in (i, h)
-    per_z = [comb(z, 2) for z in range(n)]
-    tables = (table, column[np.arange(comb(n, 3)) - np.repeat(terms[2], per_z)], np.repeat(terms[3], per_z))
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
-def _through(cover: np.ndarray, a: int, n: int) -> np.ndarray:
-    """(C(n,3) + 1,) int32 array: entry T, a 3-subset's colex rank, is the
-    cover count of {a} + T, or -1 when T holds a; the last entry is -1.
-
-    For T below a the counts are one run of the cover; any other
-    T = {x, y, z} not through a has z > a, and {a} + T ranks as {a, x, y},
-    row a of the :func:`_slice_tables` table, plus C(z, 4).  The entries
-    that are not -1 are the cover counts of the C(n-1,3) 4-subsets through a."""
-    table, column, c4 = _slice_tables(n)
-    vals = np.empty(len(column) + 1, dtype=np.int32)  # -1 would wrap in an unsigned cover
-    vals[:comb(a, 3)] = cover[comb(a, 4):comb(a + 1, 4)]
-    past = comb(a + 1, 3)
-    if len(cover):  # else n < 4, and every entry is marked below
-        # clipped: a T through a reads a sentinel or a wrong rank, marked below
-        vals[past:-1] = cover.take(table[a].take(column[past:]) + c4[past:], mode="clip")
-    vals[table[a]] = -1  # every T through a, and the sentinel
-    return vals
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -311,12 +358,15 @@ def _place_triples(w: int) -> np.ndarray:
 
 
 def _through_words(bits: np.ndarray, a: int) -> np.ndarray:
-    """``_through(_cover(bits), a, n)``, counted from the words of ``bits``
-    that hold column a, with no cover: each of them, a left out, adds one to
-    the entry of every 3-subset T of the rest of its support, the colex rank
-    of T summed from C(x,1) + C(y,2) + C(z,3).  D11's slice takes 1755 of its
-    8190 weight-12 words and 165 triples each, against a cover's 495
-    4-subsets of every word.  Words go in chunks of about 2^16 ranks."""
+    """(C(n,3) + 1,) int32 array: entry T, a 3-subset's colex rank, is the
+    number of words of ``bits`` that cover {a} + T, or -1 when T holds a;
+    the last entry is -1.  So the entries that are not -1 are the cover
+    counts of the C(n-1,3) 4-subsets through a, counted with no cover: each
+    word that holds a, a left out, adds one to the entry of every 3-subset T
+    of the rest of its support, the colex rank of T summed from
+    C(x,1) + C(y,2) + C(z,3).  D11's slice takes 1755 of its 8190 weight-12
+    words and 165 triples each, against a cover's 495 4-subsets of every
+    word.  Words go in chunks of about 2^16 ranks."""
     n = bits.shape[1]
     terms = _colex_terms(n)
     rows = bits[bits[:, a] != 0]
@@ -335,7 +385,7 @@ def _through_words(bits: np.ndarray, a: int) -> np.ndarray:
             ranks += t[2][:, z]
             counts += np.bincount(ranks.ravel(), minlength=len(counts))
     vals = counts.astype(np.int32)
-    vals[_slice_tables(n)[0][a]] = -1  # every T through a, and the sentinel
+    vals[_slice_table(n)[a]] = -1  # every T through a, and the sentinel
     return vals
 
 
@@ -365,28 +415,36 @@ class _BudgetSpent(Exception):
 
 class _Search:
     """Individualization-refinement over the joint column colourings of two
-    codes, from the pair classes of both and the incidence ``bits`` of their
-    weight-d words.  A column a of the first code gets its slice from the
-    words that hold a, once per search, so a search that runs to its budget
-    counts at most n of them; the second code's slices are read from its
-    cover, one per node, which the search builds, and only when it reads
-    slices."""
+    codes, from the pair classes of both, the incidence ``bits`` of their
+    weight-d words and their certificates' profiles.  A tried pair (a, b)
+    whose profile rows differ is dropped before anything is counted for it;
+    every other column gets its slice from its code's words that hold it,
+    once per search, so a search that runs to its budget counts at most n
+    of them per code.  The search builds no cover."""
 
-    def __init__(self, codes, bits, hist, pairs, node_budget):
-        self.codes, self.pairs, self.node_budget = codes, pairs, node_budget
-        self.leads = {}  # column a of the first code: _through_words(bits, a)
+    def __init__(self, codes, bits, certs, pairs, node_budget):
+        self.codes, self.bits, self.pairs, self.node_budget = codes, bits, pairs, node_budget
+        self.profiles = [cert.profile for cert in certs]
+        self.through = ({}, {})  # per code, column a: _through_words(its bits, a)
         # a constant cover gives slices that split nothing; with constant pair
         # counts too (the [24,12,8] code), no refinement can split a colour class
-        self.flat = np.count_nonzero(hist) <= 1
-        self.bits, self.cover = bits[0], None if self.flat else _cover(bits[1])
+        self.flat = np.count_nonzero(certs[0].nt) <= 1
         diagonal = np.eye(pairs.shape[1], dtype=bool)
         self.static = self.flat and all(np.ptp(pairs[0][m]) == 0 for m in (diagonal, ~diagonal))
         # with one pair class on both codes' diagonals and one off them (every
         # extremal seed), a column's pair signature follows from its colour and
         # its side's colour multiset, which refine keeps equal on both sides
         self.pair_signature = not all(np.ptp(pairs[:, m]) == 0 for m in (diagonal, ~diagonal))
-        self.reach = len(hist) + 1
+        self.reach = len(certs[0].nt) + 1
         self.nodes = 0
+
+    def slice_of(self, side: int, a: int) -> np.ndarray:
+        """Column a's slice in code ``side`` (0 or 1), read through the slice
+        table: counted from its words on the first call, then kept."""
+        kept = self.through[side]
+        if a not in kept:
+            kept[a] = _through_words(self.bits[side], a)
+        return kept[a].take(_slice_table(self.bits[side].shape[1]))
 
     def refine(self, cols: np.ndarray, slices: list[np.ndarray]):
         """Refine the column colours of both codes (rows 0 and 1 of ``cols``)
@@ -435,12 +493,7 @@ class _Search:
         cell = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
         a = int(np.argmax(cols[0] == cell))
         if not self.flat:
-            table = _slice_tables(n)[0]
-            if a not in self.leads:
-                self.leads[a] = _through_words(self.bits, a)
-            through_a = self.leads[a]
-            hist_a = np.bincount(through_a + 1, minlength=self.reach)  # -1 entries count at 0
-            lead = through_a.take(table)
+            lead, profile_a = self.slice_of(0, a), self.profiles[0][a]
         for b in np.flatnonzero(cols[1] == cell).tolist():
             self.nodes += 1
             if self.nodes > self.node_budget:
@@ -449,10 +502,9 @@ class _Search:
             if not self.flat:
                 # refine's first pass turns b down unless the 4-subsets through
                 # it have a's cover counts: each lies three times in a slice
-                through_b = _through(self.cover, b, n)
-                if not np.array_equal(np.bincount(through_b + 1, minlength=self.reach), hist_a):
+                if not np.array_equal(self.profiles[1][b], profile_a):
                     continue
-                deeper = slices + [np.stack([lead, through_b.take(table)])]
+                deeper = slices + [np.stack([lead, self.slice_of(1, b)])]
             tried = cols.copy()
             tried[0, a] = tried[1, b] = len(sizes)
             refined = self.refine(tried, deeper)
@@ -476,27 +528,27 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
     by the 4-subset cover counts of {a, j, i, h}.  It individualizes the
     first column of the smallest non-singleton colour class of the first
     code and tries each column of that colour in the second code: each try
-    is one node, also one dropped before its refinement because the cover
-    counts of the 4-subsets through the two columns have different
-    histograms (which the refinement would find on its first pass, so
-    nodes, verdicts and witnesses are those of a search that refines every
-    try).  A discrete colouring is a candidate witness, verified by
-    mapping a generator through it; every prune is an invariant computed
-    alike on both codes, so exhausting the search proves inequivalence.
+    is one node, also one dropped before its refinement because the two
+    columns' rows of their codes' profiles differ, that is, the cover
+    counts of the 4-subsets through them have different histograms (which
+    the refinement would find on its first pass, so nodes, verdicts and
+    witnesses are those of a search that refines every try).  A discrete
+    colouring is a candidate witness, verified by mapping a generator
+    through it; every prune is an invariant computed alike on both codes,
+    so exhausting the search proves inequivalence.
     More than ``node_budget`` nodes yields "unknown", never a wrong answer.
     Codes whose counts are flat at every order (the [24,12,8] code, whose
     weight-8 words form a 5-design) give the search nothing to prune; those
     runs exhaust the budget.  Search dedup decides through this function.
 
     Equal codes are decided before either is certified.  Each code object
-    is certified once, whole: its scan and the N_t counts of its weight-d
-    words are kept on it (see ``_Certificate``), so a repeated decision
-    scans nothing, and one whose kept distributions or counts differ
-    answers at once, with no cover.  Covers stay inside this module and are
-    not kept: a search that reads slices (a flat one reads none) builds the
-    second code's cover on every call, and counts the few slices it reads of
-    the first code (two on a permuted extremal seed) from that code's
-    weight-d words, with no cover of it.
+    is certified once, whole: its scan, the N_t counts of its weight-d words
+    and their profile are kept on it (see ``_Certificate``), so a repeated
+    decision scans nothing, and one whose kept distributions or counts
+    differ answers at once.  A decision builds no cover: a search that
+    reads slices (a flat one reads none) counts each slice it reads from
+    its code's weight-d words, and reads only those of the tries that pass
+    the profile check (two per code on a permuted extremal seed).
     """
     if not c1.field.binary or not c2.field.binary:
         raise UnsupportedFieldError("equivalence test implemented for binary codes")
@@ -516,7 +568,7 @@ def is_equivalent(c1: LinearCode, c2: LinearCode,
         sets = [b] + [_incidence(words, n) for words in _words(code, heavier, threads)]
         pair_counts.append(np.stack([_pair_counts(m) for m in sets], axis=-1))
     pairs = _relabel(np.reshape(pair_counts, (2, n * n, -1))).reshape(2, n, n)
-    search = _Search((c1, c2), bits, p1.nt, pairs, node_budget)
+    search = _Search((c1, c2), bits, (p1, p2), pairs, node_budget)
     try:
         root = search.refine(np.zeros((2, n), dtype=np.intp), [])
         images = None if root is None else search.extend(root, [])

@@ -12,6 +12,7 @@ from . import artifacts
 from .circulant import CirculantSpec, pure_double_circulant
 from .code import is_doubly_even, is_extremal_doubly_even_self_dual, is_lcd, is_self_dual
 from .field import GF2, FieldMatrix, FieldVector, PrimeField, matmul, parse_symbols
+from .invariant import nt_sequence
 from .minweight import min_weight, weight_distribution
 from .transform import TransformPair, m_matrix, transform_code, transform_rows
 
@@ -28,6 +29,20 @@ LCD_CASES = [
     ("a37225", "c37226", 5, 6),
     ("a381310", "c381311", 10, 11),
     ("a40226", "c40227", 6, 7),
+]
+
+# x with y = y4 on seed D11: each output is an extremal [56,28,12] code, and
+# their N_t sequences differ from each other's and from the six seeds'
+SD_SEED, SD_Y = "D11", "0000000000000000000000001111"
+SD_CASES = [
+    "1000010100001001100011110101",
+    "0000101000101100110100001111",
+    "0010000010100001100000100110",
+    "1101001000101001001001011010",
+    "1110101011010100110111001010",
+    "1110010110000011000001101010",
+    "0110010111100001100000101001",
+    "0010010011101001100010011100",
 ]
 
 
@@ -69,6 +84,21 @@ def run_verification() -> dict:
                 and dict(dist.counts) == EXTREMAL_56_ENUMERATOR)
         checks.append(_check(f"seed {name}", good, f"[{code.n},{code.k}] self-dual doubly even, "
                              f"d={d}, A_12={dist[12]} (enumerator exact)"))
+
+    # new extremal codes: N_t is an equivalence invariant, so distinct
+    # sequences prove the outputs new and pairwise inequivalent
+    known = {nt_sequence(artifacts.load_seed(name)).sequence for name in artifacts.CIRCULANT_SEED_NAMES}
+    seed, y = artifacts.load_seed(SD_SEED), FieldVector(GF2, parse_symbols(GF2, SD_Y))
+    good, new = True, set()
+    for x in SD_CASES:
+        out = transform_code(seed, TransformPair(FieldVector(GF2, parse_symbols(GF2, x)), y))
+        seq = nt_sequence(out).sequence
+        good = (good and is_self_dual(out) and is_doubly_even(out)
+                and dict(weight_distribution(out).counts) == EXTREMAL_56_ENUMERATOR and seq not in known | new)
+        new.add(seq)
+    checks.append(_check(f"new extremal codes from {SD_SEED}", good,
+                         f"{len(new)} new inequivalent extremal [56,28,12] codes" if good
+                         else f"{len(SD_CASES)} outputs, not all new extremal codes with distinct N_t"))
 
     # LCD reproduction: base parameters and transform upgrades
     for code_name, pair_name, d_pre, d_post in LCD_CASES:

@@ -12,9 +12,12 @@ import ast
 import importlib.util
 import random
 import sys
+from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hullkit
@@ -39,6 +42,7 @@ from hullkit import (
     transform_rows,
     weight_distribution,
 )
+from hullkit import invariant
 from hullkit.circulant import CirculantSpec
 from hullkit.minweight import WeightDistribution, _distribution, _scan_binary
 
@@ -335,6 +339,39 @@ def subset_cover_count(cols: list[int], subset: tuple[int, ...]) -> int:
     for j in subset[1:]:
         acc &= cols[j]
     return acc.bit_count()
+
+
+@lru_cache(maxsize=None)
+def _gather_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per 3-subset {x < y < z} in colex order, the slice column of {x, y}
+    (its index among the pairs of ``np.triu_indices(n, 1)``) and C(z, 4)."""
+    terms = invariant._colex_terms(n)
+    y, x = np.tril_indices(n, -1)  # pairs in colex order; those below z come first
+    column = (x * (2 * n - x - 1) // 2 + y - x - 1).astype(terms.dtype)
+    per_z = [comb(z, 2) for z in range(n)]
+    return column[np.arange(comb(n, 3)) - np.repeat(terms[2], per_z)], np.repeat(terms[3], per_z)
+
+
+def through_cover(cover: np.ndarray, a: int, n: int) -> np.ndarray:
+    """``invariant._through_words`` gathered from a cover array instead of
+    counted from words: (C(n,3) + 1,) int32, entry T (a 3-subset's colex
+    rank) is the cover count of {a} + T, or -1 when T holds a; the last
+    entry is -1.
+
+    For T below a the counts are one run of the cover; any other
+    T = {x, y, z} not through a has z > a, and {a} + T ranks as {a, x, y},
+    row a of ``invariant._slice_table``, plus C(z, 4)."""
+    table = invariant._slice_table(n)
+    column, c4 = _gather_tables(n)
+    vals = np.empty(len(column) + 1, dtype=np.int32)  # -1 would wrap in an unsigned cover
+    vals[:comb(a, 3)] = cover[comb(a, 4):comb(a + 1, 4)]
+    past = comb(a + 1, 3)
+    if len(cover):  # else n < 4, and every entry is marked below
+        # clipped: a T through a reads a sentinel or a wrong rank, marked below
+        vals[past:-1] = cover.take(table[a].take(column[past:]) + c4[past:], mode="clip")
+    vals[table[a]] = -1  # every T through a
+    vals[-1] = -1  # the sentinel, which table[a] marks only when n >= 2
+    return vals
 
 
 def equivalent_brute_force(c1: LinearCode, c2: LinearCode) -> bool:

@@ -16,6 +16,7 @@ import pytest
 from hullkit import (
     GF2,
     FieldVector,
+    LinearCode,
     TransformPair,
     apply_column_permutation,
     hull_dim,
@@ -33,6 +34,7 @@ from hullkit import (
     transform_code,
     transform_rows,
     transpose,
+    weight_distribution,
 )
 from hullkit.artifacts import (
     CIRCULANT_SEED_NAMES,
@@ -66,6 +68,19 @@ from conftest import (
 )
 
 THREADS = 2
+
+# x with y = y4 on D11 whose outputs are eight new extremal [56,28,12]
+# classes; verify.SD_CASES keeps its own copy
+NEW_EXTREMAL_X = [
+    "1000010100001001100011110101",
+    "0000101000101100110100001111",
+    "0010000010100001100000100110",
+    "1101001000101001001001011010",
+    "1110101011010100110111001010",
+    "1110010110000011000001101010",
+    "0110010111100001100000101001",
+    "0010010011101001100010011100",
+]
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -353,3 +368,27 @@ def test_criterion_10_support_nonvacuous_emission(seed_distributions):
     report("10 (supporting emission check)", True,
            f"{len(records)} record(s) from a known-surviving candidate; "
            f"replay and determinism verified")
+
+
+def test_criterion_11_new_extremal_codes(seed_distributions):
+    # the paper's headline in small: transformed D11 codes that are extremal
+    # and inequivalent to every seed and to each other, since N_t is an
+    # equivalence invariant and their sequences all differ
+    d11, _ = seed_distributions["D11"]
+    y4 = make_yi(28, 4)
+    xs = [FieldVector(GF2, [int(c) for c in x]) for x in NEW_EXTREMAL_X]
+    records = sd_search(d11, y4, xs, d_target=12, seed_id="D11")
+    assert [r.x for r in records] == NEW_EXTREMAL_X
+    assert all(r.collision is None for r in records)
+    known = {nt_sequence(code).sequence for code, _ in seed_distributions.values()}
+    new = set()
+    for rec in records:
+        assert rec.d == 12 and rec.self_dual and rec.doubly_even
+        code = replay(rec, {"D11": d11})
+        twin = LinearCode(code.generator)  # certified afresh, not from the kept certificate
+        assert dict(weight_distribution(twin).counts) == GLEASON_56_EXTREMAL
+        seq = nt_sequence(twin).sequence
+        assert seq not in known | new
+        new.add(seq)
+    report("11 (new extremal codes)", True,
+           f"{len(new)} new inequivalent extremal [56,28,12] codes from D11 at y4, each replayed")

@@ -432,7 +432,7 @@ def test_verify_paper(capsys, tmp_path):
     seeds = [c for c in doc["checks"] if c["name"].startswith("seed ")]
     assert len(seeds) == 6
     assert all("enumerator exact" in c["detail"] for c in seeds)
-    assert out.splitlines()[-1] == "verification PASSED (12/12)"
+    assert out.splitlines()[-1] == "verification PASSED (13/13)"
 
 
 def test_verify_paper_has_no_quick_option(capsys):

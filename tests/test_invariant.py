@@ -30,8 +30,8 @@ from hullkit.invariant import (
     _incidence,
     _key_dtype,
     _pair_counts,
+    _profile,
     _relabel,
-    _through,
     _through_words,
     nt_from_masks,
 )
@@ -50,6 +50,7 @@ from conftest import (
     nt_masks_naive,
     random_code,
     subset_cover_count,
+    through_cover,
     tied_pairs,
 )
 
@@ -57,8 +58,8 @@ from conftest import (
 def _slice(cover, a, n):
     """(n, C(n,2)) int32 array: entry [j, {i < h}] is the cover count of
     {a, j, i, h}, or -1 when the four columns are not distinct: the counts
-    ``invariant._through`` gathers, read through its table."""
-    return _through(cover, a, n).take(invariant._slice_tables(n)[0])
+    ``through_cover`` gathers, read through ``invariant._slice_table``."""
+    return through_cover(cover, a, n).take(invariant._slice_table(n))
 
 
 def random_perm(rng, n):
@@ -154,7 +155,7 @@ def test_cover_matches_a_colex_indexed_loop(data):
     for m in masks:
         for subset in combinations([j for j in range(n) if m >> j & 1], 4):
             expected[colex_rank(subset)] += 1
-    cover = _cover(_incidence(_packed_rows(masks, n), n))
+    cover = _cover(_packed_rows(masks, n), n)
     assert cover.shape == expected.shape
     assert np.array_equal(cover, expected)
 
@@ -169,7 +170,7 @@ def test_slice_marks_repeated_columns_in_any_cover_dtype(dtype):
     n = 9
     rng = random.Random(131)
     masks = [rng.getrandbits(n) for _ in range(40)]
-    cover = _cover(_incidence(_packed_rows(masks, n), n)).astype(dtype)
+    cover = _cover(_packed_rows(masks, n), n).astype(dtype)
     pairs = list(combinations(range(n), 2))
     for a in range(n):
         s = _slice(cover, a, n)
@@ -189,7 +190,7 @@ def test_slice_counts_every_entry_directly(data):
     n = data.draw(st.integers(3, 40))
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))
     dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.uint32, np.int64]))
-    cover = _cover(_incidence(_packed_rows(masks, n), n)).astype(dtype)
+    cover = _cover(_packed_rows(masks, n), n).astype(dtype)
     bits = np.array([[m >> c & 1 for c in range(n)] for m in masks], dtype=np.int64).reshape(-1, n)
     i, h = np.triu_indices(n, 1)
     j = np.arange(n)[:, None]
@@ -202,11 +203,10 @@ def test_slice_counts_every_entry_directly(data):
         assert np.array_equal(s, np.where(repeated, -1, want))
 
 
-def _assert_slices_from_words_match_the_cover(bits):
-    n = bits.shape[1]
-    cover = _cover(bits)
+def _assert_slices_from_words_match_the_cover(words, n):
+    bits, cover = _incidence(words, n), _cover(words, n)
     for a in range(n):
-        got, want = _through_words(bits, a), _through(cover, a, n)
+        got, want = _through_words(bits, a), through_cover(cover, a, n)
         assert got.dtype == np.int32 and got.shape == want.shape == (comb(n, 3) + 1,)
         assert np.array_equal(got, want), a
         # -1 marks each of the C(n-1,2) 3-subsets through a, and the sentinel
@@ -218,11 +218,11 @@ def test_slices_from_words_match_the_cover_on_bundled_codes():
     outputs = {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
     codes = {name: load_seed(name) for name in CIRCULANT_SEED_NAMES} | outputs
     for name, code in codes.items():
-        _assert_slices_from_words_match_the_cover(_incidence(invariant._certificate(code).words, code.n))
+        _assert_slices_from_words_match_the_cover(invariant._certificate(code).words, code.n)
     # past one 64-bit word, with four columns that no word holds
     rng = random.Random(181)
     masks = [sum(1 << j for j in rng.sample(range(66), 7)) for _ in range(40)]
-    _assert_slices_from_words_match_the_cover(_incidence(_packed_rows(masks, 70), 70))
+    _assert_slices_from_words_match_the_cover(_packed_rows(masks, 70), 70)
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,30 +235,38 @@ def test_slices_from_words_match_the_cover_on_one_weight_words(data):
     supports = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=w, max_size=w, unique=True),
                                   max_size=25))
     masks = [sum(1 << j for j in support) for support in supports]
-    bits = _incidence(_packed_rows(masks, n), n)
-    _assert_slices_from_words_match_the_cover(bits)
+    _assert_slices_from_words_match_the_cover(_packed_rows(masks, n), n)
 
 
 def test_each_first_code_slice_is_counted_once_per_decision(monkeypatch):
     rng = random.Random(35)
     code = random_code(rng, GF2, 18, 5)
     # this [18,5] code backtracks over 401 nodes and asks for the slices of
-    # 9 first-code columns 182 times; a permuted D11 asks twice
+    # 9 first-code columns 182 times, and counts 14 of the second code's; a
+    # permuted D11 asks twice, and counts the second code's slices of only the
+    # two tries that pass the profile check
     pairs = [_permuted_seed("D11"), (code, apply_column_permutation(code, random_perm(rng, 18)))]
-    seen, results = [], []
+    searches, seen, results = [], [], []
+    init = invariant._Search.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        searches.append(self)
 
     def counted(bits, a):
-        seen[-1].append(a)
+        side = [b is bits for b in searches[-1].bits].index(True)
+        seen[-1][side].append(a)
         return _through_words(bits, a)
 
+    monkeypatch.setattr(invariant._Search, "__init__", recorded)
     monkeypatch.setattr(invariant, "_through_words", counted)
     for c1, c2 in pairs:
-        seen.append([])
+        seen.append(([], []))
         results.append(is_equivalent(c1, c2, node_budget=SEARCH_NODE_BUDGET))
     assert (results[0].nodes, hashlib.sha256(bytes(results[0].witness)).hexdigest()) == PERMUTED_SEED_PATHS["D11"]
     assert results[1].verdict == "equivalent" and results[1].nodes == 401
-    assert [len(cols) for cols in seen] == [2, 9]
-    assert all(len(cols) == len(set(cols)) for cols in seen)
+    assert [tuple(map(len, sides)) for sides in seen] == [(2, 2), (9, 14)]
+    assert all(len(cols) == len(set(cols)) for sides in seen for cols in sides)
 
 
 def test_nt_sequence_needs_a_weight_from_1_to_n():
@@ -518,11 +526,13 @@ def test_refine_colours_the_same_on_int32_and_int64_keys(monkeypatch):
 
 
 def _extend_refining_every_try(turned_down):
-    """``_Search.extend`` without its cover-histogram check: every tried
-    pair (a, b) is refined.  For each try whose cover counts through a and
-    through b have different histograms, read here off the slices (each
-    4-subset through a column lies three times in its slice), ``refine``'s
-    answer goes to ``turned_down``."""
+    """``_Search.extend`` without its profile check: every tried pair (a, b)
+    is refined, and b's slice is gathered from a cover of the second code's
+    words.  For each try whose cover counts through a and through b have
+    different histograms, read here off the slices (each 4-subset through a
+    column lies three times in its slice), ``refine``'s answer goes to
+    ``turned_down``."""
+    covers = {}  # per search: the second code's cover
 
     def extend(self, cols, slices):
         n = cols.shape[1]
@@ -532,14 +542,17 @@ def _extend_refining_every_try(turned_down):
             return images if invariant._witness_ok(*self.codes, images.tolist()) else None
         cell = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
         a = int(np.argmax(cols[0] == cell))
-        lead = None if self.flat else _through_words(self.bits, a).take(invariant._slice_tables(n)[0])
+        if not self.flat:
+            lead = _through_words(self.bits[0], a).take(invariant._slice_table(n))
+            if self not in covers:
+                covers[self] = _cover(self.codes[1]._facts.words, n)
         for b in np.flatnonzero(cols[1] == cell).tolist():
             self.nodes += 1
             if self.nodes > self.node_budget:
                 raise invariant._BudgetSpent
             tried = cols.copy()
             tried[0, a] = tried[1, b] = len(sizes)
-            deeper = slices if self.flat else slices + [np.stack([lead, _slice(self.cover, b, n)])]
+            deeper = slices if self.flat else slices + [np.stack([lead, _slice(covers[self], b, n)])]
             refined = self.refine(tried, deeper)
             if not self.flat:
                 through = [np.bincount(s[s >= 0], minlength=self.reach) for s in deeper[-1]]
@@ -756,12 +769,12 @@ def test_a_repeated_decision_reuses_each_codes_scan_and_counts(monkeypatch):
     assert calls == {"scan": 0, "cover": 0}
     permuted = apply_column_permutation(d11, random_perm(random.Random("D11"), d11.n))
     first = is_equivalent(d11, permuted)
-    assert calls == {"scan": 1, "cover": 2}  # the certificate's, then the search's
+    assert calls == {"scan": 1, "cover": 1}  # the certificate's; the search builds none
     calls.update(scan=0, cover=0)
-    # equal counts: the second code's cover is built again, the first code's
-    # slices come from its words, and the search takes the same path
+    # equal counts: both codes' slices come from their words, and the search
+    # takes the same path
     assert is_equivalent(d11, permuted) == first
-    assert calls == {"scan": 0, "cover": 1}
+    assert calls == {"scan": 0, "cover": 0}
     assert (first.nodes, hashlib.sha256(bytes(first.witness)).hexdigest()) == PERMUTED_SEED_PATHS["D11"]
 
 
@@ -834,7 +847,7 @@ def test_a_kept_certificate_answers_the_screen_as_the_scan_does():
         fresh = invariant._certificate(code)
         assert fresh is code._facts, name
         # whole when it is made: the counts of a cover built anew from its words
-        assert np.array_equal(fresh.nt, np.bincount(_cover(_incidence(fresh.words, code.n)))), name
+        assert np.array_equal(fresh.nt, np.bincount(_cover(fresh.words, code.n))), name
         assert not fresh.nt.flags.writeable, name
         for abort_below in (None, 1, 4, fresh.d - 1, fresh.d, fresh.d + 1, code.n + 1, code.n + 2):
             kept = invariant._certificate(code, abort_below)
@@ -856,8 +869,8 @@ def test_nothing_kept_is_handed_out_mutable():
     seq.counts.clear()
     assert nt_sequence(d11).counts == expected
     assert is_equivalent(d11, c561).verdict == "inequivalent"
-    d, dist, words, nt = d11._facts
-    for array in (words, nt):
+    d, dist, words, nt, profile = d11._facts
+    for array in (words, nt, profile):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
@@ -868,6 +881,115 @@ def test_a_certified_code_holds_no_cover():
     d11, permuted = _permuted_seed("D11")
     assert is_equivalent(d11, permuted)
     for code in (d11, permuted):
-        d, dist, words, nt = code._facts
+        d, dist, words, nt, profile = code._facts
         assert (d, len(words)) == (12, 8190) and words.nbytes == 65_520
+        assert profile.shape == (56, len(nt)) == (56, 26) and profile.nbytes == 11_648
         assert len(nt) < 100 and all(not isinstance(f, np.ndarray) or len(f) < comb(56, 4) for f in code._facts)
+
+
+def _assert_the_profile_is_each_columns_histogram(words, n):
+    """The profile of the cover of ``words`` against the histogram of each
+    column's gathered slice, and its column sums over four against the
+    cover's histogram, in value and length.  Returns whether the cover is
+    sparse (under a quarter nonzero), the profile's other kernel."""
+    cover = _cover(words, n)
+    hist, profile = np.bincount(cover), _profile(cover, n)
+    assert profile.shape == (n, len(hist)) and profile.dtype == np.intp
+    for b in range(n):
+        through = through_cover(cover, b, n)
+        assert np.array_equal(profile[b], np.bincount(through[through >= 0], minlength=len(hist))), b
+    assert np.array_equal(profile.sum(axis=0) // 4, hist)
+    return 4 * np.count_nonzero(cover) < len(cover)
+
+
+def test_the_profile_is_each_columns_histogram_on_bundled_codes():
+    # the six seeds (dense covers), the three LCD seeds and their bundled
+    # outputs (sparse ones), a code with no nonzero word and one with n < 4
+    codes = {**seed_store(), "zero": LinearCode(FieldMatrix.from_bit_rows([], 6)),
+             "rep3": LinearCode(FieldMatrix.from_bit_rows([0b111], 3))}
+    codes |= {pair: transform_code(load_a_block_code(seed), load_pair(pair)) for pair, seed in PAIR_SEED.items()}
+    sparse = {}
+    for name, code in codes.items():
+        cert = invariant._certificate(code)
+        sparse[name] = _assert_the_profile_is_each_columns_histogram(cert.words, code.n)
+        assert np.array_equal(cert.profile, _profile(_cover(cert.words, code.n), code.n)), name
+        assert cert.nt.tolist() == np.bincount(_cover(cert.words, code.n)).tolist(), name
+        assert not cert.profile.flags.writeable and not cert.nt.flags.writeable, name
+    assert not any(sparse[name] for name in CIRCULANT_SEED_NAMES)
+    assert all(sparse[name] for name in codes if name not in (*CIRCULANT_SEED_NAMES, "rep3"))
+    assert codes["rep3"]._facts.profile.shape == (3, 0) and len(codes["rep3"]._facts.nt) == 0
+    assert codes["zero"]._facts.nt.tolist() == [comb(6, 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_profile_is_each_columns_histogram_on_random_words(data):
+    # n < 4 (no 4-subset), n > 64 (two lanes), no word at all, repeated
+    # words, and both kernels: few light words give a sparse cover, many
+    # heavy ones on few columns a dense one
+    n = data.draw(st.integers(1, 80))
+    w = data.draw(st.integers(0, n))
+    supports = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=w, max_size=w), max_size=20))
+    masks = [sum(1 << j for j in support) for support in supports]
+    if masks:
+        masks += data.draw(st.lists(st.sampled_from(masks), max_size=5))
+    _assert_the_profile_is_each_columns_histogram(_packed_rows(masks, n), n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 80), st.integers(1, 10), st.integers(0, 2**32))
+def test_a_certificates_profile_and_nt_on_random_codes(n, k, seed):
+    code = random_code(random.Random(seed), GF2, n, min(k, n))
+    cert = invariant._certificate(code)
+    _assert_the_profile_is_each_columns_histogram(cert.words, n)
+    assert np.array_equal(cert.profile, _profile(_cover(cert.words, n), n))
+    assert cert.nt.tolist() == np.bincount(_cover(cert.words, n)).tolist()
+
+
+@pytest.mark.parametrize("n, w, count, sparse", [
+    (8, 6, 12, False), (12, 9, 30, False), (70, 60, 3, False), (12, 5, 4, True), (70, 5, 10, True),
+])
+def test_the_profile_kernels_on_dense_and_sparse_covers(n, w, count, sparse):
+    rng = random.Random(n * w)
+    masks = [sum(1 << j for j in rng.sample(range(n), w)) for _ in range(count)]
+    assert _assert_the_profile_is_each_columns_histogram(_packed_rows(masks, n), n) == sparse
+
+
+def test_decisions_build_no_cover():
+    # a cover is built only to certify, and the search keeps none
+    assert sorted(_callers("_cover")) == ["invariant._certificate", "invariant.nt_from_masks"]
+    tree = ast.parse(Path(invariant.__file__).read_text(encoding="utf-8"))
+    search = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Search")
+    names = {value for node in ast.walk(search) for field in ("id", "arg", "attr", "name")
+             if isinstance(value := getattr(node, field, None), str)}
+    assert not [name for name in names if "cover" in name.lower()]
+
+
+def test_a_permuted_d11_decision_on_certified_codes_builds_no_cover(monkeypatch):
+    d11, permuted = _permuted_seed("D11")
+    for code in (d11, permuted):
+        invariant._certificate(code)
+    calls = _count_scans_and_covers(monkeypatch)
+    searches, second = [], []
+    init = invariant._Search.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        searches.append(self)
+
+    def counted(bits, a):
+        if bits is searches[-1].bits[1]:
+            second.append(a)
+        return _through_words(bits, a)
+
+    monkeypatch.setattr(invariant._Search, "__init__", recorded)
+    monkeypatch.setattr(invariant, "_through_words", counted)
+    res = is_equivalent(d11, permuted, node_budget=SEARCH_NODE_BUDGET)
+    assert (res.nodes, hashlib.sha256(bytes(res.witness)).hexdigest()) == PERMUTED_SEED_PATHS["D11"]
+    assert calls == {"scan": 0, "cover": 0}
+    assert len(second) == len(set(second)) == 2
+    # nothing the search holds is as long as a cover
+    held = [v for v in vars(searches[0]).values() if isinstance(v, np.ndarray)]
+    held += [a for v in vars(searches[0]).values() if isinstance(v, (list, tuple)) for a in v
+             if isinstance(a, np.ndarray)]
+    assert held and not [a.shape for a in held if comb(56, 4) in a.shape]

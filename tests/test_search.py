@@ -544,7 +544,7 @@ def test_dedup_decides_over_certificates_without_a_scan(monkeypatch):
     assert len(records) == 1
     ((index, rep),) = dedup[(fp["distribution"], fp["nt"])]
     assert index == 0 and rep is d11 and rep._facts is first
-    assert first._fields == ("d", "distribution", "words", "nt")  # no cover kept
+    assert first._fields == ("d", "distribution", "words", "nt", "profile")  # no cover kept
 
 
 def test_replay_certifies_the_code_it_rebuilds_with_one_scan(monkeypatch):
