@@ -5,31 +5,31 @@ N_t counts the 4-subsets of columns covered by exactly t of the weight-w
 codewords; the sequence is invariant under column permutation, so distinct
 sequences certify inequivalence.  It is counted from a cover array: the
 cover count of every 4-subset, indexed by its colex rank and summed from
-rank terms tabulated per column pair.  The sequence runs to
-t = max(n, largest count): each 4-subset of the [24,12,8] code lies in 120
-of its weight-12 words.  A certificate also keeps its code's profile: row b
-is the histogram of the cover counts of the C(n-1,3) 4-subsets through
-column b, and N_t is the profile's column sums over four, as each 4-subset
-lies in four rows.
+rank terms tabulated per column pair, over a word's 4-subsets in colex
+order.  The sequence runs to t = max(n, largest count): each 4-subset of the
+[24,12,8] code lies in 120 of its weight-12 words.  A certificate also keeps
+its code's profile: row b is the histogram of the cover counts of the
+C(n-1,3) 4-subsets through column b, and N_t is the profile's column sums
+over four, as each 4-subset lies in four rows.
 
-Equal sequences prove nothing, which is why :func:`is_equivalent` exists:
-it compares the N_t counts of both codes' minimum-weight words, then
-colours the columns of both codes jointly, by pair counts and, along each
-branch of an individualization-refinement search, by the cover counts of
-the 4-subsets through each individualized column, a slice at a time: the
-counts of {a} + T for every 3-subset T, read through a cached table of the
-3-subset ranks of {j, i, h}.  A slice is counted from the weight-d words
-that hold its column, at most once per column and code in a search.  Before
-it refines a tried pair (a, b), the search compares row a of the first
-code's profile with row b of the second's, and drops b when they differ:
-the refinement would turn it down on its first pass, as each of those
-4-subsets lies three times in a's slice.  So a search counts the slices of
-the tries that pass only; on each permuted extremal [56,28,12] seed tried,
-the check turned down every try but the two that lead to the witness.  Only
-searches whose cover is not constant use slices, so only they use the
-check.  The test is exact because every "equivalent" answer carries a
-witness permutation verified by generator membership, and every
-"inequivalent" answer comes from a permutation invariant or from
+Equal sequences prove nothing, which is why :func:`is_equivalent` exists: it
+compares the N_t counts of both codes' minimum-weight words, then colours
+the columns of both codes jointly, by pair counts and, along each branch of
+an individualization-refinement search, by the cover counts of the 4-subsets
+through each individualized column, a slice at a time: the counts of {a} + T
+for every 3-subset T, read through a cached table of the 3-subset ranks of
+{j, i, h}.  A slice is counted from the weight-d words that hold its column,
+over the colex 3-subsets of each one's other places, at most once per column
+and code in a search.  Before it refines a tried pair (a, b), the search
+compares row a of the first code's profile with row b of the second's, and
+drops b when they differ: the refinement would turn it down on its first
+pass, as each of those 4-subsets lies three times in a's slice.  So a search
+counts the slices of the tries that pass only; on each permuted extremal
+[56,28,12] seed tried, the check turned down every try but the two that lead
+to the witness.  Only searches whose cover is not constant use slices, so
+only they use the check.  The test is exact because every "equivalent"
+answer carries a witness permutation verified by generator membership, and
+every "inequivalent" answer comes from a permutation invariant or from
 exhausting a search pruned only by permutation invariants.  A blown node
 budget yields verdict "unknown", never a wrong answer.
 
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb, prod
 from typing import Mapping, NamedTuple, Sequence
 
@@ -104,11 +103,11 @@ def _colex_terms(n: int) -> np.ndarray:
 def _place_pairs(w: int) -> tuple[np.ndarray, ...]:
     """The places (p, q) of the C(w,2) column pairs of a sorted w-column
     support, and for each of its C(w,4) 4-subsets the indices among them of
-    its low pair (places 1, 2) and its high pair (places 3, 4)."""
-    pairs = list(combinations(range(w), 2))
-    index = {pq: i for i, pq in enumerate(pairs)}
-    splits = [(index[s[:2]], index[s[2:]]) for s in combinations(range(w), 4)]
-    return (*np.array(pairs, dtype=np.intp).T, *np.array(splits, dtype=np.intp).reshape(-1, 2).T)
+    its low pair (places 1, 2) and its high pair (places 3, 4), all in colex
+    order, so that a pair's index is its colex rank."""
+    terms, s = _colex_terms(w), _unrank(np.arange(comb(w, 4)), w, 4)
+    low, high = (terms[0][s[q]] + terms[1][s[q + 1]] for q in (0, 2))
+    return (*_unrank(np.arange(comb(w, 2)), w, 2), low, high)
 
 
 def _incidence(words: np.ndarray, n: int) -> np.ndarray:
@@ -169,7 +168,8 @@ def _unrank(ranks: np.ndarray, n: int, size: int) -> np.ndarray:
 def _triple_members(n: int) -> np.ndarray:
     """Read-only (3, C(n-1,3)) members of the 3-subsets of the first n - 1
     columns in colex order, 79 KB at n = 56: the 3-subsets below the top
-    column of each colex run of 4-subsets."""
+    column of each colex run of 4-subsets, and, at n = w + 1, the places of
+    the 3-subsets of a sorted w-column support."""
     members = _unrank(np.arange(comb(n - 1, 3)), n, 3).astype(np.min_scalar_type(n))
     members.flags.writeable = False
     return members
@@ -349,41 +349,31 @@ def _slice_table(n: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _place_triples(w: int) -> np.ndarray:
-    """(3, C(w,3)) places of the 3-subsets of a sorted w-column support."""
-    triples = np.array(list(combinations(range(w), 3)), dtype=np.intp).reshape(-1, 3).T
-    triples.flags.writeable = False
-    return triples
-
-
 def _through_words(bits: np.ndarray, a: int) -> np.ndarray:
     """(C(n,3) + 1,) int32 array: entry T, a 3-subset's colex rank, is the
-    number of words of ``bits`` that cover {a} + T, or -1 when T holds a;
-    the last entry is -1.  So the entries that are not -1 are the cover
-    counts of the C(n-1,3) 4-subsets through a, counted with no cover: each
-    word that holds a, a left out, adds one to the entry of every 3-subset T
-    of the rest of its support, the colex rank of T summed from
-    C(x,1) + C(y,2) + C(z,3).  D11's slice takes 1755 of its 8190 weight-12
-    words and 165 triples each, against a cover's 495 4-subsets of every
-    word.  Words go in chunks of about 2^16 ranks."""
+    number of words of ``bits``, all of one weight, that cover {a} + T, or
+    -1 when T holds a; the last entry is -1.  So the entries that are not -1
+    are the cover counts of the C(n-1,3) 4-subsets through a, counted with
+    no cover: each word that holds a, a left out, adds one to the entry of
+    every 3-subset T of the rest of its support, the colex rank of T summed
+    from C(x,1) + C(y,2) + C(z,3).  D11's slice takes 1755 of its 8190
+    weight-12 words and 165 triples each, against a cover's 495 4-subsets of
+    every word.  Words go in chunks of about 2^16 ranks."""
     n = bits.shape[1]
     terms = _colex_terms(n)
     rows = bits[bits[:, a] != 0]
     rows[:, a] = 0
-    weights = rows.sum(axis=1)
+    w = int(rows[:1].sum())  # every row's weight, 0 when no word holds a
+    supports = np.flatnonzero(rows.view(bool)).reshape(len(rows), w) - n * np.arange(len(rows))[:, None]
+    x, y, z = _triple_members(w + 1)
     counts = np.zeros(comb(n, 3) + 1, dtype=np.intp)
-    for w in np.unique(weights[weights >= 3]).tolist():
-        group = rows[weights == w]
-        supports = np.flatnonzero(group.view(bool)).reshape(-1, w) - n * np.arange(len(group))[:, None]
-        x, y, z = _place_triples(w)
-        step = max(1, (1 << 16) // len(x))
-        for start in range(0, len(supports), step):
-            t = terms[:3, supports[start:start + step]]
-            ranks = t[0][:, x]
-            ranks += t[1][:, y]
-            ranks += t[2][:, z]
-            counts += np.bincount(ranks.ravel(), minlength=len(counts))
+    step = max(1, (1 << 16) // max(1, len(x)))
+    for start in range(0, len(supports), step):
+        t = terms[:3, supports[start:start + step]]
+        ranks = t[0][:, x]
+        ranks += t[1][:, y]
+        ranks += t[2][:, z]
+        counts += np.bincount(ranks.ravel(), minlength=len(counts))
     vals = counts.astype(np.int32)
     vals[_slice_table(n)[a]] = -1  # every T through a, and the sentinel
     return vals

@@ -289,22 +289,21 @@ def sampled_isotropic_pairs(m: int, count: int, rng_seed: int) -> list[Transform
 
 # --- drivers ------------------------------------------------------------------
 
-def _emit(records: list[SearchRecord], dedup: dict, rec: SearchRecord, code: LinearCode,
-          node_budget: int, threads: int) -> None:
+def _emit(records: list[SearchRecord], dedup: dict, rec: SearchRecord, code: LinearCode, threads: int) -> None:
     """Append ``rec`` unless ``code`` is proved equivalent to an earlier one.
 
     ``dedup`` maps a fingerprint key to its class representatives, as (record
     index, code) in emission order; each keeps its certificate (at n = 56,
     65,520 bytes of weight-12 words).  Each decision is ``is_equivalent``
-    of a representative and ``code``.  A new code is merged into the first
-    found equivalent, or else kept as one more, its ``collision`` note
-    naming every record compared.
+    of a representative and ``code`` at ``SEARCH_NODE_BUDGET`` nodes.  A
+    new code is merged into the first found equivalent, or else kept as one
+    more, its ``collision`` note naming every record compared.
     """
     key = (rec.fingerprint["distribution"], rec.fingerprint["nt"])
     reps = dedup.setdefault(key, [])
     verdicts = []
     for index, prior in reps:
-        res = is_equivalent(prior, code, node_budget=node_budget, threads=threads)
+        res = is_equivalent(prior, code, node_budget=SEARCH_NODE_BUDGET, threads=threads)
         if res.verdict == "equivalent":
             return  # merged into the earlier record
         verdicts.append(f"{index} (equivalence: {res.verdict})")
@@ -344,7 +343,7 @@ def _search(form: StandardForm, pairs: Iterable[TransformPair], mode: str,
             fingerprint=fp,
             created=datetime.now(timezone.utc).isoformat(timespec="seconds") if stamp else None,
         )
-        _emit(records, dedup, rec, out, SEARCH_NODE_BUDGET, threads)
+        _emit(records, dedup, rec, out, threads)
     return records
 
 

@@ -1,7 +1,11 @@
 """The text loaders take arbitrary input and raise only their documented
 errors: ``parse_code`` and ``TransformPair.parse`` a ``CodeParseError``, and
 ``read_records`` plus ``replay`` an ``IntegrityError`` or another
-``HullkitError``, never ``TypeError``, ``KeyError`` or ``AttributeError``."""
+``HullkitError``, never ``TypeError``, ``KeyError`` or ``AttributeError``.
+The ``artifacts`` loaders take any name and raise only ``KeyError``, and the
+CLI reads any file into exit 0, or exit 1 with one error line."""
+import contextlib
+import io
 import json
 
 import pytest
@@ -13,6 +17,7 @@ from hullkit import (
     CodeParseError,
     FieldVector,
     HullkitError,
+    LinearCode,
     TransformPair,
     exhaustive_x,
     parse_code,
@@ -20,6 +25,8 @@ from hullkit import (
     replay,
     sd_search,
 )
+from hullkit import artifacts
+from hullkit.cli import main
 from hullkit.search import _RECORD_TYPES
 
 from conftest import direct_sum, extended_hamming
@@ -90,3 +97,38 @@ def test_a_record_with_any_json_value_in_one_field_raises_only_documented_errors
     # code has the same parameters and fingerprint, and with nothing else changed
     assert (code.n, code.k) == (payload["n"], payload["k"])
     assert name in ("created", "collision", "x", "y") or value == payload[name]
+
+
+@settings(max_examples=300, deadline=None)
+@given(load=st.sampled_from([artifacts.load_seed, artifacts.load_a_block_code, artifacts.load_pair,
+                             artifacts.bundled_code]),
+       name=st.one_of(st.sampled_from(sorted(artifacts.ARTIFACTS)), st.text(max_size=8)))
+def test_artifact_loaders_return_their_object_or_raise_key_error(load, name):
+    try:
+        loaded = load(name)
+    except KeyError:
+        return
+    assert isinstance(loaded, TransformPair if load is artifacts.load_pair else LinearCode)
+
+
+@pytest.fixture(scope="module")
+def text_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli") / "input.txt"
+
+
+@pytest.mark.parametrize("argv", [["info", "--minweight", "{}"], ["transform", "--seed", "a37225", "--pair", "{}"],
+                                  ["equiv", "{}", "{}"], ["invariant", "{}"], ["replay", "--records", "{}"]],
+                         ids=lambda argv: argv[0])
+@settings(max_examples=100, deadline=None)
+@given(text=_TEXT)
+@example(text="2 8 4\n11110000\n00111100\n00001111\n01010101")  # e8: info, equiv and invariant exit 0
+@example(text=artifacts.ARTIFACTS["c37226"].payload)  # a37225's pair: transform exits 0
+def test_the_cli_reads_any_file_into_exit_0_or_one_error_line(text_file, argv, text):
+    text_file.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main([str(text_file) if arg == "{}" else arg for arg in argv])
+    assert status in (0, 1)
+    lines = err.getvalue().splitlines()
+    if status == 1:
+        assert len(lines) == 1 and lines[0].startswith("hullkit: error: "), lines

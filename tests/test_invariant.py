@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import random
+import types
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -158,6 +159,30 @@ def test_cover_matches_a_colex_indexed_loop(data):
     cover = _cover(_packed_rows(masks, n), n)
     assert cover.shape == expected.shape
     assert np.array_equal(cover, expected)
+
+
+def test_place_tables_list_each_subset_once_in_colex_order(monkeypatch):
+    # each 2-, 3- and 4-subset of places 0..w-1 once, each split naming its
+    # low and high pair, and one word's cover ranks rising along its splits,
+    # so np.add.at writes the cover in increasing order
+    added = []
+    numpy = types.SimpleNamespace(**vars(np))
+    numpy.add = types.SimpleNamespace(at=lambda cover, ranks, one: added.append(ranks.copy()))
+    monkeypatch.setattr(invariant, "np", numpy)
+    rng, n = random.Random(35), 70
+    for w in range(15):
+        p, q, lo, hi = invariant._place_pairs(w)
+        triples = invariant._triple_members(w + 1)
+        pairs = list(zip(p.tolist(), q.tolist()))
+        assert pairs == sorted(combinations(range(w), 2), key=colex_rank)
+        assert list(zip(*triples.tolist())) == sorted(combinations(range(w), 3), key=colex_rank)
+        splits = [pairs[low] + pairs[high] for low, high in zip(lo.tolist(), hi.tolist())]
+        assert splits == sorted(combinations(range(w), 4), key=colex_rank)
+        support = sorted(rng.sample(range(n), w))
+        added.clear()
+        _cover(_packed_rows([sum(1 << j for j in support)], n), n)
+        ranks = np.concatenate(added or [[]]).tolist()
+        assert ranks == sorted(colex_rank(subset) for subset in combinations(support, 4))
 
 
 @pytest.mark.parametrize("copies", [255, 256, 65535, 65536])
@@ -432,17 +457,22 @@ def test_equivalence_design_structured_code_exhausts_budget():
 
 
 def test_a_flat_search_builds_no_cover(monkeypatch):
-    # the [24,12,8] code's cover is constant, so its search reads no slice:
-    # a decision on certified objects builds no cover of the second code
+    # the [24,12,8] code's cover is constant, so its search counts no slice
+    # and refines nothing (_Search.flat and .static): with both forced off,
+    # test_equivalence_design_structured_code_exhausts_budget's 50,000-node
+    # search took 87 s against 0.9 s on 2 cores
     golay = bordered_golay()
     permuted = apply_column_permutation(golay, random_perm(random.Random(151), 24))
     calls = _count_scans_and_covers(monkeypatch)
+    slices = []
+    through = invariant._through_words
+    monkeypatch.setattr(invariant, "_through_words", lambda bits, a: slices.append(a) or through(bits, a))
     first = is_equivalent(golay, permuted, node_budget=10)
     assert calls == {"scan": 2, "cover": 2}  # one per certificate
     calls.update(scan=0, cover=0)
     again = is_equivalent(golay, permuted, node_budget=10)
     assert (again.verdict, again.nodes) == (first.verdict, first.nodes) == ("unknown", 11)
-    assert calls == {"scan": 0, "cover": 0}
+    assert calls == {"scan": 0, "cover": 0} and slices == []
 
 
 def test_equivalence_separates_d11_from_c56_1_by_nt():

@@ -514,7 +514,7 @@ def test_dedup_merges_a_permuted_d11_at_the_search_budget():
     for code in (d11, permuted):
         rec = SearchRecord(seed_id="D11", x="0" * 28, y="0" * 28, n=56, k=28, d=12,
                            self_dual=True, doubly_even=True, lcd=False, fingerprint=dict(fp))
-        _emit(records, dedup, rec, code, node_budget=SEARCH_NODE_BUDGET, threads=1)
+        _emit(records, dedup, rec, code, threads=1)
     assert len(records) == 1 and records[0].collision is None
 
 
@@ -539,7 +539,7 @@ def test_dedup_decides_over_certificates_without_a_scan(monkeypatch):
     for code in (d11, permuted):
         rec = SearchRecord(seed_id="D11", x="0" * 28, y="0" * 28, n=56, k=28, d=12,
                            self_dual=True, doubly_even=True, lcd=False, fingerprint=dict(fp))
-        _emit(records, dedup, rec, code, node_budget=SEARCH_NODE_BUDGET, threads=1)
+        _emit(records, dedup, rec, code, threads=1)
     assert scans == [d11, permuted]  # the merge itself scanned nothing
     assert len(records) == 1
     ((index, rep),) = dedup[(fp["distribution"], fp["nt"])]
@@ -575,7 +575,7 @@ def test_fingerprint_stability():
     assert other != fp1
 
 
-def test_dedup_keeps_annotated_collision_when_equivalence_unresolved():
+def test_dedup_keeps_annotated_collision_when_equivalence_unresolved(monkeypatch):
     # equal fingerprints + distinct-but-equivalent codes + zero budget:
     # the equivalence check returns "unknown", so both records stay, the
     # second annotated (different fingerprints are never merged by keying)
@@ -594,26 +594,28 @@ def test_dedup_keeps_annotated_collision_when_equivalence_unresolved():
         )
 
     records, dedup = [], {}
-    _emit(records, dedup, rec(), ham, node_budget=0, threads=1)
-    _emit(records, dedup, rec(), permuted, node_budget=0, threads=1)
+    monkeypatch.setattr(hullkit.search, "SEARCH_NODE_BUDGET", 0)
+    _emit(records, dedup, rec(), ham, threads=1)
+    _emit(records, dedup, rec(), permuted, threads=1)
     assert len(records) == 2
     assert records[0].collision is None
     assert "unknown" in records[1].collision
 
-    # with budget, the same pair of codes merges
+    # at the search's budget, the same pair of codes merges
     records, dedup = [], {}
-    _emit(records, dedup, rec(), ham, node_budget=10_000, threads=1)
-    _emit(records, dedup, rec(), permuted, node_budget=10_000, threads=1)
+    monkeypatch.undo()
+    _emit(records, dedup, rec(), ham, threads=1)
+    _emit(records, dedup, rec(), permuted, threads=1)
     assert len(records) == 1
 
 
-def _emit_all(codes, node_budget=SEARCH_NODE_BUDGET):
+def _emit_all(codes):
     records, dedup = [], {}
     for code in codes:
         rec = SearchRecord(seed_id="s", x="1", y="1", n=code.n, k=code.k, d=min_weight(code),
                            self_dual=False, doubly_even=False, lcd=False,
                            fingerprint=fingerprint_code(code))
-        _emit(records, dedup, rec, code, node_budget=node_budget, threads=1)
+        _emit(records, dedup, rec, code, threads=1)
     return records
 
 
@@ -632,11 +634,12 @@ def test_dedup_merges_with_a_representative_behind_a_collision():
         None, "fingerprint collision with record 0 (equivalence: inequivalent)"]
 
 
-def test_dedup_collision_note_names_every_record_compared():
+def test_dedup_collision_note_names_every_record_compared(monkeypatch):
+    monkeypatch.setattr(hullkit.search, "SEARCH_NODE_BUDGET", 0)
     ham = extended_hamming()
     copies = [apply_column_permutation(ham, p)
               for p in [(2, 1, 3, 4, 5, 6, 7, 8), (1, 2, 3, 4, 5, 6, 8, 7)]]
-    records = _emit_all([ham] + copies, node_budget=0)
+    records = _emit_all([ham] + copies)
     assert [r.collision for r in records] == [
         None,
         "fingerprint collision with record 0 (equivalence: unknown)",
